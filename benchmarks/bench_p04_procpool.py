@@ -1,4 +1,4 @@
-"""P4 — process-pool shared-memory execution backend.
+"""P4 — the process execution backend over shared-memory payloads.
 
 Measures the PR-4 tentpole on an n≈2025 grid:
 
@@ -12,9 +12,9 @@ Measures the PR-4 tentpole on an n≈2025 grid:
 * **Walker-phase scaling** — ``approx_schur`` wall-clock per backend.
   The walker-stepping bookkeeping is Python-bound, so the thread
   backend is GIL-limited (~1.2× at 4 workers); the process backend
-  ships the per-level CSR arrays through ``multiprocessing.
-  shared_memory`` (chunk jobs pickle only slice bounds + seed keys)
-  and can use all cores.
+  ships the per-level CSR arrays to its lease-scheduled worker pool
+  through ``multiprocessing.shared_memory`` (chunk jobs pickle only
+  slice bounds + seed keys) and can use all cores.
 * **Shared-memory hygiene (always gated)** — after every run the
   parent's segment registry must be empty and ``/dev/shm`` must hold
   nothing with this process's payload prefix: create/attach/unlink is

@@ -15,8 +15,9 @@ benchmark *gates* that claim end-to-end:
 
   - ``kill`` — a worker process dies hard mid-chunk (in-process
     backends: the chunk raises); recovered by bounded re-dispatch;
-  - ``hang`` — a worker stalls; recovered by the stall timeout killing
-    and rebuilding the pool, then re-dispatching (process backend);
+  - ``hang`` — a worker stalls; recovered by the lease timeout
+    expiring the chunk and replacing that worker in place, then
+    re-dispatching (process backend);
   - ``degrade`` — retries exhausted on the process backend; recovered
     by falling down the backend ladder (process → thread), which
     replays the identical chunks.
@@ -79,7 +80,7 @@ SCENARIOS = {
 }
 
 #: The hang directive stalls chunk 0's first attempt of *every*
-#: dispatch (a build has dozens), each costing one stall timeout — so
+#: dispatch (a build has dozens), each costing one lease timeout — so
 #: the hang scenario runs with a tight timeout and at one worker count
 #: only.  The timeout path itself is identical at every worker count.
 HANG_TIMEOUT = 1.0
@@ -137,10 +138,11 @@ def main() -> int:
     cpus = os.cpu_count() or 1
 
     g, B = make_workload(n_target)
-    # retries=2 covers every scenario's recovery; the stall timeout
+    # retries=2 covers every scenario's recovery; the lease timeout
     # arms the hang scenario (and is harmless elsewhere — it only
-    # fires when *no* chunk completes in time).  degrade is on, as the
-    # CLI would have it; the fault-free baseline never consults it.
+    # fires when one chunk stays leased that long).  degrade is on, as
+    # the CLI would have it; the fault-free baseline never consults
+    # it.
     opts = practical_options().with_(chunk_items=CHUNK_ITEMS, retries=2,
                                      chunk_timeout=5.0, degrade=True)
     print(f"workload: grid n={g.n} m={g.m} k={N_RHS} cpus={cpus} "

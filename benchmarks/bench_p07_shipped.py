@@ -2,14 +2,14 @@
 
 Measures the PR-7 tentpole on an n≈2025 grid: the blocked column
 solves (preconditioned Richardson through the solver) ship as pure
-``(column slice, tolerances, seed key)`` tasks to the process /
-distributed pools, reconstructing view-only chain operators from a
+``(column slice, tolerances, seed key)`` tasks to the process
+backend's worker pool, reconstructing view-only chain operators from a
 **once-published** shared-memory payload instead of dispatching
 closures onto the thread pool.
 
 * **Shipped-matrix invariance (always gated)** — ``solve_many`` must
   produce **bit-identical** solutions and ledger work/depth totals for
-  every backend ∈ {serial, thread, process, distributed} ×
+  every backend ∈ {serial, thread, process} ×
   workers ∈ {1, 2, 4} with shipping on, all equal to the serial
   unshipped baseline (DESIGN.md §10: the shipped chunks replay the
   threaded chunk layout exactly).
@@ -192,7 +192,6 @@ def main() -> int:
         return 1
 
     speedup_proc = t_serial / times["process"]["4"]
-    speedup_dist = t_serial / times["distributed"]["4"]
 
     # -- gates ----------------------------------------------------------------
     if args.smoke or cpus < 4:
@@ -217,7 +216,6 @@ def main() -> int:
         "chain_payload_mb": payload_mb,
         "solve_seconds": times,
         "process_speedup_4v_serial": speedup_proc,
-        "distributed_speedup_4v_serial": speedup_dist,
         "shipped_matrix_bit_identical": identical,
         "ledger_totals_invariant": ledger_ok,
         "faulted_run_bit_identical": faulted_ok,

@@ -19,8 +19,8 @@ Always-on correctness gates:
   pair's copies all land in one batch — see DESIGN.md §11);
 * **determinism matrix** — coalesce ON, fixed seed ⇒ bit-identical
   ``approx_schur`` and ledger totals across ``{serial, thread,
-  process, distributed}`` × ``{1, 2, 4}`` workers × ``{alias,
-  bisect}`` samplers, no leaked shared memory;
+  process}`` × ``{1, 2, 4}`` workers × ``{alias, bisect}`` samplers,
+  no leaked shared memory;
 * **incremental-vs-scratch** — with the flag pinned OFF the maintained
   store still reproduces the from-scratch rebuild bit-for-bit (the
   PR-6/7 contract is untouched).

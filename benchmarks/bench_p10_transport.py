@@ -1,17 +1,18 @@
 """P10 — hardened transport: faults on the wire are invisible in results.
 
-Measures the PR-10 tentpole end-to-end: the distributed backend's
+Measures the PR-10 tentpole end-to-end: the process backend's
 framed, checksummed, authenticated transport with lease-based
 scheduling, plus the serving layer's admission control.  Every gate is
 **always on** (smoke mode shrinks the workload, never the checks):
 
-* **Wire-fault invariance** — a blocked solve over the distributed
+* **Wire-fault invariance** — a blocked solve over the process
   backend must be **bit-identical** (solutions *and* ledger work/depth
   totals) to the serial baseline under every transport fault kind:
   ``drop`` / ``corrupt`` / ``delay`` frame faults, a worker
   ``disconnect``, a hard ``kill`` and a heartbeat-detected ``hang``
   mid-round — each recovered by retransmission or in-place worker
-  replacement, never a pool teardown (``pool_rebuild`` must be 0).
+  replacement, never a pool teardown (the pool that starts a scenario
+  must be the one that finishes it).
 * **Payload-mode equivalence** — ``REPRO_TRANSPORT=tcp`` (chain and
   dispatch arrays shipped in-band as chunked frames) must be
   bit-identical to the default ``shm`` mode, publish **no**
@@ -52,10 +53,11 @@ from repro.core.solver import LaplacianSolver
 from repro.errors import ServiceOverloadedError
 from repro.graphs import generators as G
 from repro.pram import use_ledger
+from repro.pram import executor
 from repro.pram.executor import (
-    live_distributed_workers,
     live_segment_names,
-    shutdown_distributed_pools,
+    live_worker_pids,
+    shutdown_worker_pools,
 )
 from repro.pram.faults import InjectedFault, use_faults
 from repro.serve import SolverService
@@ -119,34 +121,38 @@ def ledgered_solve(solver, B, plan=None):
 def run_wire_scenarios(g, B, X0, ledger0, failures):
     """Gate (a): every transport fault kind is invisible in results."""
     opts = practical_options().with_(
-        backend="distributed", ship_solves=True, workers=WORKERS,
+        backend="process", ship_solves=True, workers=WORKERS,
         chunk_columns=CHUNK_COLUMNS, retries=2)
     solver = LaplacianSolver(g, options=opts, seed=SEED)
     solver.solve_many(B, eps=EPS)  # warm the lazy CSR Laplacian
     runs = {}
 
-    shutdown_distributed_pools()
+    shutdown_worker_pools()
     Xc, ledgerc, _, tc = ledgered_solve(solver, B)
     if not np.array_equal(Xc, X0) or ledgerc != ledger0:
-        failures.append("clean distributed solve differs from serial")
-    print(f"clean distributed@{WORKERS}: {tc:.3f}s")
+        failures.append("clean process solve differs from serial")
+    print(f"clean process@{WORKERS}: {tc:.3f}s")
 
     for name, (plan, wanted) in SCENARIOS.items():
         # Fresh pool per scenario: frame counters and worker ids
         # restart at 0, so frame=/worker= selectors are deterministic.
-        shutdown_distributed_pools()
+        shutdown_worker_pools()
         if name == "hang":
             os.environ["REPRO_HEARTBEAT_S"] = str(HANG_HEARTBEAT_S)
+        pool = executor._worker_pool(WORKERS)
         Xf, ledgerf, actions, tf = ledgered_solve(solver, B, plan)
+        teardowns = int(executor._worker_pools.get(WORKERS) is not pool)
         if name == "hang":
             del os.environ["REPRO_HEARTBEAT_S"]
         bit_identical = bool(np.array_equal(Xf, X0))
         ledger_ok = ledgerf == ledger0
         fired = all(actions.get(a, 0) >= 1 for a in wanted)
-        no_teardown = actions.get("pool_rebuild", 0) == 0
+        no_teardown = teardowns == 0
         runs[name] = {"plan": plan, "seconds": tf,
                       "bit_identical": bit_identical,
                       "ledger_invariant": ledger_ok,
+                      "pool_teardowns": teardowns,
+                      "worker_replacements": pool.replacements,
                       "fault_log": actions}
         status = "ok" if (bit_identical and ledger_ok and fired
                           and no_teardown) else "FAIL"
@@ -165,7 +171,7 @@ def run_wire_scenarios(g, B, X0, ledger0, failures):
 def run_tcp_mode(g, B, X0, ledger0, failures):
     """Gate (b): in-band payload shipping ≡ shared-memory publishing."""
     opts = practical_options().with_(
-        backend="distributed", ship_solves=True, workers=WORKERS,
+        backend="process", ship_solves=True, workers=WORKERS,
         chunk_columns=CHUNK_COLUMNS, retries=2)
     os.environ["REPRO_TRANSPORT"] = "tcp"
     reset_env_caches()
@@ -175,7 +181,7 @@ def run_tcp_mode(g, B, X0, ledger0, failures):
     solver.solve_many(B, eps=EPS)  # warm the lazy CSR Laplacian
     runs = {}
     try:
-        shutdown_distributed_pools()
+        shutdown_worker_pools()
         Xt, ledgert, _, tt = ledgered_solve(solver, B)
         no_shm = live_segment_names() == ()
         runs["clean"] = {"seconds": tt,
@@ -193,7 +199,7 @@ def run_tcp_mode(g, B, X0, ledger0, failures):
                 f"tcp mode leaked segments {live_segment_names()}")
 
         # A corrupt frame under the (large) in-band payload transfer.
-        shutdown_distributed_pools()
+        shutdown_worker_pools()
         Xf, ledgerf, actions, tf = ledgered_solve(
             solver, B, "corrupt:frame=1")
         ok = (np.array_equal(Xf, X0) and ledgerf == ledger0
@@ -209,7 +215,7 @@ def run_tcp_mode(g, B, X0, ledger0, failures):
     finally:
         del os.environ["REPRO_TRANSPORT"]
         reset_env_caches()
-        shutdown_distributed_pools()
+        shutdown_worker_pools()
     return runs
 
 
@@ -330,8 +336,8 @@ def main() -> int:
                               burst=4 if args.smoke else 16)
 
     # -- gate (d): hygiene — everything reaped after teardown ---------------
-    shutdown_distributed_pools()
-    workers_left = live_distributed_workers()
+    shutdown_worker_pools()
+    workers_left = live_worker_pids()
     segments_left = live_segment_names()
     clean = workers_left == () and segments_left == ()
     print(f"teardown clean (no workers, no segments): {clean}")

@@ -36,7 +36,7 @@ The embarrassingly parallel phases (walker stepping, column-blocked
 solves) dispatch through :class:`repro.pram.ExecutionContext` on a
 pluggable backend: ``serial``, ``thread`` (default; numpy kernels
 release the GIL), or ``process`` (walker chunks ship to a persistent
-pool through ``multiprocessing.shared_memory``).  Pick with
+pool of worker processes over shared memory).  Pick with
 ``SolverOptions(workers=…, backend=…)`` or the ``REPRO_WORKERS`` /
 ``REPRO_BACKEND`` env vars.  **Determinism contract:** a fixed seed
 produces bit-identical graphs, solutions, and cost-ledger totals for

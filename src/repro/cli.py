@@ -229,6 +229,8 @@ def _cmd_client(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
+    from repro.pram.executor import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel Laplacian solver (Sachdeva-Zhao SPAA'23)")
@@ -258,15 +260,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker count for the parallel phases "
                         "(default: REPRO_WORKERS env var / CPU count; "
                         "results are worker-count independent)")
-    p.add_argument("--backend",
-                   choices=["serial", "thread", "process",
-                            "distributed"],
-                   default=None,
+    p.add_argument("--backend", choices=list(BACKENDS), default=None,
                    help="execution backend (default: REPRO_BACKEND env "
                         "var / thread); process ships walker chunks to "
-                        "a shared-memory process pool, distributed to "
-                        "a loopback-socket work queue — results are "
-                        "backend independent")
+                        "a lease-scheduled worker-process pool — "
+                        "results are backend independent")
     p.add_argument("--sampler", choices=["alias", "bisect"],
                    default=None,
                    help="walker-step row sampler (default: REPRO_SAMPLER "
@@ -278,9 +276,10 @@ def main(argv: list[str] | None = None) -> int:
                         "REPRO_RETRIES env var / 2); re-dispatch is "
                         "bit-identical to an undisturbed run")
     p.add_argument("--chunk-timeout", type=float, default=None,
-                   help="seconds without any chunk completing before "
-                        "the process pool is declared hung and rebuilt "
-                        "(default: REPRO_CHUNK_TIMEOUT env var / off)")
+                   help="seconds a chunk may stay leased to one "
+                        "process worker before the lease expires and "
+                        "the worker is replaced (default: "
+                        "REPRO_CHUNK_TIMEOUT env var / off)")
     p.add_argument("--degrade", default=True,
                    action=argparse.BooleanOptionalAction,
                    help="degrade the backend (process -> thread -> "
@@ -289,10 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--ship-solves", default=None,
                    action=argparse.BooleanOptionalAction,
                    help="ship blocked-solve column chunks to the "
-                        "process/distributed pool over a shared-memory "
-                        "chain payload (default: REPRO_SHIP_SOLVES env "
-                        "var / off); results are bit-identical either "
-                        "way")
+                        "process pool over a once-published chain "
+                        "payload (default: REPRO_SHIP_SOLVES env var / "
+                        "off); results are bit-identical either way")
     p.add_argument("--coalesce", default=None,
                    action=argparse.BooleanOptionalAction,
                    help="coalesce each elimination level's emitted "
@@ -301,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
                         "Laplacians and smaller levels — results are "
                         "deterministic per (seed, coalesce) pair")
     p.add_argument("--transport", choices=["shm", "tcp"], default=None,
-                   help="distributed-backend payload mode (default: "
+                   help="process-backend payload mode (default: "
                         "REPRO_TRANSPORT env var / shm); shm publishes "
                         "arrays via /dev/shm, tcp ships them in-band as "
                         "chunked frames — results are bit-identical "
@@ -340,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
                         "256; 0 disables shedding)")
     p.add_argument("--sampler", choices=["alias", "bisect"],
                    default=None)
-    p.add_argument("--backend",
-                   choices=["serial", "thread", "process",
-                            "distributed"],
-                   default=None)
+    p.add_argument("--backend", choices=list(BACKENDS), default=None)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("client",

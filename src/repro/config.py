@@ -87,8 +87,10 @@ class SolverOptions:
     backend:
         Execution backend for those phases: ``"serial"``, ``"thread"``
         (numpy kernels release the GIL), or ``"process"`` (walker
-        chunks ship to a process pool through shared memory — true
-        multi-core scaling for the Python-bound stepping bookkeeping).
+        chunks ship to a lease-scheduled worker-process pool, payloads
+        over shared memory or in-band frames per ``REPRO_TRANSPORT`` —
+        true multi-core scaling for the Python-bound stepping
+        bookkeeping).
         ``None`` (default) consults the ``REPRO_BACKEND`` env var
         lazily (default ``"thread"``).  Like ``workers``, the backend
         never changes results — fixed seed ⇒ bit-identical graphs,
@@ -118,11 +120,11 @@ class SolverOptions:
         Fault-tolerance policy for dispatched chunks (DESIGN.md §9):
         ``retries`` extra attempts per lost chunk (``None`` = the
         ``REPRO_RETRIES`` env var, default 2), ``chunk_timeout``
-        seconds of *stall* — no chunk completing — before the process
-        pool is declared hung and rebuilt (``None`` =
-        ``REPRO_CHUNK_TIMEOUT``, default off).  Re-dispatch replays
-        the same ``(lo, hi, seed)`` chunk, so recovered runs are
-        bit-identical to undisturbed ones.
+        seconds a chunk may stay leased to one process-backend worker
+        before the lease expires and that worker is replaced in place
+        (``None`` = ``REPRO_CHUNK_TIMEOUT``, default off).  Re-dispatch
+        replays the same ``(lo, hi, seed)`` chunk, so recovered runs
+        are bit-identical to undisturbed ones.
     degrade:
         Permit backend degradation (process → thread → serial) for
         chunks whose retries are exhausted (``None`` = the
@@ -130,14 +132,14 @@ class SolverOptions:
         loud; the CLI turns it on).  Degraded re-dispatch replays the
         identical chunks, so results stay bit-identical.
     ship_solves:
-        Ship blocked-solve column chunks as self-contained tasks over
-        the execution context's process/distributed pool, against a
-        once-published shared-memory copy of the Cholesky chain
-        (DESIGN.md §10).  ``None`` (default) consults the
-        ``REPRO_SHIP_SOLVES`` env var lazily (default off).  Only
-        engages on the ``process``/``distributed`` backends with >1
-        chunk; fixed seed ⇒ bit-identical solutions and ledger totals
-        with or without shipping.
+        Ship blocked-solve column chunks as self-contained tasks
+        through the execution context's ``run_shipped``, against a
+        once-published copy of the Cholesky chain (DESIGN.md §10) —
+        across the process boundary under the ``process`` backend.
+        ``None`` (default) consults the ``REPRO_SHIP_SOLVES`` env var
+        lazily (default off).  Engages only with >1 column chunk;
+        fixed seed ⇒ bit-identical solutions and ledger totals with or
+        without shipping.
     incremental_csr:
         Maintain the elimination loops' restricted walk CSR
         incrementally across rounds

@@ -141,9 +141,10 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         worker-independent) column chunks and iterate each chunk on
         the context's pool (these chunks are numpy-bound closures, so
         the process backend schedules them on threads — see
-        ``ProcessPoolBackend.map``) — column results are identical to
-        the unchunked block up to each chunk's own freeze decisions,
-        and identical across worker counts and backends.
+        :meth:`repro.pram.ExecutionContext.run_chunks`) — column
+        results are identical to the unchunked block up to each
+        chunk's own freeze decisions, and identical across worker
+        counts and backends.
     col_ids:
         Global right-hand-side index of each column of ``b`` (defaults
         to ``arange(k)``) — the coordinates breakdown quarantine and
@@ -153,8 +154,8 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         Optional :class:`repro.pram.executor.SolveShipment` (the
         solver's picklable chain payload).  When shipping is enabled
         the column chunks run as pure tasks through ``run_shipped`` —
-        crossing the process boundary under the process/distributed
-        backends — with bit-identical results; when disabled (or the
+        crossing the process boundary under the process backend —
+        with bit-identical results; when disabled (or the
         layout is one chunk) the call falls through to the
         closure-chunked ``ctx`` path.  ``ship`` implies ``apply_A`` /
         ``apply_B`` are the owning solver's operators.

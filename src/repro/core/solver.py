@@ -126,7 +126,7 @@ class LaplacianSolver:
     through ``options``' execution context
     (:class:`repro.pram.ExecutionContext`): ``workers`` /
     ``REPRO_WORKERS`` and ``backend`` / ``REPRO_BACKEND`` pick the
-    machinery (serial, thread pool, shared-memory process pool) but
+    machinery (serial, thread pool, worker processes) but
     never the result — fixed seed ⇒ bit-identical factorizations and
     solutions (DESIGN.md §6–§7).  ``coalesce_emitted`` /
     ``REPRO_COALESCE`` additionally merges each elimination level's
@@ -153,7 +153,7 @@ class LaplacianSolver:
         self.options = options
 
         #: Recovery actions taken while *building* the factorization
-        #: (chunk retries, pool rebuilds, backend degradation); solve
+        #: (chunk retries, worker replacements, backend degradation); solve
         #: calls get their own per-call log on the report.
         self.build_fault_log = FaultLog()
         with use_fault_log(self.build_fault_log):
@@ -186,9 +186,10 @@ class LaplacianSolver:
         """Lazy :class:`repro.pram.executor.SolveShipment` for this chain.
 
         Built on first use: serialises the factorization (plus the CSR
-        Laplacian) into a host-side payload that ``run_shipped``
-        publishes once per process-pool round as a shared-memory
-        segment.  Owned by the solver — :meth:`close` unlinks it.
+        Laplacian) into a host-side payload that the process backend
+        publishes once as a shared-memory segment (or ships in-band
+        under ``REPRO_TRANSPORT=tcp``).  Owned by the solver —
+        :meth:`close` unlinks it.
         """
         if self._shipment is None:
             from repro.pram.executor import SolveShipment

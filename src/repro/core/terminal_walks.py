@@ -118,7 +118,7 @@ def terminal_walks(graph: MultiGraph,
         Optional :class:`repro.pram.ExecutionContext`.  When given, the
         walkers step in deterministic disjoint chunks (one spawned RNG
         stream per chunk) on the context's backend — serial, thread
-        pool, or shared-memory process pool — and results are
+        pool, or worker processes — and results are
         bit-identical for a fixed seed regardless of backend and
         worker count.  ``None`` keeps the single-stream serial
         stepping.

@@ -84,7 +84,7 @@ class ServiceOverloadedError(ServiceError):
 
 
 class TransportError(ReproError):
-    """The distributed transport lost a peer or exhausted recovery.
+    """The process-backend transport lost a peer or exhausted recovery.
 
     Raised by :mod:`repro.pram.transport` for handshake refusals,
     peers that vanish mid-message (EOF/reset), frames that stay

@@ -82,7 +82,7 @@ def chebyshev_iteration(L,
     ship:
         Optional :class:`repro.pram.executor.SolveShipment`.  When
         enabled, the column chunks ship as pure tasks through
-        ``run_shipped`` (true process/distributed parallelism) with
+        ``run_shipped`` (true process parallelism) with
         bit-identical results; otherwise the ``ctx`` closure path
         runs.  ``ship`` implies ``L``/``B`` are the owning solver's
         operators.

@@ -14,15 +14,15 @@ provides:
   conversions, reductions, scans, sorts, sparse matvec).
 * :mod:`repro.pram.executor` — backend-pluggable chunked execution
   for the embarrassingly parallel phases: serial, thread-pool (numpy
-  releases the GIL inside chunk kernels), process-pool over
-  shared-memory array payloads for the Python-bound phases the GIL
-  would otherwise serialise, or the distributed backend over the
-  hardened transport.  Blocked solves can additionally ship their
-  column chunks as self-contained tasks against a once-published
-  chain payload (:class:`SolveShipment`, DESIGN.md §10).  Results are
-  bit-identical across backends and worker counts for a fixed seed
-  (DESIGN.md §6–§7).
-* :mod:`repro.pram.transport` — the distributed backend's wire layer
+  releases the GIL inside chunk kernels), or worker processes behind
+  the hardened transport for the Python-bound phases the GIL would
+  otherwise serialise, fed one :class:`SharedPayload` per dispatch
+  (shared memory or in-band frames).  Blocked solves can additionally
+  ship their column chunks as self-contained tasks against a
+  once-published chain payload (:class:`SolveShipment`, DESIGN.md
+  §10).  Results are bit-identical across backends and worker counts
+  for a fixed seed (DESIGN.md §6–§7).
+* :mod:`repro.pram.transport` — the process backend's wire layer
   (DESIGN.md §13): length-prefixed CRC32-checksummed frames with
   bounded retransmission, a mutual HMAC-SHA256 session handshake,
   heartbeat liveness, lease-based scheduling with in-place worker
@@ -32,7 +32,7 @@ provides:
   (``REPRO_FAULTS`` / :func:`use_faults`) and the structured
   :class:`FaultLog` of recovery actions, backing the fault-tolerant
   dispatch layer (DESIGN.md §9): per-chunk retries with exponential
-  backoff, stall timeouts, worker replacement, and policy-gated
+  backoff, lease timeouts, worker replacement, and policy-gated
   backend degradation — extended to the wire with ``stage=transport``
   directives (drop/corrupt/disconnect/delay).
 """
@@ -53,8 +53,7 @@ from repro.pram.executor import (
     ExecutionBackend,
     SerialBackend,
     ThreadPoolBackend,
-    ProcessPoolBackend,
-    DistributedBackend,
+    ProcessBackend,
     RetryPolicy,
     parallel_map,
     chunk_ranges,
@@ -66,11 +65,10 @@ from repro.pram.executor import (
     default_ship_solves,
     get_backend,
     live_segment_names,
-    shutdown_distributed_pools,
-    live_distributed_workers,
+    shutdown_worker_pools,
+    live_worker_pids,
     BACKENDS,
     SharedPayload,
-    PersistentPayload,
     SolveShipment,
 )
 from repro.pram.transport import (
@@ -109,8 +107,7 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
-    "DistributedBackend",
+    "ProcessBackend",
     "RetryPolicy",
     "parallel_map",
     "chunk_ranges",
@@ -122,11 +119,10 @@ __all__ = [
     "default_ship_solves",
     "get_backend",
     "live_segment_names",
-    "shutdown_distributed_pools",
-    "live_distributed_workers",
+    "shutdown_worker_pools",
+    "live_worker_pids",
     "BACKENDS",
     "SharedPayload",
-    "PersistentPayload",
     "SolveShipment",
     "Channel",
     "TransportPool",

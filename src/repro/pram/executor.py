@@ -17,12 +17,14 @@ This module is the solver's single dispatch point for both.  An
   the reference semantics);
 * :class:`ThreadPoolBackend` — a ``ThreadPoolExecutor`` (the PR-3
   behaviour, best for numpy-bound chunks);
-* :class:`ProcessPoolBackend` — a persistent ``ProcessPoolExecutor``
-  fed through ``multiprocessing.shared_memory``: the immutable
-  per-level arrays (CSR ``indptr``/``neighbor``/weights, slot
-  resistances, terminal masks, walker starts) are published **once**
-  per dispatch as a single shared segment, and each chunk task pickles
-  only its chunk id, seed-spawn key, and slice bounds.
+* :class:`ProcessBackend` — a persistent fleet of worker processes
+  behind :class:`repro.pram.transport.TransportPool`'s lease
+  scheduler: the immutable per-level arrays (CSR
+  ``indptr``/``neighbor``/weights, slot resistances, terminal masks,
+  walker starts) travel **once** per dispatch as a
+  :class:`SharedPayload` — a shared-memory segment, or in-band frames
+  under ``REPRO_TRANSPORT=tcp`` — and each chunk job pickles only its
+  chunk id, seed-spawn key, and slice bounds.
 
 The backend never influences *results* — only wall-clock.
 :class:`ExecutionContext`'s determinism contract (DESIGN.md §6–§7):
@@ -47,12 +49,13 @@ regardless of ``REPRO_BACKEND`` / ``REPRO_WORKERS`` — the property the
 backend-matrix invariance tests assert.
 
 Shared-memory lifecycle (crash-safe; see DESIGN.md §7): the parent
-creates each payload segment, registers it in a module-level registry,
-and closes + unlinks it in a ``finally`` as soon as the dispatch
-joins; an ``atexit`` hook unlinks anything the registry still holds
-(e.g. after a mid-dispatch crash), so no segment outlives the parent.
-Workers attach read-only, keep a small LRU of attachments, and never
-unlink — the parent owns the segment.
+publishes each payload segment, registers it in a module-level
+registry, and closes + unlinks it when its owner closes the payload —
+in the dispatch's ``finally`` for per-dispatch payloads, on solver
+close for the chain payload; an ``atexit`` hook unlinks anything the
+registry still holds (e.g. after a mid-dispatch crash), so no segment
+outlives the parent.  Workers attach read-only, keep a small LRU of
+attachments, and never unlink — the parent owns the segment.
 
 The lower-level API remains: :func:`chunk_ranges` splits an index range
 into contiguous chunks, :func:`parallel_map` maps a function over items
@@ -68,7 +71,7 @@ import math
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -77,8 +80,7 @@ import numpy as np
 from repro.errors import ExecutionError, TransportError
 
 __all__ = ["ExecutionContext", "ExecutionBackend", "SerialBackend",
-           "ThreadPoolBackend", "ProcessPoolBackend",
-           "DistributedBackend", "SharedPayload", "PersistentPayload",
+           "ThreadPoolBackend", "ProcessBackend", "SharedPayload",
            "SolveShipment",
            "RetryPolicy", "parallel_map", "chunk_ranges",
            "run_column_chunks", "default_workers", "default_backend",
@@ -86,7 +88,7 @@ __all__ = ["ExecutionContext", "ExecutionBackend", "SerialBackend",
            "default_chunk_timeout", "default_degrade",
            "default_ship_solves",
            "get_backend", "live_segment_names",
-           "shutdown_distributed_pools", "live_distributed_workers",
+           "shutdown_worker_pools", "live_worker_pids",
            "BACKENDS", "DEFAULT_CHUNK_ITEMS", "DEFAULT_CHUNK_COLUMNS",
            "MAX_CHUNKS", "DEFAULT_RETRIES"]
 
@@ -104,14 +106,14 @@ DEFAULT_CHUNK_COLUMNS = 16
 #: length).  Part of the chunk policy, hence worker-independent.
 MAX_CHUNKS = 256
 
-#: Recognised execution backends, in increasing isolation order.  The
-#: ``distributed`` entry runs worker processes behind the hardened
-#: transport (DESIGN.md §13): framed + checksummed + authenticated
-#: connections, heartbeat liveness, lease-based scheduling with
-#: in-place worker replacement, and payloads over shared memory or
-#: in-band frames (``REPRO_TRANSPORT``) — same determinism contract
-#: as every other backend.
-BACKENDS = ("serial", "thread", "process", "distributed")
+#: Recognised execution backends, in increasing isolation order (the
+#: degrade ladder walks it backwards).  ``process`` runs worker
+#: processes behind the hardened transport (DESIGN.md §13): framed +
+#: checksummed + authenticated connections, heartbeat liveness,
+#: lease-based scheduling with in-place worker replacement, and
+#: payloads over shared memory or in-band frames (``REPRO_TRANSPORT``)
+#: — same determinism contract as every other backend.
+BACKENDS = ("serial", "thread", "process")
 
 # The ``default_*`` getters cache their (env string → value) lookup so
 # hot loops can consult them lazily at every dispatch; keying each
@@ -138,16 +140,24 @@ def _env_cached(var: str, parse):
 
 
 def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS`` env var or CPU count."""
+    """Worker count from the ``REPRO_WORKERS`` env var.
+
+    Unset or empty means the CPU count.  Anything else must be a
+    positive integer; junk and values below 1 raise
+    :class:`ValueError` like every other ``REPRO_*`` knob.
+    """
 
     def parse(env: str | None) -> int:
-        value = 0
-        if env:
-            try:
-                value = max(1, int(env))
-            except ValueError:
-                value = 0
-        return value if value else (os.cpu_count() or 1)
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(
+                f"REPRO_WORKERS must be a positive integer, got {env!r}")
+        return value
 
     return _env_cached("REPRO_WORKERS", parse)
 
@@ -227,13 +237,13 @@ def default_retries() -> int:
 
 
 def default_chunk_timeout() -> float | None:
-    """Per-dispatch stall timeout (seconds) from ``REPRO_CHUNK_TIMEOUT``.
+    """Per-chunk lease timeout (seconds) from ``REPRO_CHUNK_TIMEOUT``.
 
-    ``None`` (the default, when unset or empty) disables stall
-    detection.  When set, the process backend treats *no chunk
-    completing for this many seconds* as a hung dispatch: it kills the
-    pool and re-dispatches the unfinished chunks under the retry
-    budget.
+    ``None`` (the default, when unset or empty) disables lease expiry.
+    When set, the process backend treats a chunk leased to one worker
+    for longer than this as a hung worker: the lease expires, that
+    worker alone is replaced in place, and the chunk re-dispatches
+    under the retry budget.
     """
 
     def parse(env: str | None) -> float | None:
@@ -278,8 +288,8 @@ def default_ship_solves() -> bool:
 
     When on, the blocked column solves (Richardson/PCG/Chebyshev) run
     as picklable payload + pure task through :meth:`run_shipped` —
-    crossing the process boundary under the process and distributed
-    backends — instead of dispatching closures onto the thread pool.
+    crossing the process boundary under the process backend — instead
+    of dispatching closures onto the thread pool.
     Results are bit-identical either way (that is what the backend
     matrix asserts); the knob only moves where the work runs.
     ``SolverOptions.ship_solves`` takes precedence when set.
@@ -338,13 +348,14 @@ class RetryPolicy:
         Backoff before retry round ``r`` is ``base_delay * 2**(r-1)``
         seconds — exponential, per round (not per chunk).
     timeout:
-        Stall timeout in seconds for the process backend: if no chunk
-        completes for this long, the pool is presumed hung, its
-        workers are killed, and the unfinished chunks are
-        re-dispatched.  ``None`` disables stall detection.
+        Lease timeout in seconds for the process backend: a chunk
+        leased to one worker for longer than this expires, that
+        worker is replaced in place, and the chunk is re-dispatched.
+        ``None`` disables lease expiry.
 
-    Transient failures are worker crashes (``BrokenProcessPool``),
-    stall timeouts, and injected faults
+    Transient failures are worker deaths and wire failures
+    (:class:`~repro.errors.TransportError`), lease timeouts, and
+    injected faults
     (:class:`repro.pram.faults.InjectedFault`).  Everything else — a
     task raising ``ValueError``, say — is deterministic and propagates
     unchanged on the first attempt.  Because chunk layout and RNG
@@ -376,20 +387,11 @@ class RetryPolicy:
                    timeout=default_chunk_timeout())
 
 
-_retryable_types: tuple | None = None
-
-
 def _is_transient(exc: BaseException) -> bool:
     """Is ``exc`` a transient failure the retry policy may re-dispatch?"""
-    global _retryable_types
-    if _retryable_types is None:
-        from concurrent.futures.process import BrokenProcessPool
+    from repro.pram.faults import InjectedFault
 
-        from repro.pram.faults import InjectedFault
-
-        _retryable_types = (InjectedFault, TimeoutError, BrokenProcessPool,
-                            TransportError)
-    return isinstance(exc, _retryable_types)
+    return isinstance(exc, (InjectedFault, TimeoutError, TransportError))
 
 
 def chunk_ranges(n: int, chunks: int) -> list[tuple[int, int]]:
@@ -422,12 +424,13 @@ def parallel_map(fn: Callable[[T], R],
     Results preserve input order.  With ``workers`` ``None`` or ≤ 1 the
     map runs serially in the calling thread (no pool overhead).
 
-    The pool is deliberately *transient* (unlike the persistent process
+    The pool is deliberately *transient* (unlike the persistent worker
     pools below): keeping idle worker threads alive between dispatches
-    would mean the process backend's ``fork`` happens in a threaded
-    parent — CPython's fork-with-threads hazard.  Tearing the pool down
-    per call guarantees a thread-free fork whenever backends are mixed
-    in one session, at ~tens of µs per dispatch.
+    would mean the process backend's ``fork`` (at pool start or when a
+    dead worker is replaced) happens in a threaded parent — CPython's
+    fork-with-threads hazard.  Tearing the pool down per call
+    guarantees a thread-free fork whenever backends are mixed in one
+    session, at ~tens of µs per dispatch.
     """
     if workers is None or workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -520,24 +523,46 @@ def _cleanup_segments() -> None:  # pragma: no cover - crash path
 
 
 class SharedPayload:
-    """One shared-memory segment holding a dict of immutable arrays.
+    """A dict of immutable arrays that worker processes can read.
 
-    The parent copies every array into a single aligned segment at
-    construction and hands workers a tiny picklable ``spec``
-    (segment name + per-array dtype/shape/offset).  Lifecycle: the
-    creating process owns the segment — :meth:`close` (always called in
-    the dispatch's ``finally``) closes **and unlinks** it; the
-    module-level registry plus ``atexit`` hook make the unlink
-    crash-safe.  Workers only ever attach and close.
+    Holds the host arrays and publishes them lazily: :meth:`publish`
+    copies every array into one aligned shared-memory segment on first
+    use — and again if the segment was torn down in between (e.g. by
+    the ``atexit`` sweep) — and returns the tiny picklable spec
+    (segment name + per-array dtype/shape/offset) workers attach from.
+    The in-band (tcp) transport never publishes; it ships
+    :attr:`arrays` keyed on :meth:`fingerprint` instead.
+
+    One class serves both lifetimes.  A per-dispatch payload is closed
+    in the dispatch's ``finally``; the solver's chain payload
+    (DESIGN.md §10) lives as long as its :class:`SolveShipment`, so it
+    is published once, attached once per worker, and reused by every
+    shipped solve.  The creating process owns the segment:
+    :meth:`close` (idempotent, also run on GC) closes **and unlinks**
+    it, and the module-level registry plus ``atexit`` hook make the
+    unlink crash-safe.  Workers only ever attach and close.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]) -> None:
+        self.arrays = dict(arrays)
+        self._shm = None
+        self._spec: tuple | None = None
+        self._fingerprint: str | None = None
+
+    def publish(self) -> tuple:
+        """The live segment's spec, publishing (or re-publishing) on
+        demand."""
+        if self._shm is None or self._shm.name not in _live_segments:
+            self._publish()
+        return self._spec
+
+    def _publish(self) -> None:
         from multiprocessing import shared_memory
 
         fields: list[tuple[str, str, tuple[int, ...], int]] = []
         prepared: list[tuple[np.ndarray, int]] = []
         offset = 0
-        for key, arr in arrays.items():
+        for key, arr in self.arrays.items():
             a = np.ascontiguousarray(arr)
             offset = -(-offset // _SHM_ALIGN) * _SHM_ALIGN
             fields.append((key, a.dtype.str, a.shape, offset))
@@ -545,7 +570,7 @@ class SharedPayload:
             offset += a.nbytes
         while True:
             try:
-                self._shm = shared_memory.SharedMemory(
+                shm = shared_memory.SharedMemory(
                     create=True, size=max(offset, 1),
                     name=_fresh_segment_name())
                 break
@@ -554,60 +579,18 @@ class SharedPayload:
                 # stale segment under this name; the counter advances
                 # every attempt, so skipping to the next name converges.
                 continue
-        _live_segments[self._shm.name] = self._shm
+        _live_segments[shm.name] = shm
         for a, off in prepared:
             if a.nbytes:
-                view = np.ndarray(a.shape, dtype=a.dtype,
-                                  buffer=self._shm.buf, offset=off)
+                view = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf,
+                                  offset=off)
                 view[...] = a
-        #: Picklable description workers attach from.
-        self.spec: tuple = (self._shm.name, tuple(fields))
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the backing segment in bytes."""
-        return self._shm.size
-
-    def close(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        if self._shm.name in _live_segments:
-            _live_segments.pop(self._shm.name, None)
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-class PersistentPayload:
-    """A shared-memory payload that outlives individual dispatches.
-
-    :class:`SharedPayload` is per-dispatch: published before the chunks
-    run, unlinked in the dispatch's ``finally``.  The solver's chain
-    payload (DESIGN.md §10) must instead live as long as the solver —
-    it is published once, attached once per worker (the LRU keeps it
-    resident), and reused by every shipped solve dispatch.  This
-    wrapper owns that lifecycle: :meth:`ensure` lazily (re)publishes
-    the segment — including after an external teardown such as the
-    ``atexit`` sweep — and :meth:`close` unlinks it on solver close or
-    GC, after which :func:`live_segment_names` is empty again.
-    """
-
-    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
-        self.arrays = dict(arrays)
-        self._payload: SharedPayload | None = None
-        self._fingerprint: str | None = None
-
-    def ensure(self) -> SharedPayload:
-        """The live segment, publishing (or re-publishing) on demand."""
-        if self._payload is None \
-                or self._payload.spec[0] not in _live_segments:
-            self._payload = SharedPayload(self.arrays)
-        return self._payload
+        self._shm = shm
+        self._spec = (shm.name, tuple(fields))
 
     def fingerprint(self) -> str:
-        """Content hash of the payload arrays (cached; the in-band
-        transport's attach-once cache key — DESIGN.md §13)."""
+        """Content hash of the arrays (cached; the in-band transport's
+        attach-once cache key — DESIGN.md §13)."""
         if self._fingerprint is None:
             from repro.pram.transport import payload_fingerprint
 
@@ -616,15 +599,20 @@ class PersistentPayload:
 
     @property
     def nbytes(self) -> int:
-        """Host-side bytes of the payload arrays (segment-size proxy)."""
+        """Host-side bytes of the arrays (segment-size proxy)."""
         return sum(int(np.asarray(a).nbytes)
                    for a in self.arrays.values())
 
     def close(self) -> None:
-        """Unlink the segment if published (idempotent)."""
-        if self._payload is not None:
-            self._payload.close()
-            self._payload = None
+        """Close and unlink the segment if published (idempotent)."""
+        shm, self._shm = self._shm, None
+        if shm is None or _live_segments.pop(shm.name, None) is None:
+            return
+        try:
+            shm.close()
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
@@ -640,8 +628,9 @@ class PersistentPayload:
 # block and column params, fresh each dispatch) and the solver's
 # persistent chain payload (attached once, reused across every solve
 # dispatch).  Two slots hold exactly one of each — the worker touches
-# the chain payload first on every chunk, so LRU eviction always
-# reclaims the previous dispatch's payload, never the chain.  Keeping
+# the chain payload last on every chunk, so it stays most recently used
+# and LRU eviction always reclaims the previous dispatch's payload,
+# never the chain.  Keeping
 # the bound tight matters because an unlinked segment's pages are freed
 # only when the last mapping closes: a larger cache would pin that many
 # dead payloads in every worker's RSS.
@@ -743,31 +732,6 @@ def _execute_shipped_chunk(arrays_or_fn, task, meta, lo, hi, seed_seq,
         return False, exc, ledger
 
 
-def _shipped_worker(spec, task, meta, lo, hi, seed_seq, bitgen_cls,
-                    want_ledger, fault_directives=(), chunk=0, attempt=0,
-                    shared_spec=None):
-    """Run one shipped chunk inside a shared-memory worker process.
-
-    The process backend's entry point: reconstructs the array views
-    from shared memory and delegates to :func:`_execute_shipped_chunk`.
-    ``shared_spec`` is the spec of a :class:`PersistentPayload` (the
-    solver's chain payload): attached **first** so the LRU keeps it
-    hot across dispatches, its arrays merged under the dispatch
-    payload's (dispatch keys win on collision).
-    """
-    def arrays_fn():
-        shared_arrays = {} if shared_spec is None \
-            else _attach_payload(shared_spec)
-        arrays = _attach_payload(spec)
-        if shared_arrays:
-            arrays = {**shared_arrays, **arrays}
-        return arrays
-
-    return _execute_shipped_chunk(arrays_fn, task, meta, lo, hi,
-                                  seed_seq, bitgen_cls, want_ledger,
-                                  fault_directives, chunk, attempt)
-
-
 def _run_shipped_inprocess(task, arrays, meta, pieces, seed_seqs,
                            bitgen_cls, want_ledger, workers,
                            backend_name="serial", policy=None,
@@ -776,8 +740,8 @@ def _run_shipped_inprocess(task, arrays, meta, pieces, seed_seqs,
 
     Used by the serial and thread backends: same task signature, same
     explicit sub-ledgers, same per-chunk streams as the process
-    backend — only the transport (direct references vs shared memory)
-    differs, so results and ledger totals cannot.
+    backend — only the transport (direct references vs worker
+    processes) differs, so results and ledger totals cannot.
 
     Transient failures (injected faults — in-process chunks cannot
     genuinely crash a worker) are retried under ``policy`` with a
@@ -792,7 +756,7 @@ def _run_shipped_inprocess(task, arrays, meta, pieces, seed_seqs,
     plan = _faults.active_plan()
     if shared is not None:
         # In-process there is no boundary to cross: hand the task the
-        # persistent payload's host arrays directly (dispatch keys win,
+        # shared payload's host arrays directly (dispatch keys win,
         # mirroring the worker-side merge).
         arrays = {**shared.arrays, **arrays}
 
@@ -840,34 +804,72 @@ def _run_shipped_inprocess(task, arrays, meta, pieces, seed_seqs,
     return results
 
 
-# -- persistent process pools -------------------------------------------------
+# -- persistent worker pools (DESIGN.md §13) ----------------------------------
 
-_pools: dict[int, ProcessPoolExecutor] = {}
+_worker_pools: dict[int, "TransportPool"] = {}
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A persistent pool per worker count (forked lazily, reused)."""
-    pool = _pools.get(workers)
+def _worker_pool(workers: int) -> "TransportPool":
+    """A persistent transport pool per worker count, verified at checkout.
+
+    Two liveness/coherence checks keep a cached pool from rotting:
+
+    * a pool whose transport config (heartbeat interval, ACK timeout,
+      session key) no longer matches the environment is torn down and
+      rebuilt, so tests and operators changing ``REPRO_HEARTBEAT_S`` /
+      ``REPRO_TRANSPORT_KEY`` get a coherent fleet without a restart;
+    * otherwise :meth:`TransportPool.ensure_capacity` retires dead
+      workers and tops the pool back up to its size.
+    """
+    from repro.pram import transport as _transport
+
+    pool = _worker_pools.get(workers)
+    if pool is not None:
+        env_key = _transport.default_transport_key()
+        want = (_transport.default_heartbeat_s(),
+                _transport.default_ack_timeout(),
+                env_key if env_key is not None else pool.config[2])
+        if pool.config != want:
+            _worker_pools.pop(workers, None)
+            pool.shutdown(terminate=True)
+            pool = None
+        else:
+            pool.ensure_capacity()
     if pool is None:
-        import multiprocessing
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
-            else "spawn"
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method))
-        _pools[workers] = pool
+        pool = _transport.TransportPool(workers)
+        _worker_pools[workers] = pool
     return pool
 
 
-@atexit.register
-def _shutdown_pools() -> None:  # pragma: no cover - interpreter exit
-    for pool in _pools.values():
+def shutdown_worker_pools(terminate: bool = False) -> None:
+    """Drain and discard every cached worker pool.
+
+    ``terminate=False`` is the graceful path: workers receive a stop
+    message and are joined; stragglers are terminated.  Benchmarks and
+    tests call this to prove teardown reaps every worker process.
+    """
+    pools = list(_worker_pools.values())
+    _worker_pools.clear()
+    for pool in pools:
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
+            pool.shutdown(terminate=terminate)
+        except Exception:  # pragma: no cover - best-effort teardown
             pass
-    _pools.clear()
+
+
+def live_worker_pids() -> tuple[int, ...]:
+    """PIDs of all live workers across the cached pools (empty after
+    :func:`shutdown_worker_pools` — the teardown gate benchmarks
+    assert)."""
+    pids: list[int] = []
+    for pool in _worker_pools.values():
+        pids.extend(pool.alive_pids())
+    return tuple(pids)
+
+
+@atexit.register
+def _shutdown_worker_pools() -> None:  # pragma: no cover - interpreter exit
+    shutdown_worker_pools(terminate=True)
 
 
 # -- backends -----------------------------------------------------------------
@@ -877,29 +879,21 @@ class ExecutionBackend:
     """Where a fixed chunk layout actually runs.
 
     Backends are pure *schedulers*: they receive chunk boundaries, RNG
-    seed keys, and (for shipped tasks) an array payload, and return the
-    per-chunk ``(ok, result_or_exc, subledger)`` triples in chunk
-    order.  They must not influence chunk layout, stream assignment, or
-    charge attribution — that is what keeps results bit-identical
-    across ``{serial, thread, process}``.
+    seed keys, and an array payload, and return the per-chunk
+    ``(ok, result_or_exc, subledger)`` triples in chunk order.  They
+    must not influence chunk layout, stream assignment, or charge
+    attribution — that is what keeps results bit-identical across
+    ``{serial, thread, process}``.
 
-    Two entry points:
-
-    * :meth:`map` — run arbitrary in-process callables (closures
-      allowed).  This serves the numpy-bound chunk dispatches.
-    * :meth:`run_shipped` — run a *module-level* task function over a
-      dict of immutable arrays.  Only this form can cross a process
-      boundary (the task is pickled by reference, the arrays travel
-      through shared memory, and each chunk job pickles only
-      ``(chunk bounds, seed key)``).
+    The one entry point, :meth:`run_shipped`, runs a *module-level*
+    task function over a dict of immutable arrays — the form that can
+    cross a process boundary (the task is pickled by reference, the
+    arrays travel once per dispatch, and each chunk job pickles only
+    ``(chunk bounds, seed key)``).  Closure dispatches never reach a
+    backend: :meth:`ExecutionContext.run_chunks` runs them in-process.
     """
 
     name: str = "abstract"
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T],
-            workers: int) -> list[R]:
-        """Run an in-process map over ``items`` (closures allowed)."""
-        raise NotImplementedError
 
     def run_shipped(self, task, arrays, meta, pieces, seed_seqs,
                     bitgen_cls, want_ledger, workers, policy=None,
@@ -911,7 +905,7 @@ class ExecutionBackend:
         matching (``"walk"``/``"columns"``/``"solve"``), ``log`` is an
         optional :class:`repro.pram.faults.FaultLog` that receives
         every recovery action, and ``shared`` is an optional
-        :class:`PersistentPayload` whose arrays are merged under the
+        :class:`SharedPayload` whose arrays are merged under the
         dispatch payload (the solver's chain payload, published once
         per solver rather than once per dispatch).
         """
@@ -923,10 +917,6 @@ class SerialBackend(ExecutionBackend):
     all other backends must reproduce bit-for-bit."""
 
     name = "serial"
-
-    def map(self, fn, items, workers):
-        """Sequential in-thread map (``workers`` is ignored)."""
-        return [fn(x) for x in items]
 
     def run_shipped(self, task, arrays, meta, pieces, seed_seqs,
                     bitgen_cls, want_ledger, workers, policy=None,
@@ -945,10 +935,6 @@ class ThreadPoolBackend(ExecutionBackend):
 
     name = "thread"
 
-    def map(self, fn, items, workers):
-        """Thread-pool map (serial when ``workers <= 1``)."""
-        return parallel_map(fn, items, workers=workers)
-
     def run_shipped(self, task, arrays, meta, pieces, seed_seqs,
                     bitgen_cls, want_ledger, workers, policy=None,
                     scope=None, log=None, shared=None):
@@ -961,281 +947,25 @@ class ThreadPoolBackend(ExecutionBackend):
                                       shared=shared)
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Process-pool scheduling over shared-memory array payloads.
+class ProcessBackend(ExecutionBackend):
+    """Worker processes under lease scheduling (DESIGN.md §7, §13).
 
-    Shipped tasks run on a persistent worker pool; the payload arrays
-    cross the process boundary once per dispatch through one shared
-    segment, and each chunk job pickles only its slice bounds and
-    seed-spawn key.  Closure-based dispatches (:meth:`map`) cannot be
-    pickled, so they fall back to the thread pool — those sites are
-    numpy-bound column loops that already scale under threads, which is
-    exactly why only the walker phase ships.
+    Jobs travel over authenticated, checksummed, heartbeat-monitored
+    connections to a persistent :class:`~repro.pram.transport.
+    TransportPool`, one chunk leased to one worker at a time: a worker
+    death — or a lease held past the policy's ``timeout`` — expires
+    only that lease, whose chunk re-queues while a **replacement
+    worker** is spawned in place; the pool is never torn down
+    mid-round.
+
+    Payloads ship per ``REPRO_TRANSPORT``: ``shm`` (default) publishes
+    one shared-memory segment per payload (same-host fast path),
+    ``tcp`` ships the arrays in-band as chunked frames against a
+    worker-side attach-once cache keyed on content fingerprints — no
+    ``/dev/shm`` assumption, and bit-identical results either way.
     """
 
     name = "process"
-
-    def map(self, fn, items, workers):
-        """Closures cannot cross the process boundary — run them on
-        the thread pool (those dispatch sites are numpy-bound and
-        release the GIL; see the class docstring)."""
-        return parallel_map(fn, items, workers=workers)
-
-    def run_shipped(self, task, arrays, meta, pieces, seed_seqs,
-                    bitgen_cls, want_ledger, workers, policy=None,
-                    scope=None, log=None, shared=None):
-        """Publish ``arrays`` once via shared memory and run the chunks
-        on the persistent process pool, surviving worker crashes and
-        stalls via deterministic re-dispatch.
-
-        Per-chunk futures are tracked individually.  When a worker
-        dies (``BrokenProcessPool``) or no chunk completes within the
-        policy's stall ``timeout``, the done futures are drained, the
-        still-pending ones cancelled, the pool torn down (stalled
-        workers killed) and rebuilt, and **only the unfinished
-        chunks** are re-submitted with their original ``(lo, hi,
-        seed_key)`` — with per-chunk streams a function of chunk index
-        only, the retried chunk is bit-identical to what the lost
-        attempt would have produced.  Attempts are bounded by
-        ``policy.max_attempts`` with exponential backoff between
-        rounds; a chunk that exhausts its budget settles as an
-        :class:`~repro.errors.ExecutionError` triple (the caller may
-        then degrade to a weaker backend).  The payload segment
-        persists across attempts — re-published defensively if torn
-        down — and is always unlinked in the ``finally``.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.pram import faults as _faults
-
-        nworkers = max(1, workers)
-        max_attempts = policy.max_attempts if policy is not None else 1
-        timeout = policy.timeout if policy is not None else None
-        plan = _faults.active_plan()
-        directives = () if plan is None else \
-            plan.chunk_directives(backend=self.name, phase=scope)
-
-        results: list = [None] * len(pieces)
-        pending = list(range(len(pieces)))
-        attempt = 0
-        payload = SharedPayload(arrays)
-        try:
-            while True:
-                if payload.spec[0] not in _live_segments:
-                    # The segment was torn down (e.g. by an atexit
-                    # sweep racing a crash) — publish a fresh one.
-                    payload = SharedPayload(arrays)
-                # The persistent payload (if any) is owned by the
-                # caller — ensure it is live, never close it here.
-                shared_spec = None if shared is None \
-                    else shared.ensure().spec
-                pool = _process_pool(nworkers)
-                futures: dict = {}
-                broken = False
-                try:
-                    for i in pending:
-                        lo, hi = pieces[i]
-                        fut = pool.submit(
-                            _shipped_worker, payload.spec, task, meta,
-                            lo, hi, seed_seqs[i], bitgen_cls, want_ledger,
-                            directives, i, attempt, shared_spec)
-                        futures[fut] = i
-                except BrokenProcessPool:
-                    broken = True
-
-                stalled = False
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done, timeout=timeout,
-                                          return_when=FIRST_COMPLETED)
-                    if not done:
-                        stalled = True
-                        break
-
-                # Drain everything that finished; cancel the rest.
-                still_pending: list[int] = []
-                causes: dict[int, BaseException] = {}
-                for fut, i in futures.items():
-                    if fut.done() and not fut.cancelled():
-                        try:
-                            triple = fut.result()
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            still_pending.append(i)
-                            causes[i] = exc
-                            continue
-                        except Exception as exc:  # pragma: no cover
-                            still_pending.append(i)
-                            causes[i] = exc
-                            continue
-                        ok, val, _ = triple
-                        if ok or not _is_transient(val):
-                            results[i] = triple
-                        else:
-                            still_pending.append(i)
-                            causes[i] = val
-                    else:
-                        fut.cancel()
-                        still_pending.append(i)
-                        causes[i] = TimeoutError(
-                            f"chunk {i} did not complete within "
-                            f"{timeout}s (stalled dispatch)") if stalled \
-                            else BrokenProcessPool(
-                                f"chunk {i} lost to a dead worker")
-                still_pending.extend(i for i in pending
-                                     if i not in causes
-                                     and results[i] is None)
-                for i in still_pending:
-                    causes.setdefault(i, BrokenProcessPool(
-                        f"chunk {i} was never scheduled"))
-
-                if broken or stalled:
-                    # Tear the pool down: a broken pool is unusable,
-                    # and a stalled one has wedged workers that must
-                    # be killed before a rebuild can make progress.
-                    _pools.pop(nworkers, None)
-                    try:
-                        procs = list((pool._processes or {}).values())
-                    except Exception:  # pragma: no cover
-                        procs = []
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if stalled:
-                        for proc in procs:
-                            try:
-                                proc.terminate()
-                            except Exception:  # pragma: no cover
-                                pass
-                    if log is not None:
-                        log.record(
-                            "timeout" if stalled else "pool_rebuild",
-                            backend=self.name, attempt=attempt,
-                            detail=f"chunks {sorted(still_pending)} "
-                                   f"unfinished")
-
-                if not still_pending:
-                    return results
-                attempt += 1
-                if attempt >= max_attempts:
-                    for i in sorted(still_pending):
-                        if log is not None:
-                            log.record("exhausted", chunk=i,
-                                       attempt=max_attempts,
-                                       backend=self.name,
-                                       detail=repr(causes.get(i)))
-                        results[i] = (False, ExecutionError(
-                            f"chunk {i} failed after {max_attempts} "
-                            f"attempt(s) on the process backend",
-                            chunk=i, attempts=max_attempts,
-                            cause=causes.get(i)), None)
-                    return results
-                if log is not None:
-                    for i in sorted(still_pending):
-                        log.record("retry", chunk=i, attempt=attempt,
-                                   backend=self.name,
-                                   detail=repr(causes.get(i)))
-                if policy is not None:
-                    time.sleep(policy.delay(attempt))
-                pending = sorted(still_pending)
-        finally:
-            payload.close()
-
-
-# -- distributed backend (hardened transport, DESIGN.md §13) ------------------
-
-_dist_pools: dict[int, "TransportPool"] = {}
-
-
-def _dist_pool(workers: int) -> "TransportPool":
-    """A persistent transport pool per worker count, verified at checkout.
-
-    Two liveness/coherence checks fix the capacity-rot failure mode of
-    the PR-7 stub (a cached pool reused after workers died ran later
-    dispatches under-provisioned):
-
-    * a pool whose transport config (heartbeat interval, ACK timeout,
-      session key) no longer matches the environment is torn down and
-      rebuilt, so tests and operators changing ``REPRO_HEARTBEAT_S`` /
-      ``REPRO_TRANSPORT_KEY`` get a coherent fleet without a restart;
-    * otherwise :meth:`TransportPool.ensure_capacity` retires dead
-      workers and tops the pool back up to its size.
-    """
-    from repro.pram import transport as _transport
-
-    pool = _dist_pools.get(workers)
-    if pool is not None:
-        env_key = _transport.default_transport_key()
-        want = (_transport.default_heartbeat_s(),
-                _transport.default_ack_timeout(),
-                env_key if env_key is not None else pool.config[2])
-        if pool.config != want:
-            _dist_pools.pop(workers, None)
-            pool.shutdown(terminate=True)
-            pool = None
-        else:
-            pool.ensure_capacity()
-    if pool is None:
-        pool = _transport.TransportPool(workers)
-        _dist_pools[workers] = pool
-    return pool
-
-
-def shutdown_distributed_pools(terminate: bool = False) -> None:
-    """Drain and discard every cached distributed pool.
-
-    ``terminate=False`` is the graceful path: workers receive a stop
-    message and are joined; stragglers are terminated.  Benchmarks and
-    tests call this to prove teardown reaps every worker process.
-    """
-    pools = list(_dist_pools.values())
-    _dist_pools.clear()
-    for pool in pools:
-        try:
-            pool.shutdown(terminate=terminate)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def live_distributed_workers() -> tuple[int, ...]:
-    """PIDs of all live workers across the cached distributed pools
-    (empty after :func:`shutdown_distributed_pools` — the teardown
-    gate benchmarks assert)."""
-    pids: list[int] = []
-    for pool in _dist_pools.values():
-        pids.extend(pool.alive_pids())
-    return tuple(pids)
-
-
-@atexit.register
-def _shutdown_dist_pools() -> None:  # pragma: no cover - interpreter exit
-    shutdown_distributed_pools(terminate=True)
-
-
-class DistributedBackend(ExecutionBackend):
-    """Multi-node execution over the hardened transport.
-
-    Same contract as :class:`ProcessPoolBackend` — chunk layout a
-    function of problem size only, per-chunk seed keys, fork/join
-    ledgers, bounded retries with stall timeouts — but jobs travel
-    over authenticated, checksummed, heartbeat-monitored connections
-    (:mod:`repro.pram.transport`, DESIGN.md §13) and scheduling is
-    lease-based: a worker death loses only its leased chunk, which is
-    re-queued while a **replacement worker** is spawned in place — the
-    pool is never torn down mid-round.
-
-    Payloads ship per ``REPRO_TRANSPORT``: ``shm`` publishes one
-    shared-memory segment per dispatch (same-host fast path), ``tcp``
-    ships the arrays in-band as chunked frames against a worker-side
-    attach-once cache keyed on content fingerprints — no ``/dev/shm``
-    assumption, and bit-identical results either way.
-    """
-
-    name = "distributed"
-
-    def map(self, fn, items, workers):
-        """Closures cannot cross a socket — run them on the thread
-        pool (same rationale as :meth:`ProcessPoolBackend.map`)."""
-        return parallel_map(fn, items, workers=workers)
 
     def run_shipped(self, task, arrays, meta, pieces, seed_seqs,
                     bitgen_cls, want_ledger, workers, policy=None,
@@ -1245,55 +975,47 @@ class DistributedBackend(ExecutionBackend):
         from repro.pram import faults as _faults
         from repro.pram import transport as _transport
 
-        nworkers = max(1, workers)
         plan = _faults.active_plan()
         job_directives = () if plan is None else (
             plan.chunk_directives(backend=self.name, phase=scope)
             + plan.transport_directives())
         frame_directives = () if plan is None else \
             plan.frame_directives()
+        tcp = _transport.default_transport() == "tcp"
+        payload = SharedPayload(arrays)
+        inband: dict[str, dict] = {}
 
-        mode = _transport.default_transport()
-        payload: SharedPayload | None = None
-        payloads: dict[str, dict] = {}
+        def ref(p: SharedPayload | None) -> tuple | None:
+            if p is None:
+                return None
+            if tcp:
+                inband[p.fingerprint()] = p.arrays
+                return ("tcp", p.fingerprint())
+            return ("shm", p.publish())
+
         try:
-            if mode == "tcp":
-                dispatch_fp = _transport.payload_fingerprint(arrays)
-                payloads[dispatch_fp] = dict(arrays)
-                dispatch_ref = ("tcp", dispatch_fp)
-                if shared is not None:
-                    payloads[shared.fingerprint()] = shared.arrays
-                    shared_ref = ("tcp", shared.fingerprint())
-                else:
-                    shared_ref = None
-            else:
-                payload = SharedPayload(arrays)
-                dispatch_ref = ("shm", payload.spec)
-                shared_ref = None if shared is None \
-                    else ("shm", shared.ensure().spec)
-            refs = (dispatch_ref, shared_ref)
+            # The caller owns ``shared``: publish it if needed, never
+            # close it here.
+            refs = (ref(payload), ref(shared))
 
             def make_args(i: int, attempt: int) -> tuple:
                 lo, hi = pieces[i]
-                return (dispatch_ref, shared_ref, task, meta, lo, hi,
-                        seed_seqs[i], bitgen_cls, want_ledger,
-                        job_directives, i, attempt)
+                return (*refs, task, meta, lo, hi, seed_seqs[i],
+                        bitgen_cls, want_ledger, job_directives, i,
+                        attempt)
 
-            pool = _dist_pool(nworkers)
-            return pool.run_tasks(len(pieces), make_args, refs,
-                                  payloads, policy=policy, log=log,
-                                  frame_directives=frame_directives,
-                                  backend_name=self.name)
+            return _worker_pool(max(1, workers)).run_tasks(
+                len(pieces), make_args, refs, inband, policy=policy,
+                log=log, frame_directives=frame_directives,
+                backend_name=self.name)
         finally:
-            if payload is not None:
-                payload.close()
+            payload.close()
 
 
 _BACKENDS: dict[str, ExecutionBackend] = {
     "serial": SerialBackend(),
     "thread": ThreadPoolBackend(),
-    "process": ProcessPoolBackend(),
-    "distributed": DistributedBackend(),
+    "process": ProcessBackend(),
 }
 
 
@@ -1319,9 +1041,9 @@ class ExecutionContext:
         monkeypatching it in a test) takes effect immediately.  The
         worker count never influences results — only wall-clock.
     backend:
-        ``"serial"``, ``"thread"``, ``"process"``, or
-        ``"distributed"`` — see :class:`ExecutionBackend`.  ``None``
-        (default) consults the ``REPRO_BACKEND`` env var lazily
+        ``"serial"``, ``"thread"``, or ``"process"`` — see
+        :class:`ExecutionBackend`.  ``None`` (default) consults the
+        ``REPRO_BACKEND`` env var lazily
         (default ``"thread"``).  Like ``workers``, the backend never
         influences results.
     chunk_items:
@@ -1428,16 +1150,6 @@ class ExecutionContext:
     def _map_workers(self) -> int:
         return 1 if self.resolve_backend() == "serial" \
             else self.resolve_workers()
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Map ``fn`` over ``items`` on this context's backend.
-
-        Closure-friendly (in-process) mapping: the serial backend runs
-        in the calling thread, thread and process backends use the
-        thread pool (see :class:`ProcessPoolBackend` for why closures
-        never cross the process boundary).
-        """
-        return parallel_map(fn, items, workers=self._map_workers())
 
     def run_chunks(self,
                    fn: Callable[..., R],
@@ -1550,7 +1262,7 @@ class ExecutionContext:
                     pieces: Sequence[tuple[int, int]],
                     rng: np.random.Generator | None = None,
                     scope: str | None = None,
-                    shared: "PersistentPayload | None" = None) -> list[R]:
+                    shared: "SharedPayload | None" = None) -> list[R]:
         """Run a shippable ``task`` over ``pieces`` on this backend.
 
         ``task`` must be a **module-level** function (pickled by
@@ -1558,8 +1270,8 @@ class ExecutionContext:
         ``task(arrays, meta, lo, hi, stream, ledger)``:
 
         * ``arrays`` — the payload dict, reconstructed worker-side as
-          read-only views over one shared-memory segment (direct
-          references in-process);
+          read-only views over one shared-memory segment (or unpickled
+          from in-band frames; direct references in-process);
         * ``meta`` — small picklable scalars;
         * ``stream`` — the chunk's spawned RNG stream (``None`` when no
           ``rng`` was given).  Identical to the stream
@@ -1576,16 +1288,16 @@ class ExecutionContext:
         chunk runs, and the lowest-index chunk's exception is re-raised
         after the join.
 
-        Transient failures (worker crashes, stall timeouts, injected
+        Transient failures (worker deaths, lease timeouts, injected
         faults) are re-dispatched under :meth:`resolve_retry`; when
         :meth:`resolve_degrade` is on, chunks that exhaust their
         attempts fall back down the backend ladder
-        (distributed→process→thread→serial) with the **same** seed
-        keys — the fallback results are bit-identical, so degradation
-        never changes answers, only where they were computed.
+        (process→thread→serial) with the **same** seed keys — the
+        fallback results are bit-identical, so degradation never
+        changes answers, only where they were computed.
         ``scope`` labels the dispatch for fault-plan ``phase=``
         matching, and ``shared`` is an optional
-        :class:`PersistentPayload` of long-lived arrays (the solver's
+        :class:`SharedPayload` of long-lived arrays (the solver's
         chain payload) merged under the per-dispatch ``arrays`` —
         published once per owner, attached once per worker, never
         torn down by the dispatch.
@@ -1727,7 +1439,7 @@ def _solve_chunk_task(arrays, meta, lo, hi, stream, ledger):
 class SolveShipment:
     """Shipped-solve dispatcher for one solver's blocked column loops.
 
-    Owns the solver's :class:`PersistentPayload` (the serialized
+    Owns the solver's :class:`SharedPayload` (the serialized
     :class:`~repro.core.chain.CholeskyChain` plus Laplacian CSR —
     published once, reused by every dispatch, unlinked on
     :meth:`close`) and turns a blocked kernel call into a
@@ -1747,7 +1459,7 @@ class SolveShipment:
                  arrays: dict[str, np.ndarray], meta: dict,
                  ship: bool | None = None) -> None:
         self.ctx = ctx
-        self.payload = PersistentPayload(arrays)
+        self.payload = SharedPayload(arrays)
         self.meta = dict(meta)
         self.ship = ship
 

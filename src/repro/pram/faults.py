@@ -14,7 +14,7 @@ A plan is a comma-separated list of directives, each
 
     kill:chunk=2:attempt=1       # chunk 2's second dispatch attempt dies
     hang:chunk=0:seconds=30      # chunk 0 stalls (process: real sleep,
-                                 # killed by the parent's chunk timeout)
+                                 # its lease expires, worker replaced)
     nan:col=3:stage=richardson   # column 3's iterate goes NaN at iter 0
     drop:frame=0                 # first payload frame per connection lost
     corrupt:frame=2              # frame 2's bytes flip (CRC catches it)
@@ -25,17 +25,21 @@ Selectors
 ---------
 ``chunk=N`` (required for kill/hang), ``attempt=N`` (default ``0``;
 ``*`` = every attempt — how the exhaustion/degradation paths are
-exercised), ``backend=serial|thread|process|distributed`` (only fire
-under that backend), ``phase=walk|columns|solve|serve`` (only fire in
+exercised), ``backend=serial|thread|process`` (only fire under that
+backend), ``phase=walk|columns|solve|serve|transport`` (only fire in
 that dispatch scope), ``seconds=F`` (hang/delay duration, default 30),
 ``col=N`` (required for nan), ``iter=N`` (default 0),
 ``stage=richardson|cg|chebyshev|solve|serve|transport``.  For
 kill/hang directives ``stage=`` is an alias for ``phase=``
 (``stage=solve`` pins a kill to the shipped-solve dispatches); for nan
 directives ``stage=solve`` matches every blocked solve kernel, where a
-specific stage name matches only that kernel.
+specific stage name matches only that kernel.  A ``backend=``,
+``phase=`` or ``stage=`` value outside these lists raises
+:class:`ValueError` at parse time — a typo'd directive would otherwise
+parse and never fire.
 
-The ``transport`` scope (DESIGN.md §13) targets the distributed wire.
+The ``transport`` scope (DESIGN.md §13) targets the process backend's
+wire.
 ``drop``/``corrupt``/``delay`` fire on the coordinator's outbound
 payload frames: ``frame=N`` (required for drop/corrupt, optional for
 delay) matches the ``N``-th *first-transmission* data frame on a
@@ -88,10 +92,10 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["FAULT_KINDS", "FaultDirective", "FaultPlan", "FaultEvent",
-           "FaultLog", "InjectedFault", "use_faults", "active_plan",
-           "faults_active", "use_fault_log", "current_fault_log",
-           "apply_chunk_faults", "apply_worker_faults",
+__all__ = ["FAULT_KINDS", "PHASES", "STAGES", "FaultDirective",
+           "FaultPlan", "FaultEvent", "FaultLog", "InjectedFault",
+           "use_faults", "active_plan", "faults_active", "use_fault_log",
+           "current_fault_log", "apply_chunk_faults", "apply_worker_faults",
            "inject_nan_columns", "split_serve_plan",
            "apply_serve_faults"]
 
@@ -230,6 +234,22 @@ class FaultDirective:
         return ":".join(parts)
 
 
+#: Dispatch scopes a ``phase=`` selector can name.
+PHASES = ("walk", "columns", "solve", "serve", "transport")
+
+#: Stages a ``stage=`` selector can name: the blocked kernels plus the
+#: scopes ``stage=`` aliases for kill/hang.
+STAGES = ("richardson", "cg", "chebyshev", "solve", "serve", "transport")
+
+
+def _selector_values(key: str) -> tuple[str, ...]:
+    if key == "backend":
+        from repro.pram.executor import BACKENDS
+
+        return BACKENDS
+    return PHASES if key == "phase" else STAGES
+
+
 def _parse_directive(token: str) -> FaultDirective:
     parts = [p.strip() for p in token.split(":") if p.strip()]
     if not parts:
@@ -264,7 +284,13 @@ def _parse_directive(token: str) -> FaultDirective:
                     f"fault selector seconds= needs a number, "
                     f"got {raw!r}") from None
         elif key in ("stage", "phase", "backend"):
-            kwargs[key] = raw.lower()
+            value = raw.lower()
+            allowed = _selector_values(key)
+            if value not in allowed:
+                raise ValueError(
+                    f"fault selector {key}= must be one of {allowed}, "
+                    f"got {raw!r}")
+            kwargs[key] = value
         else:
             raise ValueError(f"unknown fault selector {key!r}")
     return FaultDirective(kind, **kwargs)
@@ -318,7 +344,7 @@ class FaultPlan:
                      if d.kind in ("drop", "corrupt", "delay"))
 
     def transport_directives(self) -> tuple[FaultDirective, ...]:
-        """The directives that ship *with* distributed jobs and fire
+        """The directives that ship *with* process-backend jobs and fire
         worker-side on the wire: ``disconnect`` plus kill/hang pinned
         to the ``transport`` scope."""
         out = []
@@ -397,9 +423,8 @@ class FaultEvent:
     """One injection or recovery action.
 
     ``action`` is the event type: ``inject`` (a directive fired),
-    ``retry`` (a chunk was re-dispatched), ``pool_rebuild`` (the
-    process pool was torn down and rebuilt), ``timeout`` (a stalled
-    dispatch was killed), ``exhausted`` (a chunk ran out of attempts),
+    ``retry`` (a chunk was re-dispatched), ``timeout`` (a chunk's
+    lease expired), ``exhausted`` (a chunk ran out of attempts),
     ``degrade`` (failed chunks fell back to a weaker backend),
     ``quarantine`` (broken columns were frozen out of an iteration),
     ``escalate`` (quarantined columns moved to a stronger solver).
@@ -515,10 +540,10 @@ def apply_worker_faults(directives: tuple[FaultDirective, ...], *,
                         chunk: int, attempt: int) -> None:
     """Fire any matching directive inside a worker **process**.
 
-    ``kill`` exits the process hard (``os._exit``), producing a
-    genuine ``BrokenProcessPool`` in the parent; ``hang`` sleeps for
-    the directive's ``seconds`` — long enough for the parent's chunk
-    timeout to detect the stall and kill the pool — then raises
+    ``kill`` exits the process hard (``os._exit``), a genuine worker
+    death the parent's lease scheduler detects; ``hang`` sleeps for
+    the directive's ``seconds`` — long enough for the parent's lease
+    timeout to expire the chunk and replace the worker — then raises
     :class:`InjectedFault` as a bounded fallback when no timeout is
     armed.  Directives arrive pre-filtered by backend/phase (see
     :meth:`FaultPlan.chunk_directives`).

@@ -1,10 +1,9 @@
-"""Hardened wire transport for the distributed backend (DESIGN.md §13).
+"""Hardened wire transport for the process backend (DESIGN.md §13).
 
-PR 7's distributed stub proved the *shape* of multi-node execution but
-leaned on two same-host conveniences: ``multiprocessing.connection``
-(whose pickled stream trusts the wire completely) and ``/dev/shm`` for
-payloads.  This module removes both, giving the backend a transport
-with the failure envelope a real fleet imposes:
+Worker processes talk to the coordinator over authenticated,
+checksummed sockets rather than a bare pickled pipe that trusts every
+byte, and payloads need not live in ``/dev/shm``.  This gives the
+backend a transport with the failure envelope a real fleet imposes:
 
 * **Framed messages** — every message is pickled, split into
   ≤ :data:`FRAME_CHUNK` pieces, and sent as length-prefixed frames
@@ -42,7 +41,7 @@ with the failure envelope a real fleet imposes:
 Scheduling on top of the transport is **lease-based**
 (:class:`TransportPool`): each dispatched chunk holds a lease on its
 worker; a worker death — EOF, transport failure, missed heartbeats, or
-an expired lease under the policy's stall timeout — expires only that
+a lease held past the policy's lease timeout — expires only that
 worker's lease, re-queues its chunk, and **spawns a replacement
 worker** (with backoff) instead of tearing the pool down.  The pool
 survives any number of deaths as long as replacements can be spawned;
@@ -1046,7 +1045,7 @@ class TransportPool:
 
     def run_tasks(self, njobs: int, make_args, payload_refs, payloads,
                   *, policy=None, log=None, frame_directives=(),
-                  backend_name: str = "distributed") -> list:
+                  backend_name: str = "process") -> list:
         """Run jobs ``0..njobs-1``; returns their result triples.
 
         ``make_args(i, attempt)`` builds the job's argument tuple;
@@ -1061,7 +1060,7 @@ class TransportPool:
         backoff window, the worker is replaced, and the round
         continues.  A chunk out of attempts settles as an
         :class:`~repro.errors.ExecutionError` triple, exactly like the
-        other backends.
+        in-process backends.
         """
         from repro.pram.executor import _is_transient
 

@@ -373,10 +373,12 @@ class WalkEngine:
         ``REPRO_CHUNK_ITEMS`` env default), never of the worker count —
         so for a fixed seed and fixed chunk policy the result is
         **bit-identical regardless of the worker count or backend**
-        (they only schedule the fixed chunks).  Under the process backend the engine's
-        immutable arrays ship once per call through shared memory and
-        each chunk pickles only its slice bounds and seed-spawn key
-        (see :func:`_walk_chunk_task`); the serial and thread backends
+        (they only schedule the fixed chunks).  Under the process
+        backend the engine's immutable arrays ship to the worker pool
+        once per call as one shared-memory segment (in-band frames
+        under ``REPRO_TRANSPORT=tcp``) and each chunk pickles only its
+        slice bounds and seed-spawn key (see
+        :func:`_walk_chunk_task`); the serial and thread backends
         step the same chunks in-process.  The explicit
         ``chunks``/``workers`` parameters remain for callers that want
         a specific layout.
@@ -394,8 +396,7 @@ class WalkEngine:
             pieces = ctx.item_chunks(starts.size) if chunks is None \
                 else chunk_ranges(starts.size, chunks)
 
-        if ctx.resolve_backend() in ("process", "distributed") \
-                and len(pieces) > 1:
+        if ctx.resolve_backend() == "process" and len(pieces) > 1:
             arrays = {"indptr": self.adj.indptr,
                       "neighbor": self.adj.neighbor,
                       "weight": self.adj.weight,

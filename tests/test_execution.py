@@ -240,18 +240,39 @@ class TestExecutionBackends:
                   "mask": np.array([[True, False], [False, True],
                                     [True, True]]),
                   "ints": np.arange(5, dtype=np.int32)}
+        before = live_segment_names()
         payload = SharedPayload(arrays)
+        assert live_segment_names() == before  # published lazily
         try:
-            assert payload.spec[0] in live_segment_names()
-            got = _attach_payload(payload.spec)
+            spec = payload.publish()
+            assert payload.publish() is spec  # published once
+            assert spec[0] in live_segment_names()
+            got = _attach_payload(spec)
             for key, want in arrays.items():
                 np.testing.assert_array_equal(got[key], want)
                 assert got[key].dtype == want.dtype
             assert not got["a"].flags.writeable
         finally:
             payload.close()
-        assert payload.spec[0] not in live_segment_names()
+        assert spec[0] not in live_segment_names()
         payload.close()  # idempotent
+        # A closed (or externally swept) payload re-publishes on demand.
+        again = payload.publish()
+        assert again[0] != spec[0] and again[0] in live_segment_names()
+        payload.close()
+        assert live_segment_names() == before
+
+    def test_shared_payload_fingerprint_and_nbytes(self):
+        from repro.pram.transport import payload_fingerprint
+
+        arrays = {"a": np.arange(7.0), "ints": np.arange(5, dtype=np.int32)}
+        before = live_segment_names()
+        payload = SharedPayload(arrays)
+        # The in-band identity and the size need no segment.
+        assert payload.fingerprint() == payload_fingerprint(arrays)
+        assert payload.nbytes == 7 * 8 + 5 * 4
+        assert live_segment_names() == before
+        payload.close()  # closing an unpublished payload is a no-op
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_shipped_matches_serial(self, backend, monkeypatch):
@@ -644,10 +665,10 @@ class TestChebyshevPreconditionedFreeze:
 
 class TestShippedSolves:
     """ISSUE 7 tentpole: blocked solves ship as self-contained tasks
-    over a once-published shared-memory chain payload.  Fixed seed ⇒
-    bit-identical solutions and ledger totals vs the threaded closure
-    path across {process, distributed} × {1, 2, 4} workers, and no
-    shared memory survives solver teardown."""
+    over a once-published chain payload.  Fixed seed ⇒ bit-identical
+    solutions and ledger totals vs the threaded closure path across
+    the process backend's {shm, tcp} payload modes × {1, 2, 4}
+    workers, and no shared memory survives solver teardown."""
 
     WORKER_COUNTS = (1, 2, 4)
 
@@ -678,19 +699,20 @@ class TestShippedSolves:
         return rep, (ledger.work, ledger.depth)
 
     @pytest.mark.parametrize("method", ["richardson", "pcg"])
-    def test_shipped_matrix_bit_identical(self, method):
+    def test_shipped_matrix_bit_identical(self, method, monkeypatch):
         g, B = self._problem()
         base, lbase = self._solve(g, B, "thread", 2, False, method)
         assert base.iterations > 0
-        for backend in ("process", "distributed"):
+        for transport in ("shm", "tcp"):
+            monkeypatch.setenv("REPRO_TRANSPORT", transport)
             for workers in self.WORKER_COUNTS:
-                rep, led = self._solve(g, B, backend, workers, True,
+                rep, led = self._solve(g, B, "process", workers, True,
                                        method)
                 np.testing.assert_array_equal(
                     rep.x, base.x,
-                    err_msg=f"{backend} workers={workers}")
+                    err_msg=f"{transport} workers={workers}")
                 assert rep.iterations == base.iterations
-                assert led == lbase, (backend, workers)
+                assert led == lbase, (transport, workers)
         assert live_segment_names() == ()
 
     def test_chebyshev_shipped_matches_chunked(self):
@@ -731,7 +753,10 @@ class TestShippedSolves:
         assert led == lbase
         assert live_segment_names() == ()
 
-    def test_shipment_lifecycle_and_hygiene(self):
+    def test_shipment_lifecycle_and_hygiene(self, monkeypatch):
+        # The segment lifecycle is the shm payload mode's (tcp
+        # publishes nothing).
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         g, B = self._problem()
         opts = self._opts().with_(backend="process", workers=2,
                                   ship_solves=True)

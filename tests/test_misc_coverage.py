@@ -27,7 +27,13 @@ class TestExecutorDefaults:
         assert default_workers() == 3
 
     def test_env_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
+        # Junk and non-positive counts raise like every other knob ...
+        for bad in ("lots", "0", "-3"):
+            monkeypatch.setenv("REPRO_WORKERS", bad)
+            with pytest.raises(ValueError, match="REPRO_WORKERS"):
+                default_workers()
+        # ... while empty still means the CPU count.
+        monkeypatch.setenv("REPRO_WORKERS", "")
         assert default_workers() >= 1
 
 

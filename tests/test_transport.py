@@ -11,7 +11,7 @@ Proves the wire contract of DESIGN.md §13 at three levels:
   and protocol-version mismatches are refused (and logged as
   ``auth_refused``) before any job bytes flow;
 * **the pool** — lease-based scheduling through the real
-  ``distributed`` backend: tcp-vs-shm payload bit-identity, frame
+  ``process`` backend: tcp-vs-shm payload bit-identity, frame
   faults (``drop``/``corrupt``/``delay``), worker-side ``disconnect``
   and ``stage=transport`` kill/hang with in-place worker replacement
   (no pool teardown), heartbeat-detected frozen workers, checkout
@@ -35,9 +35,9 @@ from repro.pram import use_ledger
 from repro.pram.executor import (
     ExecutionContext,
     RetryPolicy,
-    live_distributed_workers,
     live_segment_names,
-    shutdown_distributed_pools,
+    live_worker_pids,
+    shutdown_worker_pools,
 )
 from repro.pram.faults import FaultLog, FaultPlan, use_fault_log, use_faults
 from repro.pram.transport import (
@@ -84,7 +84,7 @@ def _reap_pools():
     env-config snapshots, and worker processes never leak across
     tests."""
     yield
-    shutdown_distributed_pools()
+    shutdown_worker_pools()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ class TestTransportGrammar:
         assert [d.kind for d in plan.transport_directives()] == \
             ["disconnect", "kill", "hang"]
         # Transport-scope kill/hang never ship to pool workers ...
-        ships = plan.chunk_directives(backend="distributed", phase="walk")
+        ships = plan.chunk_directives(backend="process", phase="walk")
         assert [d.chunk for d in ships] == [2]
         # ... frame faults are invisible to the chunk filter too.
         assert all(d.kind in ("kill", "hang") for d in ships)
@@ -443,7 +443,7 @@ class TestTransportPool:
 
 
 # ---------------------------------------------------------------------------
-# the distributed backend over the wire (integration)
+# the process backend over the wire (integration)
 
 
 class TestDistributedWire:
@@ -457,7 +457,7 @@ class TestDistributedWire:
         monkeypatch.setenv("REPRO_TRANSPORT", transport)
         monkeypatch.setenv("REPRO_TRANSPORT_ACK_S", "0.5")
         x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(backend="distributed", chunk_items=8,
+        ctx = ExecutionContext(backend="process", chunk_items=8,
                                retry=policy)
         pieces = ctx.item_chunks(x.size)
         assert len(pieces) > 2
@@ -478,7 +478,7 @@ class TestDistributedWire:
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.delenv("REPRO_TRANSPORT_ACK_S", raising=False)
         x = np.linspace(0.0, 3.0, 197)
-        ctx = ExecutionContext(backend="distributed", chunk_items=8,
+        ctx = ExecutionContext(backend="process", chunk_items=8,
                                retry=FAST)
         pieces = ctx.item_chunks(x.size)
         assert len(pieces) >= 20
@@ -493,7 +493,7 @@ class TestDistributedWire:
 
     def test_tcp_payloads_match_shm_bit_identical(self, monkeypatch):
         base, lbase, _ = self._run(monkeypatch, transport="shm")
-        shutdown_distributed_pools()  # mode switch: fresh pool
+        shutdown_worker_pools()  # mode switch: fresh pool
         out, led, _ = self._run(monkeypatch, transport="tcp")
         assert out == base
         assert led == lbase
@@ -508,7 +508,7 @@ class TestDistributedWire:
     def test_frame_faults_are_invisible(self, monkeypatch, plan,
                                         actions):
         base, lbase, _ = self._run(monkeypatch)
-        shutdown_distributed_pools()  # frame counters restart at 0
+        shutdown_worker_pools()  # frame counters restart at 0
         out, led, flog = self._run(monkeypatch, plan=plan)
         assert out == base and led == lbase
         summary = flog.summary()
@@ -518,7 +518,7 @@ class TestDistributedWire:
 
     def test_disconnect_replaces_worker_in_place(self, monkeypatch):
         base, lbase, _ = self._run(monkeypatch)
-        shutdown_distributed_pools()  # worker ids restart at 0
+        shutdown_worker_pools()  # worker ids restart at 0
         out, led, flog = self._run(monkeypatch, plan="disconnect:worker=0")
         assert out == base and led == lbase
         summary = flog.summary()
@@ -538,7 +538,7 @@ class TestDistributedWire:
     @pytest.mark.parametrize("scope", ["stage", "phase"])
     def test_heartbeats_detect_frozen_worker(self, monkeypatch, scope):
         base, lbase, _ = self._run(monkeypatch)
-        shutdown_distributed_pools()
+        shutdown_worker_pools()
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.2")
         # A 30s freeze with suspended heartbeats: no EOF, no lease
         # timeout (FAST has none) — only heartbeat monitoring can
@@ -555,10 +555,10 @@ class TestDistributedWire:
         assert flog.count("worker_replace") >= 1
 
     def test_checkout_survives_external_worker_death(self, monkeypatch):
-        from repro.pram.executor import _dist_pool
+        from repro.pram.executor import _worker_pool
 
         base, lbase, _ = self._run(monkeypatch)
-        pool = _dist_pool(2)
+        pool = _worker_pool(2)
         pids = pool.alive_pids()
         assert len(pids) == 2
         os.kill(pids[-1], signal.SIGKILL)
@@ -569,23 +569,23 @@ class TestDistributedWire:
         # capacity must be topped up, not trusted (the rot fix).
         out, led, _ = self._run(monkeypatch)
         assert out == base and led == lbase
-        assert len(_dist_pool(2).alive_pids()) == 2
+        assert len(_worker_pool(2).alive_pids()) == 2
 
     def test_config_drift_rebuilds_pool_at_checkout(self, monkeypatch):
-        from repro.pram.executor import _dist_pool
+        from repro.pram.executor import _worker_pool
 
         self._run(monkeypatch)
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_TRANSPORT_ACK_S", "0.5")
-        first = _dist_pool(2)
+        first = _worker_pool(2)
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "1.25")
-        rebuilt = _dist_pool(2)
+        rebuilt = _worker_pool(2)
         assert rebuilt is not first
         assert rebuilt.heartbeat_s == 1.25
 
     def test_shutdown_reaps_every_worker(self, monkeypatch):
         self._run(monkeypatch)
-        assert len(live_distributed_workers()) >= 1
-        shutdown_distributed_pools()
-        assert live_distributed_workers() == ()
+        assert len(live_worker_pids()) >= 1
+        shutdown_worker_pools()
+        assert live_worker_pids() == ()
         assert live_segment_names() == ()
