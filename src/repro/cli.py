@@ -63,8 +63,11 @@ def _cmd_info(args) -> int:
     print(f"n={g.n} m={g.m} components={comps}")
     print(f"degree: min={deg.min()} max={deg.max()} "
           f"mean={deg.mean():.2f}")
-    print(f"weights: min={g.w.min():.4g} max={g.w.max():.4g} "
-          f"total={g.total_weight():.4g}")
+    if g.m:
+        print(f"weights: min={g.w.min():.4g} max={g.w.max():.4g} "
+              f"total={g.total_weight():.4g}")
+    else:
+        print("weights: none")
     return 0
 
 

@@ -126,7 +126,7 @@ def terminal_walks(graph: MultiGraph,
         Row sampler for a freshly built engine: ``"alias"`` (per-row
         alias planes, O(1)/query — Lemma 2.6) or ``"bisect"`` (global
         cumulative-weight bisection).  ``None`` consults
-        ``REPRO_SAMPLER`` lazily (default ``"bisect"``).  Ignored when
+        ``REPRO_SAMPLER`` lazily (default ``"alias"``).  Ignored when
         ``engine`` is supplied (the engine already carries its
         sampler); the ``legacy`` path always bisects, mirroring the
         seed.  Fixed seed + fixed sampler ⇒ bit-identical output; the

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.graphs.io import load_npz, save_npz
 from repro.graphs import generators as G
+from repro.graphs.multigraph import MultiGraph
 
 
 @pytest.fixture
@@ -39,6 +40,14 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "n=64" in out
         assert "components=1" in out
+
+    def test_info_edgeless(self, tmp_path, capsys):
+        path = str(tmp_path / "empty.npz")
+        save_npz(MultiGraph(3, [], [], []), path)
+        assert main(["info", path]) == 0
+        out = capsys.readouterr().out
+        assert "components=3" in out
+        assert "weights: none" in out
 
 
 class TestSolve:

@@ -37,12 +37,25 @@ class TestConnectivity:
         labels = connected_components(g)
         assert labels[3] != labels[0]
 
+    def test_labels_in_order_of_first_appearance(self):
+        labels = connected_components(
+            MultiGraph(4, [3, 1], [0, 2], [1.0, 1.0]))
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [0, 1, 1, 0])
+
     def test_components_matches_networkx(self, zoo_graph):
         nx = pytest.importorskip("networkx")
         from repro.graphs.conversions import to_networkx
 
-        ours = connected_components(zoo_graph).max() + 1
-        theirs = nx.number_connected_components(to_networkx(zoo_graph))
+        # The zoo graphs are connected: add a path and an isolated
+        # vertex so the partition has several blocks to match.
+        g = G.union_disjoint(G.union_disjoint(zoo_graph, G.path(3)),
+                             MultiGraph(1, [], [], []))
+        labels = connected_components(g)
+        ours = {frozenset(np.flatnonzero(labels == c).tolist())
+                for c in range(labels.max() + 1)}
+        theirs = {frozenset(c) for c in
+                  nx.connected_components(to_networkx(g))}
         assert ours == theirs
 
     def test_require_connected_raises(self):
