@@ -111,12 +111,13 @@ def _cmd_solve(args) -> int:
     t0 = time.time()
     report = solver.solve_report(b, eps=args.eps, method=args.method)
     t_solve = time.time() - t0
-    levels = solver.chain.level_nbytes()
+    A = solver.chain.A
+    nb = solver.chain.final_pinv.shape[0]
     print(f"build: {t_build:.3f}s (d={report.chain_depth} levels, "
           f"{report.multiedges} multi-edges)")
     print(f"chain payload: {solver.chain.nbytes / 1e6:.2f} MB "
-          f"(per level: "
-          f"{', '.join(f'{nb / 1e6:.2f}' for nb in levels)} MB)")
+          f"(sweep matrix {A.shape[0]}x{A.shape[0]} with {A.nnz} "
+          f"entries, base pseudo-inverse {nb}x{nb})")
     print(f"solve: {t_solve:.3f}s ({report.iterations} iterations, "
           f"method={report.method}, residual="
           f"{report.residual_2norm:.3e})")

@@ -6,7 +6,11 @@ its ``F`` block with the Jacobi operator ``Z^(k)`` and pushing the
 remainder to ``C``), a dense pseudo-solve at the O(1)-size base, and a
 backward substitution up the chain.
 
-Per application: ``O(m log n loglog n)`` work and
+Both sweeps are triangular solves with the chain's flat form ``A``
+(:meth:`repro.core.chain.CholeskyChain.flatten`, DESIGN.md §14), so one
+application is two compiled sparse kernels plus the base product, for
+any number of right-hand sides.  The ledger is charged the paper's
+cost, level by level: per application ``O(m log n loglog n)`` work and
 ``O(log m log n loglog n)`` depth — each of the ``d = O(log n)`` levels
 does one Jacobi apply (``O(m loglog n)`` work for ε = 1/(2d), Lemma 3.5)
 plus one coupling-block matvec (``O(m)``).
@@ -15,11 +19,13 @@ plus one coupling-block matvec (``O(m)``).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.chain import CholeskyChain
 from repro.errors import DimensionMismatchError, FactorizationError
-from repro.pram import charge
+from repro.linalg.jacobi import jacobi_terms
+from repro.pram import charge, ledger_active
 from repro.pram import primitives as P
 
 __all__ = ["ApplyCholeskyOperator"]
@@ -34,13 +40,34 @@ class ApplyCholeskyOperator:
     """
 
     def __init__(self, chain: CholeskyChain) -> None:
-        for level in chain.levels:
-            if level.jacobi is None or level.L_CF is None:
-                raise FactorizationError(
-                    "chain level missing its Jacobi operator; build chains "
-                    "via block_cholesky()")
+        if chain.A is None:
+            raise FactorizationError(
+                "chain has no flat solve form; build chains via "
+                "block_cholesky()")
         self.chain = chain
         self.n = chain.n
+        # A is unit lower triangular, so with the natural order and
+        # diagonal pivots SuperLU's factor is L = A, U = I: its solves
+        # are exactly the two sweeps.
+        self._lu = spla.splu(chain.A, permc_spec="NATURAL",
+                             diag_pivot_thresh=0)
+        N = chain.A.shape[0]
+        if not (np.array_equal(self._lu.perm_r, np.arange(N))
+                and np.array_equal(self._lu.perm_c, np.arange(N))):
+            raise FactorizationError("sweep matrix was pivoted")
+        # Between the sweeps: y_k moves to u_{F_k}, the y slots clear
+        # and u_base becomes final_pinv @ u_base.  Both are one sparse
+        # product, so each column's arithmetic is independent of how
+        # many columns ride along.
+        uF, yF, base0 = chain.sweep_slots()
+        nb = chain.final_pinv.shape[0]
+        base = base0 + np.arange(nb)
+        self._mid = sp.csr_matrix(
+            (np.concatenate([np.ones(uF.size), chain.final_pinv.ravel()]),
+             (np.concatenate([uF, np.repeat(base, nb)]),
+              np.concatenate([yF, np.tile(base, nb)]))),
+            shape=(N, N))
+        self._l = jacobi_terms(chain.jacobi_eps)
 
     # -- the operator -------------------------------------------------------
 
@@ -48,52 +75,42 @@ class ApplyCholeskyOperator:
         """``W b`` (Algorithm 2 forward + base solve + backward).
 
         ``b`` may be one right-hand side ``(n,)`` or a block ``(n, k)``;
-        the block path performs the same substitutions on whole columns
-        at once, so every per-level ``Z^(k)`` apply and coupling-block
-        product is a sparse×dense-matrix (BLAS-3-style) kernel.
+        column ``j`` of a block apply equals the 1-D apply of
+        ``b[:, j]`` bitwise.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise DimensionMismatchError(
                 f"b must have shape ({self.n},) or ({self.n}, k), "
                 f"got {b.shape}")
-        k = 1 if b.ndim == 1 else b.shape[1]
-        levels = self.chain.levels
-
-        # Forward substitution (Algorithm 2, lines 3-5):
-        #   y_F = Z^(k) b_F;   b^(k+1) = b_C - L_CF y_F.
-        b_cur = b
-        saved_yF: list[np.ndarray] = []
-        for level in levels:
-            bF = b_cur[level.idxF]
-            bC = b_cur[level.idxC]
-            yF = level.jacobi.apply(bF)
-            yC = bC - level.L_CF @ yF
-            charge(*P.matvec_cost(level.L_CF.nnz * k),
-                   label="forward_coupling")
-            saved_yF.append(yF)
-            b_cur = yC
-
-        # Base case (line 6): x^(d) = L_{G^(d)}⁺ b^(d).
-        x_cur = self.chain.final_pinv @ b_cur
-        charge(*P.matvec_cost(self.chain.final_pinv.size * k),
-               label="base_case_solve")
-
-        # Backward substitution (lines 7-8):
-        #   x_F = y_F - Z^(k) (L_FC x_C);   interleave (x_F, x_C).
-        for level, yF in zip(reversed(levels), reversed(saved_yF)):
-            corr = level.jacobi.apply(level.blocks.L_FC @ x_cur)
-            charge(*P.matvec_cost(level.blocks.L_FC.nnz * k),
-                   label="backward_coupling")
-            xF = yF - corr
-            x_parent = np.empty((level.nf + level.nc,) + b.shape[1:],
-                                dtype=np.float64)
-            x_parent[level.idxF] = xF
-            x_parent[level.idxC] = x_cur
-            x_cur = x_parent
-        return x_cur
+        if ledger_active():
+            self._charge(1 if b.ndim == 1 else b.shape[1])
+        u = self.chain.u_slot
+        r = np.zeros((self.chain.A.shape[0],) + b.shape[1:])
+        r[u] = b
+        # Forward sweep (lines 3-5), base case (line 6), backward sweep
+        # (lines 7-8).
+        s = self._lu.solve(r)
+        return self._lu.solve(self._mid @ s, trans="T")[u]
 
     __call__ = apply
+
+    def _charge(self, k: int) -> None:
+        """Charge Algorithm 2's per-level costs in the order of its
+        sweeps: per level a Jacobi apply and a coupling matvec, the base
+        product, then the levels again in reverse."""
+        l = self._l
+        shapes = self.chain.level_shapes.tolist()
+        for nf, ynnz, cnnz in shapes:
+            charge(l * max(ynnz, nf) * k, l * P.log2p(max(ynnz, 2)),
+                   label="jacobi_apply")
+            charge(*P.matvec_cost(cnnz * k), label="forward_coupling")
+        charge(*P.matvec_cost(self.chain.final_pinv.size * k),
+               label="base_case_solve")
+        for nf, ynnz, cnnz in reversed(shapes):
+            charge(l * max(ynnz, nf) * k, l * P.log2p(max(ynnz, 2)),
+                   label="jacobi_apply")
+            charge(*P.matvec_cost(cnnz * k), label="backward_coupling")
 
     # -- conveniences ---------------------------------------------------------
 

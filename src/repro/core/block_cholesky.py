@@ -116,9 +116,10 @@ def block_cholesky(graph: MultiGraph,
     With ``keep_graphs=False`` (streaming mode) each per-level graph is
     dropped as soon as its blocks are extracted and the next level is
     sampled, so only one working graph is alive at a time.  Solving is
-    unaffected — ``ApplyCholesky`` consumes only the levels' blocks and
-    the base pseudoinverse; edge-count diagnostics stay available
-    through the chain's cached count lists, but graph-level
+    unaffected — ``ApplyCholesky`` consumes only the chain's flat form
+    (:meth:`CholeskyChain.flatten`, assembled here from the levels'
+    blocks) and the base pseudoinverse; edge-count diagnostics stay
+    available through the chain's cached count lists, but graph-level
     introspection (``dense_factorization``, per-level subgraphs) needs
     ``keep_graphs=True``.
     """
@@ -218,10 +219,12 @@ def block_cholesky(graph: MultiGraph,
     charge(float(active.size) ** 3, P.log2p(active.size),
            label="base_case_pinv")
 
-    return CholeskyChain(n=graph.n,
-                         graphs=graphs if keep_graphs else None,
-                         levels=levels,
-                         final_active=active, final_pinv=final_pinv,
-                         jacobi_eps=jacobi_eps,
-                         logical_edges=logical_edges,
-                         stored_edges=stored_edges)
+    chain = CholeskyChain(n=graph.n,
+                          graphs=graphs if keep_graphs else None,
+                          levels=levels,
+                          final_active=active, final_pinv=final_pinv,
+                          jacobi_eps=jacobi_eps,
+                          logical_edges=logical_edges,
+                          stored_edges=stored_edges)
+    chain.flatten()
+    return chain

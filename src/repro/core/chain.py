@@ -5,7 +5,10 @@ A :class:`Level` stores what iteration ``k`` eliminated — the 5-DD set
 ``F_k``, the remaining set ``C_k``, and the sub-blocks of
 ``L_{G^(k-1)}`` that ``ApplyCholesky`` needs (``X_k + Y_k = (L)_{F_kF_k}``
 and the coupling block ``L_{F_kC_k}``).  A :class:`CholeskyChain` is the
-full output plus the dense base-case pseudoinverse.
+full output plus the dense base-case pseudoinverse, and — once
+:meth:`CholeskyChain.flatten` has run — the chain's solve-time form: the
+whole of Algorithm 2 as one unit-lower-triangular sparse matrix ``A``
+(DESIGN.md §14).
 
 :meth:`CholeskyChain.dense_factorization` materialises
 ``(U^(d))ᵀ D^(d) U^(d)`` (equations (5)/(6) of the paper) for the
@@ -47,7 +50,9 @@ class Level:
         bipartition (positional).
     jacobi:
         The operator ``Z^(k)`` of Lemma 3.5 (attached after the chain
-        length ``d`` is known, since the paper sets ε = 1/(2d)).
+        length ``d`` is known, since the paper sets ε = 1/(2d)).  The
+        solve path reads the same operator materialised inside the
+        chain's flat form; this one serves per-level diagnostics.
     parent_edges:
         Multi-edge count of ``G^(k-1)`` (for cost accounting/diagnostics).
     """
@@ -59,25 +64,10 @@ class Level:
     blocks: LaplacianBlocks
     parent_edges: int
     jacobi: JacobiOperator | None = None
-    L_CF: sp.csr_matrix | None = None
 
     def attach_jacobi(self, eps: float) -> None:
         """Instantiate ``Z^(k)`` with accuracy ε (Algorithm 2 line 4)."""
         self.jacobi = JacobiOperator(self.blocks.X, self.blocks.Y, eps)
-        self.L_CF = self.blocks.L_FC.T.tocsr()
-
-    def nbytes(self) -> int:
-        """Bytes of the arrays a solve consumes at this level (the
-        payload-shipping cost): index maps, ``X``/``Y``, and both
-        coupling CSR triples."""
-        total = int(self.idxF.nbytes) + int(self.idxC.nbytes)
-        total += int(self.blocks.X.nbytes)
-        for M in (self.blocks.Y, self.blocks.L_FC,
-                  self.L_CF if self.L_CF is not None
-                  else self.blocks.L_FC.T.tocsr()):
-            total += int(M.data.nbytes) + int(M.indices.nbytes) \
-                + int(M.indptr.nbytes)
-        return total
 
     @property
     def nf(self) -> int:
@@ -110,10 +100,18 @@ class CholeskyChain:
     jacobi_eps: float
     logical_edges: list[int] | None = None
     stored_edges: list[int] | None = None
+    #: The flat solve-time form (:meth:`flatten`): the unit-lower-
+    #: triangular sweep matrix, each vertex's ``u`` slot, and per-level
+    #: ``(|F_k|, nnz(Y_k), nnz(L_FC^k))``.
+    A: sp.csc_matrix | None = None
+    u_slot: np.ndarray | None = None
+    level_shapes: np.ndarray | None = None
 
     @property
     def d(self) -> int:
         """Number of elimination rounds (paper's ``d = O(log n)``)."""
+        if self.level_shapes is not None:
+            return len(self.level_shapes)
         return len(self.levels)
 
     def _require_graphs(self) -> list[MultiGraph]:
@@ -155,51 +153,118 @@ class CholeskyChain:
         """Sum of physically stored edge groups across all levels."""
         return sum(self.stored_edge_counts)
 
+    # -- the flat solve-time form (DESIGN.md §14) ---------------------------
+
+    def flatten(self) -> None:
+        """Assemble Algorithm 2 as one unit-lower-triangular matrix ``A``.
+
+        Slots are numbered ``[u_F1, y_1, u_F2, y_2, …, u_Fd, y_d,
+        u_base]`` (``N = n + Σ|F_k|``): one ``u`` slot per vertex, in
+        elimination order, plus one ``y`` slot per eliminated vertex.
+        ``A`` holds ``−Z_k`` at ``(y_k, u_{F_k})``, ``L_CF^k`` at
+        ``(u_{C_k}, y_k)`` and ones on the diagonal, so the forward sweep
+        ``y_k = Z_k b_F;  b_C −= L_CF y_k`` is ``A⁻¹`` and the backward
+        sweep ``x_F = y_k − Z_k L_FC x_C`` is ``A⁻ᵀ``.  Every ``Z_k`` is
+        materialised by one stacked run of the Lemma 3.5 recurrence
+        (:func:`repro.linalg.jacobi.jacobi_matrix`) at ``jacobi_eps``.
+
+        Sets :attr:`A`, :attr:`u_slot` (vertex → ``u`` slot) and
+        :attr:`level_shapes` (per level ``|F_k|``, ``nnz(Y_k)``,
+        ``nnz(L_FC^k)`` — what the ledger replay charges).
+        """
+        from repro.linalg.jacobi import jacobi_matrix
+
+        levels = self.levels
+        self.level_shapes = np.array(
+            [(level.nf, level.blocks.Y.nnz, level.blocks.L_FC.nnz)
+             for level in levels], dtype=np.int64).reshape(-1, 3)
+        uF, yF, base0 = self.sweep_slots()
+        N = base0 + self.final_active.size
+        u_slot = np.empty(self.n, dtype=np.int64)
+        u_slot[self.final_active] = base0 + np.arange(
+            self.final_active.size)
+        rows, cols, vals = [np.arange(N)], [np.arange(N)], [np.ones(N)]
+        if levels:
+            u_slot[np.concatenate([level.F for level in levels])] = uF
+            # Concatenating the levels' CSR arrays in level order stacks
+            # their F rows in uF order, with no per-level conversion.
+            Ys = [level.blocks.Y for level in levels]
+            LFCs = [level.blocks.L_FC for level in levels]
+            first = np.cumsum(self.level_shapes[:, 0]) \
+                - self.level_shapes[:, 0]
+            y_rows = np.concatenate([np.diff(M.indptr) for M in Ys])
+            Y = sp.csr_matrix(
+                (np.concatenate([M.data for M in Ys]),
+                 np.concatenate([M.indices + o for M, o in zip(Ys, first)]),
+                 np.concatenate(([0], np.cumsum(y_rows)))),
+                shape=(uF.size, uF.size))
+            Z = jacobi_matrix(
+                np.concatenate([level.blocks.X for level in levels]), Y,
+                self.jacobi_eps).tocoo()
+            rows += [yF[Z.row], u_slot[np.concatenate(
+                [level.C[M.indices] for level, M in zip(levels, LFCs)])]]
+            cols += [uF[Z.col], yF[np.repeat(
+                np.arange(uF.size),
+                np.concatenate([np.diff(M.indptr) for M in LFCs]))]]
+            vals += [-Z.data, np.concatenate([M.data for M in LFCs])]
+        self.A = sp.csc_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
+        self.u_slot = u_slot
+
+    def sweep_slots(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(u_F, y, base0)`` of the flat form: the ``u`` and ``y`` slot
+        of every eliminated vertex, stacked in level order, and the first
+        base slot.  Level ``k`` starts at slot ``2·Σ_{j<k}|F_j|``."""
+        f = self.level_shapes[:, 0]
+        first = np.concatenate(([0], np.cumsum(f)))
+        uF = np.arange(first[-1]) + np.repeat(first[:-1], f)
+        return uF, uF + np.repeat(f, f), 2 * int(first[-1])
+
     # -- flat-array payload (shipped solves, DESIGN.md §10) ----------------
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the solve-time chain payload: every level's arrays
-        (:meth:`Level.nbytes`) plus the dense base-case pseudoinverse.
-        This is exactly what :meth:`payload_arrays` ships through shared
-        memory, so it is the observable cost of `ship_solves`."""
-        return sum(self.level_nbytes()) + int(self.final_pinv.nbytes)
+        """Bytes of the solve-time chain payload: ``A``'s CSC triple,
+        the slot map, the level shapes and the dense base-case
+        pseudoinverse.  This is exactly what :meth:`payload_arrays`
+        ships through shared memory, so it is the observable cost of
+        `ship_solves`."""
+        return sum(int(a.nbytes) for a in self.payload_arrays()[0].values())
 
     def level_nbytes(self) -> list[int]:
-        """Per-level payload bytes (``[level 1, …, level d]``)."""
-        return [level.nbytes() for level in self.levels]
+        """Per-level share of :attr:`nbytes` (``[level 1, …, level d]``):
+        the entries and column pointers of ``A``'s ``u_{F_k}`` and
+        ``y_k`` columns."""
+        A = self.A
+        starts = 2 * np.concatenate(([0], np.cumsum(self.level_shapes[:, 0])))
+        entry = A.data.itemsize + A.indices.itemsize
+        return [int((A.indptr[hi] - A.indptr[lo]) * entry
+                    + (hi - lo) * A.indptr.itemsize)
+                for lo, hi in zip(starts[:-1], starts[1:])]
 
     def payload_arrays(self) -> tuple[dict, dict]:
         """Flatten the solve-time chain state into named arrays.
 
-        Returns ``(arrays, meta)``: ``arrays`` maps string keys to the
-        per-level ndarrays (index maps, ``X``, CSR triples of ``Y`` /
-        ``L_FC`` / ``L_CF``) plus ``final_pinv`` — everything
+        Returns ``(arrays, meta)``: ``arrays`` holds ``A``'s CSC triple
+        (``A_data``/``A_indices``/``A_indptr``), ``u_slot``,
+        ``level_shapes`` and ``final_pinv`` — everything
         :class:`repro.core.apply_cholesky.ApplyCholeskyOperator` reads
         during an apply, nothing else; ``meta`` holds the picklable
-        scalars (``n``, ``d``, ``jacobi_eps``) needed to rebuild shapes.
-        :meth:`from_payload` inverts this mapping with pure view-wiring
-        (no float is recomputed), so a reconstructed chain's applies are
-        bit-identical to the original's.
+        scalars (``n``, ``jacobi_eps``).  :meth:`from_payload` inverts
+        this mapping with pure view-wiring (no float is recomputed), so
+        a reconstructed chain's applies are bit-identical to the
+        original's.
         """
-        arrays: dict = {"final_pinv": self.final_pinv}
-        for k, level in enumerate(self.levels):
-            if level.jacobi is None or level.L_CF is None:
-                from repro.errors import FactorizationError
-                raise FactorizationError(
-                    "cannot export a chain payload before attach_jacobi")
-            p = f"lv{k}_"
-            arrays[p + "idxF"] = level.idxF
-            arrays[p + "idxC"] = level.idxC
-            arrays[p + "X"] = level.blocks.X
-            for tag, M in (("Y", level.blocks.Y),
-                           ("LFC", level.blocks.L_FC),
-                           ("LCF", level.L_CF)):
-                arrays[p + tag + "_data"] = M.data
-                arrays[p + tag + "_indices"] = M.indices
-                arrays[p + tag + "_indptr"] = M.indptr
-        meta = {"n": int(self.n), "d": int(self.d),
-                "jacobi_eps": float(self.jacobi_eps)}
+        if self.A is None:
+            from repro.errors import FactorizationError
+            raise FactorizationError(
+                "cannot export a chain payload before flatten()")
+        arrays = {"A_data": self.A.data, "A_indices": self.A.indices,
+                  "A_indptr": self.A.indptr, "u_slot": self.u_slot,
+                  "level_shapes": self.level_shapes,
+                  "final_pinv": self.final_pinv}
+        meta = {"n": int(self.n), "jacobi_eps": float(self.jacobi_eps)}
         return arrays, meta
 
     def payload_fingerprint(self) -> str:
@@ -228,46 +293,26 @@ class CholeskyChain:
     def from_payload(cls, arrays: dict, meta: dict) -> "CholeskyChain":
         """Rebuild a view-only solve chain from :meth:`payload_arrays`.
 
-        Every level is wired directly over the given arrays (typically
-        read-only shared-memory views): CSR blocks via zero-copy
-        ``csr_matrix((data, indices, indptr))`` and the Jacobi operator
-        via :meth:`repro.linalg.jacobi.JacobiOperator.from_parts`.  The
-        result supports :class:`ApplyCholeskyOperator` construction and
-        application only (graphs and global vertex ids are not shipped —
-        ``F``/``C`` alias the positional index maps, which preserves the
-        ``nf``/``nc`` sizes the apply needs).
+        ``A`` wraps the given arrays (typically read-only shared-memory
+        views) with a zero-copy ``csc_matrix``.  The result supports
+        :class:`ApplyCholeskyOperator` construction and application
+        only: levels, graphs and global vertex ids are not shipped
+        (``levels`` is empty; :attr:`d` reads ``level_shapes``).
         """
-        eps = float(meta["jacobi_eps"])
-        levels: list[Level] = []
-        for k in range(int(meta["d"])):
-            p = f"lv{k}_"
-            idxF = arrays[p + "idxF"]
-            idxC = arrays[p + "idxC"]
-            nf, nc = idxF.size, idxC.size
-
-            def csr(tag: str, shape):
-                return sp.csr_matrix(
-                    (arrays[p + tag + "_data"],
-                     arrays[p + tag + "_indices"],
-                     arrays[p + tag + "_indptr"]),
-                    shape=shape, copy=False)
-
-            Y = csr("Y", (nf, nf))
-            L_FC = csr("LFC", (nf, nc))
-            L_CF = csr("LCF", (nc, nf))
-            level = Level(F=idxF, C=idxC, idxF=idxF, idxC=idxC,
-                          blocks=LaplacianBlocks(X=arrays[p + "X"],
-                                                 Y=Y, L_FC=L_FC),
-                          parent_edges=0,
-                          jacobi=JacobiOperator.from_parts(
-                              arrays[p + "X"], Y, eps),
-                          L_CF=L_CF)
-            levels.append(level)
+        indptr = arrays["A_indptr"]
+        N = indptr.size - 1
         final_pinv = arrays["final_pinv"]
-        return cls(n=int(meta["n"]), graphs=None, levels=levels,
-                   final_active=np.arange(final_pinv.shape[0]),
-                   final_pinv=final_pinv, jacobi_eps=eps,
-                   logical_edges=[], stored_edges=[])
+        chain = cls(n=int(meta["n"]), graphs=None, levels=[],
+                    final_active=np.arange(final_pinv.shape[0]),
+                    final_pinv=final_pinv,
+                    jacobi_eps=float(meta["jacobi_eps"]),
+                    logical_edges=[], stored_edges=[])
+        chain.A = sp.csc_matrix(
+            (arrays["A_data"], arrays["A_indices"], indptr),
+            shape=(N, N), copy=False)
+        chain.u_slot = arrays["u_slot"]
+        chain.level_shapes = arrays["level_shapes"]
+        return chain
 
     # -- dense reconstruction (test oracle) --------------------------------
 

@@ -31,6 +31,7 @@ from repro.core.richardson import preconditioned_richardson
 from repro.errors import (
     ConvergenceError,
     DimensionMismatchError,
+    InvalidInputError,
     ReproError,
 )
 from repro.graphs.conversions import from_scipy_laplacian
@@ -43,9 +44,27 @@ from repro.pram.faults import FaultLog, use_fault_log
 from repro.rng import as_generator
 
 __all__ = ["LaplacianSolver", "solve_laplacian", "SolveReport",
-           "BlockSolveReport"]
+           "BlockSolveReport", "check_solve_inputs"]
 
 Method = Literal["richardson", "pcg"]
+
+
+def check_solve_inputs(B: np.ndarray, eps) -> None:
+    """Reject a non-finite right-hand side or an ``eps`` outside
+    ``(0, 1)`` (scalar or per-column) with :class:`InvalidInputError`.
+
+    Theorem 1.1's guarantee is for ``0 < ε < 1`` and finite ``b``;
+    anything else would reach the iteration as a silently wrong answer
+    or an untyped error from deep inside the solve.
+    """
+    if not np.isfinite(B).all():
+        raise InvalidInputError("b must be finite; it has a NaN or "
+                                "infinite entry")
+    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
+    bad = eps[~((eps > 0) & (eps < 1))]
+    if bad.size:
+        raise InvalidInputError(
+            f"eps must lie in (0, 1), got {bad[0]:g}")
 
 
 @dataclass
@@ -94,8 +113,8 @@ class BlockSolveReport:
     #: bytes (the exact footprint one shipped-solve shared segment
     #: holds; DESIGN.md §10).
     chain_nbytes: int = 0
-    #: Per-level byte breakdown of :attr:`chain_nbytes` — one entry
-    #: per chain level plus the final dense pseudo-inverse.
+    #: Per-level share of :attr:`chain_nbytes` — one entry per chain
+    #: level (its columns of the flat sweep matrix).
     chain_level_nbytes: tuple = ()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -328,6 +347,7 @@ class LaplacianSolver:
             self._L_csr = laplacian(self.graph)
         eps_col = np.broadcast_to(np.asarray(eps, dtype=np.float64),
                                   (k,)).copy()
+        check_solve_inputs(B, eps_col)
         eps_arg = float(eps_col[0]) if squeeze else eps_col
         B = project_out_ones(B)
         per_col = None

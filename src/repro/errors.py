@@ -129,3 +129,12 @@ class SamplingError(ReproError):
 
 class DimensionMismatchError(ReproError):
     """Vector/matrix dimensions are inconsistent with the graph."""
+
+
+class InvalidInputError(ReproError, ValueError):
+    """A solve input is out of its domain: a right-hand side with a
+    NaN or infinite entry, or an accuracy ``eps`` outside ``(0, 1)``.
+
+    Also a :class:`ValueError`, so callers that caught the untyped
+    error a non-finite ``b`` used to surface keep working.
+    """

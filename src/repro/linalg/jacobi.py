@@ -22,7 +22,8 @@ from repro.errors import DimensionMismatchError, FactorizationError
 from repro.pram import charge
 from repro.pram import primitives as P
 
-__all__ = ["JacobiOperator", "is_k_diagonally_dominant", "jacobi_terms"]
+__all__ = ["JacobiOperator", "is_k_diagonally_dominant", "jacobi_matrix",
+           "jacobi_terms"]
 
 
 def jacobi_terms(eps: float) -> int:
@@ -41,6 +42,25 @@ def is_k_diagonally_dominant(M, k: float = 5.0,
     offdiag_abs = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
     return bool(np.all(diag + rtol * np.maximum(np.abs(diag), 1.0)
                        >= k * offdiag_abs))
+
+
+def jacobi_matrix(X: np.ndarray, Y: sp.spmatrix,
+                  eps: float) -> sp.csr_matrix:
+    """Materialise ``Z`` as a sparse matrix (symmetrised).
+
+    Runs :meth:`JacobiOperator.apply`'s ``l``-term recurrence on the
+    identity, one sparse×sparse product per term.  ``X``/``Y`` may stack
+    many independent blocks (a block-diagonal ``Y``): ``Z`` is then the
+    block-diagonal matrix of the per-block operators, and ``Y``'s
+    sparsity bounds the fill by the ``l``-hop neighbourhoods in ``G[F]``.
+    """
+    xinv = 1.0 / np.asarray(X, dtype=np.float64)
+    D = sp.diags(xinv, format="csr")
+    DY = sp.csr_matrix(sp.csr_matrix(Y).multiply(xinv[:, None]))
+    Z = D
+    for _ in range(jacobi_terms(eps)):
+        Z = D - DY @ Z
+    return sp.csr_matrix(0.5 * (Z + Z.T))
 
 
 class JacobiOperator:
@@ -76,26 +96,6 @@ class JacobiOperator:
             M = sp.diags(self.X) + self.Y
             if not is_k_diagonally_dominant(M, 5.0):
                 raise FactorizationError("X + Y is not 5-DD")
-
-    @classmethod
-    def from_parts(cls, X: np.ndarray, Y: sp.csr_matrix,
-                   eps: float) -> "JacobiOperator":
-        """Wire an operator directly over prebuilt arrays (no copies).
-
-        The constructor's ``asarray``/``csr_matrix`` round-trips and
-        positivity scan are skipped: the parts come from a chain that
-        already passed them (typically read-only shared-memory views
-        reconstructed worker-side, DESIGN.md §10).  ``l`` and ``X⁻¹``
-        are recomputed from scalars/arrays deterministically, so applies
-        are bit-identical to the originating operator's.
-        """
-        op = cls.__new__(cls)
-        op.X = X
-        op.Y = Y
-        op.eps = float(eps)
-        op.l = jacobi_terms(eps)
-        op._xinv = 1.0 / X
-        return op
 
     @property
     def n(self) -> int:

@@ -1359,10 +1359,10 @@ def _solve_chunk_task(arrays, meta, lo, hi, stream, ledger):
     """Shipped blocked-solve chunk: reconstruct, iterate, report.
 
     The worker-side half of :class:`SolveShipment`.  ``arrays`` merges
-    the solver's persistent chain payload (per-level CSR blocks, Jacobi
-    diagonals, ``final_pinv``, the Laplacian CSR triple) with the
-    per-dispatch payload (RHS block, per-column parameter vectors,
-    global column ids).  The task rebuilds view-only operators over
+    the solver's persistent chain payload (the flat sweep matrix's CSC
+    triple, slot map, level shapes, ``final_pinv``, the Laplacian CSR
+    triple) with the per-dispatch payload (RHS block, per-column
+    parameter vectors, global column ids).  The task rebuilds view-only operators over
     those arrays — :meth:`CholeskyChain.from_payload` plus a CSR
     ``apply_L`` closure with the in-process path's exact ledger charge
     — and runs the requested blocked kernel on its column slice

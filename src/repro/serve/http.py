@@ -223,7 +223,10 @@ async def _post_solve(service, obj: dict) -> tuple[int, dict]:
         raise _HttpError(404, f"unknown graph key {key!r}")
     spec = service._specs[key]
     if obj.get("b") is not None:
-        b = np.asarray(obj["b"], dtype=np.float64)
+        try:
+            b = np.asarray(obj["b"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise _HttpError(400, "'b' must be an array of numbers")
         if b.ndim != 1:
             raise _HttpError(400, "'b' must be a flat array")
     elif "source" in obj and "sink" in obj:
@@ -231,11 +234,14 @@ async def _post_solve(service, obj: dict) -> tuple[int, dict]:
         try:
             b[int(obj["source"])] = 1.0
             b[int(obj["sink"])] += -1.0
-        except (IndexError, ValueError):
+        except (IndexError, TypeError, ValueError):
             raise _HttpError(400, "source/sink out of range")
     else:
         raise _HttpError(400, "solve body needs 'b' or 'source'+'sink'")
-    eps = float(obj.get("eps", 1e-6))
+    try:
+        eps = float(obj.get("eps", 1e-6))
+    except (TypeError, ValueError):
+        raise _HttpError(400, "'eps' must be a number")
     method = obj.get("method", "richardson")
     if method not in ("richardson", "pcg"):
         raise _HttpError(400, f"unknown method {method!r}")

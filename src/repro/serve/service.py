@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SolverOptions, default_options, reset_env_caches
-from repro.core.solver import LaplacianSolver
+from repro.core.solver import LaplacianSolver, check_solve_inputs
 from repro.errors import (
     DimensionMismatchError,
     ServiceError,
@@ -493,6 +493,9 @@ class SolverService:
         probe = self._admit()
         self._pending += 1
         try:
+            # Reject a bad request alone: before it can cost a build or
+            # share (and fail) a micro-batch with healthy ones.
+            check_solve_inputs(b, eps)
             solver = self.cache.get(key)
             if solver is None:
                 # Build (or wait on the single-flight build) off-loop,

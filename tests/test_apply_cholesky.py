@@ -7,10 +7,13 @@ from repro.config import SolverOptions
 from repro.core.apply_cholesky import ApplyCholeskyOperator
 from repro.core.block_cholesky import block_cholesky
 from repro.core.boundedness import naive_split
+from repro.core.chain import CholeskyChain
 from repro.errors import DimensionMismatchError, FactorizationError
 from repro.graphs import generators as G
 from repro.graphs.laplacian import laplacian
 from repro.linalg.loewner import operator_approximation_factor
+from repro.pram import charge, use_ledger
+from repro.pram import primitives as P
 
 
 def _operator(graph, alpha=0.1, seed=0, min_vertices=20):
@@ -80,11 +83,10 @@ class TestOperatorProperties:
         x = np.random.default_rng(2).standard_normal(g.n)
         assert np.allclose(lin @ x, W.apply(x))
 
-    def test_rejects_chain_without_jacobi(self):
+    def test_rejects_chain_without_flat_form(self):
         g = naive_split(G.grid2d(6, 6), 0.5)
         chain = block_cholesky(g, SolverOptions(min_vertices=15), seed=0)
-        for level in chain.levels:
-            level.jacobi = None
+        chain.A = None
         with pytest.raises(FactorizationError):
             ApplyCholeskyOperator(chain)
 
@@ -94,3 +96,150 @@ class TestOperatorProperties:
         b = np.zeros(g.n)
         b[0], b[-1] = 1, -1
         assert np.allclose(W(b), W.apply(b))
+
+
+def _algorithm2(chain, b):
+    """Per-level reference: Algorithm 2 as two Python sweeps over the
+    levels' blocks and Jacobi operators (charging the paper's costs)."""
+    k = 1 if b.ndim == 1 else b.shape[1]
+    cur, saved = b, []
+    for level in chain.levels:
+        yF = level.jacobi.apply(cur[level.idxF])
+        charge(*P.matvec_cost(level.blocks.L_FC.nnz * k),
+               label="forward_coupling")
+        cur = cur[level.idxC] - level.blocks.L_FC.T @ yF
+        saved.append(yF)
+    x = chain.final_pinv @ cur
+    charge(*P.matvec_cost(chain.final_pinv.size * k),
+           label="base_case_solve")
+    for level, yF in zip(reversed(chain.levels), reversed(saved)):
+        corr = level.jacobi.apply(level.blocks.L_FC @ x)
+        charge(*P.matvec_cost(level.blocks.L_FC.nnz * k),
+               label="backward_coupling")
+        parent = np.empty((level.nf + level.nc,) + b.shape[1:])
+        parent[level.idxF] = yF - corr
+        parent[level.idxC] = x
+        x = parent
+    return x
+
+
+def _rhs(n, k, seed=0):
+    B = np.random.default_rng(seed).standard_normal((n, k))
+    return B - B.mean(axis=0)
+
+
+class TestFlatMatchesAlgorithm2:
+    @pytest.mark.parametrize("maker", [
+        lambda: G.grid2d(12, 12),
+        lambda: G.with_random_weights(G.grid2d(10, 10), 0.01, 100.0,
+                                      seed=3, log_uniform=True),
+        lambda: G.random_regular(120, 4, seed=5),
+        lambda: G.preferential_attachment(120, 2, seed=7),
+        lambda: G.barbell(40, 3),
+    ], ids=["grid", "weighted_grid", "random_regular",
+            "preferential_attachment", "barbell"])
+    def test_matches_per_level_reference(self, maker):
+        g = maker()
+        W = _operator(g, seed=1)
+        assert W.chain.d > 0
+        B = _rhs(g.n, 5)
+        ref = _algorithm2(W.chain, B)
+        got = W.apply(B)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_no_levels(self):
+        g = G.grid2d(4, 4)
+        chain = block_cholesky(g, SolverOptions(min_vertices=100), seed=0)
+        assert chain.d == 0
+        W = ApplyCholeskyOperator(chain)
+        B = _rhs(g.n, 3)
+        np.testing.assert_allclose(W.apply(B), chain.final_pinv @ B,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_empty_block(self):
+        W = _operator(G.grid2d(8, 8))
+        assert W.apply(np.zeros((W.n, 0))).shape == (W.n, 0)
+
+    def test_vector_is_block_column_bitwise(self):
+        W = _operator(G.grid2d(9, 9), seed=2)
+        B = _rhs(W.n, 7)
+        X = W.apply(B)
+        for j in (0, 3, 6):
+            assert np.array_equal(W.apply(B[:, j]), X[:, j])
+
+    def test_payload_chain_is_bitwise(self):
+        W = _operator(G.grid2d(9, 9), seed=3)
+        arrays, meta = W.chain.payload_arrays()
+        frozen = {}
+        for name, arr in arrays.items():
+            frozen[name] = arr.copy()
+            frozen[name].setflags(write=False)
+        shipped = CholeskyChain.from_payload(frozen, meta)
+        assert shipped.d == W.chain.d
+        assert shipped.payload_fingerprint() == W.chain.payload_fingerprint()
+        Ws = ApplyCholeskyOperator(shipped)
+        B = _rhs(W.n, 4)
+        assert np.array_equal(Ws.apply(B), W.apply(B))
+        assert np.array_equal(Ws.apply(B[:, 1]), W.apply(B[:, 1]))
+
+    def test_solve_path_makes_no_jacobi_calls(self, monkeypatch):
+        from repro.core.solver import LaplacianSolver
+        from repro.linalg.jacobi import JacobiOperator
+
+        solver = LaplacianSolver(G.grid2d(10, 10), seed=0)
+
+        def boom(self, b):
+            raise AssertionError("per-level Jacobi apply on the solve path")
+
+        monkeypatch.setattr(JacobiOperator, "apply", boom)
+        solver.solve_many(_rhs(solver.n, 4))
+        solver.solve(_rhs(solver.n, 1)[:, 0])
+
+
+    def test_concurrent_applies_share_one_factor(self):
+        # Column chunks of a blocked solve apply one operator (one
+        # SuperLU factor) from several pool threads at once.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        W = _operator(G.grid2d(10, 10), seed=7)
+        B = _rhs(W.n, 8)
+        expect = [W.apply(B[:, j]) for j in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(W.apply, B[:, j % 8])
+                           for j in range(200)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for j, x in enumerate(got):
+            assert np.array_equal(x, expect[j % 8])
+
+
+class TestLedgerReplay:
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_charges_match_algorithm2(self, k):
+        W = _operator(G.grid2d(12, 12), seed=4)
+        B = _rhs(W.n, k)
+        b = B[:, 0] if k == 1 else B
+        with use_ledger() as ref:
+            _algorithm2(W.chain, b)
+        with use_ledger() as got:
+            W.apply(b)
+        assert got.work == ref.work and got.depth == ref.depth
+        assert got.by_label == ref.by_label
+        assert set(got.by_label) == {"jacobi_apply", "forward_coupling",
+                                     "base_case_solve", "backward_coupling"}
+
+    def test_no_ledger_skips_replay(self, monkeypatch):
+        W = _operator(G.grid2d(8, 8), seed=5)
+
+        def boom(self, k):
+            raise AssertionError("ledger replay ran without a ledger")
+
+        monkeypatch.setattr(ApplyCholeskyOperator, "_charge", boom)
+        B = _rhs(W.n, 3)
+        W.apply(B)
+        W.apply(B[:, 0])

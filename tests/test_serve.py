@@ -38,8 +38,8 @@ import pytest
 
 from repro.config import default_options, practical_options, reset_env_caches
 from repro.core.solver import LaplacianSolver
-from repro.errors import DimensionMismatchError, ServiceError, \
-    ServiceOverloadedError
+from repro.errors import DimensionMismatchError, InvalidInputError, \
+    ServiceError, ServiceOverloadedError
 from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
 from repro.pram.executor import _env_caches, default_workers, \
@@ -507,6 +507,28 @@ class TestServeFaults:
         assert summary.get("quarantine", 0) >= 1
         assert summary.get("escalate", 0) >= 1
 
+    def test_nan_request_is_rejected_alone(self):
+        # A non-finite b is refused with a typed error before batching;
+        # the healthy requests submitted alongside it batch and solve
+        # as usual.
+        g = G.grid2d(8, 8)
+        with SolverService(window_ms=WINDOW_MS) as svc:
+            key = svc.register(g, seed=0)
+            B = np.random.default_rng(1).normal(size=(g.n, 3))
+            bad = B[:, 1].copy()
+            bad[5] = np.nan
+            futures = [svc.submit(key, B[:, 0]), svc.submit(key, bad),
+                       svc.submit(key, B[:, 2])]
+            with pytest.raises(InvalidInputError):
+                futures[1].result(timeout=60)
+            for f in (futures[0], futures[2]):
+                r = f.result(timeout=60)
+                assert r.status == "richardson" and r.batched_k == 2
+                assert np.isfinite(r.x).all()
+            with pytest.raises(InvalidInputError):
+                svc.solve(key, B[:, 0], eps=2.0)
+            assert svc.breaker.consecutive_failures == 0
+
     def test_serve_faults_compose_with_executor_faults(self):
         plan = FaultPlan.parse(
             "kill:chunk=0:stage=serve,nan:col=1:stage=serve,"
@@ -643,6 +665,30 @@ class TestServeHTTP:
             direct = svc.cache.get(key).solve_many(b[:, None])
             np.testing.assert_array_equal(np.asarray(sol["x"]),
                                           direct[:, 0])
+
+    def test_bad_solve_inputs_are_400(self):
+        g = G.grid2d(6, 6)
+        with SolverService(window_ms=20.0) as svc:
+            key = svc.register(g, seed=0)
+            host, port = svc.serve_http("127.0.0.1", 0)
+            base = f"http://{host}:{port}"
+            b = [0.0] * g.n
+            b[0], b[-1] = 1.0, -1.0
+            nan_b = list(b)
+            nan_b[4] = float("nan")
+            for body in ({"key": key, "source": 0, "sink": -1, "eps": 2.0},
+                         {"key": key, "source": 0, "sink": -1,
+                          "eps": "abc"},
+                         {"key": key, "b": ["x"] * g.n},
+                         {"key": key, "b": nan_b},
+                         {"key": key, "source": [], "sink": -1}):
+                code, payload = self._request(base, "/solve",
+                                              method="POST", payload=body)
+                assert code == 400, (body, payload)
+            # The service is still healthy afterwards.
+            code, sol = self._request(base, "/solve", method="POST",
+                                      payload={"key": key, "b": b})
+            assert code == 200 and sol["status"] == "richardson"
 
     def test_concurrent_http_requests_share_a_batch(self):
         g = G.grid2d(6, 6)

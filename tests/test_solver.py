@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.errors import (
     DimensionMismatchError,
+    InvalidInputError,
     NotConnectedError,
     ReproError,
 )
@@ -133,6 +134,40 @@ class TestInputHandling:
         solver = LaplacianSolver(G.path(10), seed=0)
         with pytest.raises(DimensionMismatchError):
             solver.solve(np.zeros(4))
+
+    def test_nan_rhs_is_rejected_before_iterating(self, monkeypatch):
+        import repro.core.solver as solver_mod
+
+        solver = LaplacianSolver(G.path(10), seed=0)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("iterated on a non-finite b")
+
+        monkeypatch.setattr(solver_mod, "preconditioned_richardson", boom)
+        b = np.zeros(10)
+        b[0], b[-1] = 1.0, -1.0
+        b[3] = np.nan
+        with pytest.raises(InvalidInputError):
+            solver.solve_report(b)
+        B = np.zeros((10, 3))
+        B[5, 2] = np.inf
+        with pytest.raises(InvalidInputError):
+            solver.solve_many(B)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1e-3, np.nan])
+    def test_eps_outside_unit_interval_is_rejected(self, eps):
+        solver = LaplacianSolver(G.path(10), seed=0)
+        b = np.zeros(10)
+        b[0], b[-1] = 1.0, -1.0
+        with pytest.raises(InvalidInputError):
+            solver.solve(b, eps=eps)
+        with pytest.raises(InvalidInputError):
+            solver.solve_many(np.column_stack([b, b]),
+                              eps=np.array([1e-6, eps]))
+
+    def test_invalid_input_is_a_value_error(self):
+        assert issubclass(InvalidInputError, ReproError)
+        assert issubclass(InvalidInputError, ValueError)
 
     def test_solve_laplacian_with_sparse_matrix(self):
         g = G.grid2d(6, 6)
