@@ -22,8 +22,10 @@ def test_e04_edge_counts_monotone(benchmark, name):
     H = naive_split(g, opts.alpha(g.n))
 
     chain = benchmark(lambda: block_cholesky(H, opts, seed=0))
+    # edge_counts are logical multi-edges; H.m counts stored groups
+    # (an implicit α-split stores each edge's copies as one group).
     counts = chain.edge_counts
-    record(benchmark, workload=name, m_multigraph=H.m,
+    record(benchmark, workload=name, m_multigraph=H.m_logical,
            edge_profile=counts, levels=chain.d)
-    assert all(c <= H.m for c in counts)
+    assert all(c <= H.m_logical for c in counts)
     assert all(b <= a for a, b in zip(counts, counts[1:]))

@@ -244,8 +244,8 @@ def e10(fast):
     rows = []
     for eps in (1e-2, 1e-5, 1e-9):
         res = preconditioned_richardson(
-            lambda v: np.asarray(L @ v).ravel(), B, b,
-            delta=delta, eps=eps)
+            lambda v: L @ v, B, b,
+            delta=delta, eps=eps, freeze=False)
         err = relative_lnorm_error(L, res.x, xstar)
         rows.append([f"{eps:.0e}", richardson_iterations(delta, eps),
                      res.iterations, f"{err:.2e}",

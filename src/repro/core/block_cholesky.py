@@ -36,10 +36,10 @@ __all__ = ["block_cholesky"]
 
 
 def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
-                            rng, opts: SolverOptions,
+                            rng, opts: SolverOptions, baseline: int,
                             max_retries: int = 25,
                             engine=None, ctx=None, sampler=None
-                            ) -> "tuple[MultiGraph, TerminalWalkStats]":
+                            ) -> "tuple[MultiGraph, TerminalWalkStats, int]":
     """``TerminalWalks`` with a connectivity certificate.
 
     Fact 2.4: the *exact* Schur complement of a connected graph is
@@ -56,38 +56,46 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
     ``engine``/``ctx``/``sampler`` thread a prebuilt walk engine
     (shared across retries — the CSR, and hence any alias planes, do
     not change between resamples), the execution context, and the row-
-    sampler choice through to :func:`terminal_walks`.  Returns the
-    accepted sample together with its :class:`TerminalWalkStats` (the
-    incremental store consumes ``passthrough_stored``).
+    sampler choice through to :func:`terminal_walks`.
+
+    ``baseline`` is the component count of ``current`` on its vertex
+    set — the previous level's accepted count, carried forward: a sound
+    sample must not create *new* components (1 for connected inputs;
+    pathological already-disconnected inputs keep their count).
+    Returns the accepted sample, its :class:`TerminalWalkStats` (the
+    incremental store consumes ``passthrough_stored``) and its
+    component count on ``C``, the next level's baseline.
     """
-    from repro.graphs.validation import connected_components
-
-    # Baseline component count of the graph being eliminated: a sound
-    # sample must not create *new* components (== 0 extra for connected
-    # inputs; pathological already-disconnected inputs keep their count).
-    active = np.union1d(C, np.union1d(np.unique(current.u),
-                                      np.unique(current.v)))
-    cur_sub, _ = current.induced_subgraph(active)
-    baseline = int(connected_components(cur_sub).max(initial=0))
-
     last = None
-    for _ in range(max_retries):
+    for _ in range(max(max_retries, 1)):
         nxt, stats = terminal_walks(current, C, seed=rng,
                                     max_steps=opts.max_walk_steps,
                                     return_stats=True,
                                     engine=engine, ctx=ctx,
                                     sampler=sampler)
-        sub, _ = nxt.induced_subgraph(C)
-        labels = connected_components(sub)
-        if int(labels.max(initial=0)) <= baseline:
-            return nxt, stats
-        last = nxt, stats
+        count = _components_on(nxt, C.size)
+        if count <= baseline:
+            return nxt, stats, count
+        last = nxt, stats, count
     # Give up and return the last sample: the dense base case and the
     # outer Richardson/PCG loop still behave (slowly) with a weak
     # preconditioner, and pathological inputs shouldn't hard-fail.
-    return last if last is not None else terminal_walks(
-        current, C, seed=rng, max_steps=opts.max_walk_steps,
-        return_stats=True, engine=engine, ctx=ctx, sampler=sampler)
+    return last
+
+
+def _components_on(graph: MultiGraph, size: int) -> int:
+    """Component count of ``graph`` on the ``size`` vertices its edges
+    may touch.
+
+    Every other vertex is an isolated singleton of its own component,
+    so no induced subgraph is needed.  ``connected_components`` is
+    imported at call time so instrumentation that wraps the module
+    attribute sees the call.
+    """
+    from repro.graphs.validation import connected_components
+
+    labels = connected_components(graph)
+    return int(labels.max(initial=-1)) + 1 - (graph.n - size)
 
 
 def block_cholesky(graph: MultiGraph,
@@ -142,6 +150,7 @@ def block_cholesky(graph: MultiGraph,
     logical_edges: list[int] = [graph.m_logical]
     stored_edges: list[int] = [graph.m]
     levels: list[Level] = []
+    components = _components_on(graph, graph.n)
     max_levels = int(np.ceil(np.log(max(graph.n, 2))
                              / np.log(40.0 / 39.0))) + 10
 
@@ -169,9 +178,9 @@ def block_cholesky(graph: MultiGraph,
             engine = WalkEngine.from_adjacency(view, slot_mult, is_term,
                                                sampler=sampler,
                                                alias_planes=planes)
-        nxt, walk_stats = _sample_schur_connected(current, C, rng, opts,
-                                                  engine=engine, ctx=ctx,
-                                                  sampler=sampler)
+        nxt, walk_stats, components = _sample_schur_connected(
+            current, C, rng, opts, components, engine=engine, ctx=ctx,
+            sampler=sampler)
         if inc is not None:
             # The accepted sample's layout is pass-through groups (the
             # edges not incident to F, order preserved) followed by the
@@ -213,9 +222,8 @@ def block_cholesky(graph: MultiGraph,
     # connected one.
     from repro.linalg.pinv import pinv_psd
 
-    L_final = laplacian(current).toarray()
-    sub = L_final[np.ix_(active, active)]
-    final_pinv = pinv_psd(sub)
+    # Slice before densifying: only the |active|² block is ever dense.
+    final_pinv = pinv_psd(laplacian(current)[active][:, active].toarray())
     charge(float(active.size) ** 3, P.log2p(active.size),
            label="base_case_pinv")
 

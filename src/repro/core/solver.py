@@ -101,8 +101,9 @@ class BlockSolveReport:
     #: Per-column solve path (``(k,)`` object array): ``"richardson"``
     #: / ``"pcg"`` for columns served by the primary method or the
     #: whole-block fallback, ``"pcg"`` / ``"dense"`` for columns that
-    #: were quarantined after a numerical breakdown and escalated
-    #: individually (DESIGN.md §9).
+    #: were quarantined after a numerical breakdown (DESIGN.md §9) or
+    #: reached their Richardson budget uncertified (§15) and were
+    #: escalated individually.
     column_status: np.ndarray | None = None
     #: Structured :class:`repro.pram.faults.FaultLog` of every
     #: injection and recovery action during this solve (retries, pool
@@ -333,13 +334,14 @@ class LaplacianSolver:
             raise DimensionMismatchError(
                 f"B must have shape ({self.n},) or ({self.n}, k), "
                 f"got {B.shape}")
-        # A 1-D input passes through as-is: the iterative solvers
-        # dispatch on ndim, so solve()/solve_report() delegating here
-        # keeps the original single-vector hot path (and its
-        # seed-faithful full a-priori budget — no early freeze).
+        check_solve_inputs(B, eps)
+        # Every path below is blocked: a 1-D ``b`` runs as one column
+        # and is squeezed back on return.
         squeeze = B.ndim == 1
-        k = 1 if squeeze else B.shape[1]
-        if not squeeze and self._L_csr is None:
+        if squeeze:
+            B = B[:, None]
+        k = B.shape[1]
+        if self._L_csr is None:
             # Build the cached CSR Laplacian before the column-chunked
             # solvers fan out, so concurrent apply_L calls from pool
             # threads don't each rebuild it.
@@ -347,63 +349,65 @@ class LaplacianSolver:
             self._L_csr = laplacian(self.graph)
         eps_col = np.broadcast_to(np.asarray(eps, dtype=np.float64),
                                   (k,)).copy()
-        check_solve_inputs(B, eps_col)
-        eps_arg = float(eps_col[0]) if squeeze else eps_col
         B = project_out_ones(B)
         per_col = None
         fault_log = FaultLog()
         status = np.full(k, "pcg" if method == "pcg" else "richardson",
                          dtype=object)
         broken = None
-        # Shipped blocked solves (DESIGN.md §10): only the blocked
-        # (2-D) whole-block paths ship; the 1-D hot path and the
-        # per-column escalation CG stay in-process.  run() itself
-        # no-ops unless the knob + backend + chunking line up.
-        ship = None if squeeze else self.shipment
+        # Shipped blocked solves (DESIGN.md §10): the whole-block paths
+        # ship; the per-column escalation CG stays in-process.  run()
+        # itself no-ops unless the knob + backend + chunking line up.
+        ship = self.shipment
         with use_fault_log(fault_log):
             if method == "richardson":
                 try:
                     res = preconditioned_richardson(
                         self.apply_L, self.preconditioner.apply, B,
-                        delta=self.options.richardson_delta, eps=eps_arg,
+                        delta=self.options.richardson_delta, eps=eps_col,
                         ctx=self.ctx, ship=ship)
                     x, iters, per_col = res.x, res.iterations, \
                         res.per_column_iterations
                     broken = res.broken_columns
-                    if broken is not None and broken.size:
-                        # Quarantined columns (non-finite iterates,
-                        # DESIGN.md §9): escalate just those through
-                        # PCG while the healthy columns keep their
-                        # Richardson solutions.
+                    escalate = []
+                    # Quarantined columns (non-finite iterates,
+                    # DESIGN.md §9) and columns that hit their budget
+                    # without certifying (§15) escalate individually
+                    # through PCG; the certified columns keep their
+                    # Richardson solutions.
+                    for cols, kind in ((broken, "nan"),
+                                       (res.uncertified_columns,
+                                        "uncertified")):
+                        if cols is not None and cols.size:
+                            fault_log.record(
+                                "escalate", kind=kind,
+                                columns=tuple(int(c) for c in cols),
+                                detail="richardson -> per-column pcg")
+                            escalate.append(cols)
+                    if escalate:
+                        esc = np.sort(np.concatenate(escalate))
                         method = "richardson+pcg"
-                        status[broken] = "pcg"
-                        fault_log.record(
-                            "escalate", kind="nan",
-                            columns=tuple(int(c) for c in broken),
-                            detail="richardson -> per-column pcg")
+                        status[esc] = "pcg"
                         sub = conjugate_gradient(
-                            self.apply_L, B[:, broken],
-                            tol=eps_col[broken] / 10.0,
+                            self.apply_L, B[:, esc],
+                            tol=eps_col[esc] / 10.0,
                             preconditioner=self.preconditioner.apply,
-                            matvec_edges=self.graph.m, col_ids=broken)
-                        x[:, broken] = sub.x
+                            matvec_edges=self.graph.m, col_ids=esc)
+                        x[:, esc] = sub.x
                         iters = max(iters, sub.iterations)
-                        if per_col is not None and \
-                                sub.per_column_iterations is not None:
-                            per_col[broken] = sub.per_column_iterations
+                        per_col[esc] = sub.per_column_iterations
                         broken = sub.broken_columns
                 except ConvergenceError:
                     # The chain came out worse than δ = 1 (possible at
-                    # aggressively small splitting factors), or every
-                    # column of a 1-D solve broke down.  PCG converges
-                    # for any SPD preconditioner, just more slowly, so
-                    # fall back rather than return garbage.  CG's
-                    # tolerance is a 2-norm residual; aim an order of
-                    # magnitude below the requested L-norm target.
+                    # aggressively small splitting factors).  PCG
+                    # converges for any SPD preconditioner, just more
+                    # slowly, so fall back rather than return garbage.
+                    # CG's tolerance is a 2-norm residual; aim an order
+                    # of magnitude below the requested L-norm target.
                     method = "richardson->pcg"
                     status[:] = "pcg"
                     res = conjugate_gradient(
-                        self.apply_L, B, tol=eps_arg / 10.0,
+                        self.apply_L, B, tol=eps_col / 10.0,
                         preconditioner=self.preconditioner.apply,
                         matvec_edges=self.graph.m, ctx=self.ctx,
                         ship=ship)
@@ -412,7 +416,7 @@ class LaplacianSolver:
                     broken = res.broken_columns
             elif method == "pcg":
                 res = conjugate_gradient(
-                    self.apply_L, B, tol=eps_arg,
+                    self.apply_L, B, tol=eps_col,
                     preconditioner=self.preconditioner.apply,
                     matvec_edges=self.graph.m, ctx=self.ctx,
                     ship=ship)
@@ -426,27 +430,23 @@ class LaplacianSolver:
             # unpreconditioned path went bad) gets an exact dense
             # pseudo-inverse solve.  O(n³) — acceptable for the rare
             # quarantined stragglers, never the common path.
-            X2 = x if x.ndim == 2 else x[:, None]
-            B2 = B if B.ndim == 2 else B[:, None]
-            bad = ~np.isfinite(X2).all(axis=0)
+            bad = ~np.isfinite(x).all(axis=0)
             if broken is not None and len(broken):
                 bad[np.asarray(broken, dtype=np.int64)] = True
             bad_idx = np.flatnonzero(bad)
             if bad_idx.size:
-                if self._L_csr is None:
-                    from repro.graphs.laplacian import laplacian
-                    self._L_csr = laplacian(self.graph)
                 from repro.linalg.pinv import solve_dense_pseudo
-                X2[:, bad_idx] = solve_dense_pseudo(self._L_csr,
-                                                    B2[:, bad_idx])
+                x[:, bad_idx] = solve_dense_pseudo(self._L_csr,
+                                                   B[:, bad_idx])
                 status[bad_idx] = "dense"
                 method += "+dense"
                 fault_log.record(
                     "escalate", kind="nan",
                     columns=tuple(int(c) for c in bad_idx),
                     detail="dense pseudo-inverse containment")
-        residuals = np.atleast_1d(
-            np.linalg.norm(self.apply_L(x) - B, axis=0))
+        residuals = np.linalg.norm(self.apply_L(x) - B, axis=0)
+        if squeeze:
+            x = x[:, 0]
         return BlockSolveReport(x=x, iterations=iters,
                                 per_column_iterations=per_col,
                                 method=method, target_eps=eps_col,

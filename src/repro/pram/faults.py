@@ -427,7 +427,8 @@ class FaultEvent:
     lease expired), ``exhausted`` (a chunk ran out of attempts),
     ``degrade`` (failed chunks fell back to a weaker backend),
     ``quarantine`` (broken columns were frozen out of an iteration),
-    ``escalate`` (quarantined columns moved to a stronger solver).
+    ``escalate`` (quarantined columns, or Richardson columns that
+    reached their budget uncertified, moved to a stronger solver).
     The transport layer adds ``retransmit`` (a message went unACKed
     and was resent), ``nak`` (a corrupt frame was rejected),
     ``worker_dead`` / ``worker_replace`` (a lease-holding worker died

@@ -103,6 +103,32 @@ class TestChainStructure:
         L = laplacian(g).toarray()
         assert np.allclose(chain.final_pinv, np.linalg.pinv(L), atol=1e-8)
 
+    def test_base_case_densifies_only_the_surviving_block(self,
+                                                          monkeypatch):
+        # The base case slices L_{G^(d)} to the surviving vertices
+        # before densifying: no n×n array is ever built.
+        import scipy.sparse as sp
+
+        from repro.linalg.pinv import pinv_psd
+
+        shapes = []
+        toarray = sp.csr_matrix.toarray
+
+        def spy(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", spy)
+        H, chain = _chain(G.grid2d(10, 10))
+        a = chain.final_active.size
+        assert 0 < a < H.n
+        assert shapes == [(a, a)]
+        monkeypatch.undo()
+        L = laplacian(chain.graphs[-1]).toarray()
+        np.testing.assert_array_equal(
+            chain.final_pinv,
+            pinv_psd(L[np.ix_(chain.final_active, chain.final_active)]))
+
     def test_summary_mentions_levels(self):
         H, chain = _chain(G.grid2d(8, 8))
         text = chain.summary()

@@ -7,8 +7,8 @@ Re-proves the library's contracts at the service boundary
   the micro-batcher are bit-identical to one direct ``solve_many`` on
   the assembled block, across ``{serial, thread, process}`` backends
   and both samplers; sequential library ``solve(b)`` calls agree to
-  solver tolerance (the blocked path's documented contract — see
-  ``FREEZE_FACTOR`` in :mod:`repro.core.richardson`);
+  solver tolerance (the blocked path's documented contract: reductions
+  depend on the block width — DESIGN.md §5);
 * **cache semantics** — canonical graph hashing, LRU eviction under a
   byte budget audited against ``CholeskyChain.nbytes``, single-flight
   concurrent builds, cached-vs-fresh-chain bit-identity;
@@ -314,9 +314,10 @@ class TestBatchingEquivalence:
                 == list(direct.per_column_iterations)
 
     def test_batched_matches_sequential_solves_to_tolerance(self):
-        # Sequential solve(b) runs the 1-D scalar hot path (different
-        # kernels, no freeze), so agreement is to solver tolerance —
-        # the documented blocked-path contract — while both meet eps.
+        # Sequential solve(b) runs each column as a one-column block
+        # (block-width-dependent reductions), so agreement is to solver
+        # tolerance — the documented blocked-path contract — while both
+        # meet eps.
         g = G.grid2d(8, 8)
         with SolverService(window_ms=WINDOW_MS) as svc:
             key = svc.register(g, seed=0)
