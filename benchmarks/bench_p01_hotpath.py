@@ -1,11 +1,12 @@
 """P1 — hot-path perf: implicit α-split vs the seed's materialised path.
 
 Measures end-to-end ``approx_schur`` (the deepest consumer of the
-splitting + walk stack) on a ~n-vertex grid, comparing the implicit
-multiplicity representation (default) against ``legacy=True`` — a
-faithful re-run of the seed hot path: materialised ``⌈1/α⌉``-copy
-split, full CSR rebuild per round, one walker per stored edge,
-uncompacted stepping.
+splitting + walk stack) on a ~n-vertex grid, comparing the solver's
+path (implicit multiplicities, incremental walk store, alias planes)
+against :func:`repro.baselines.seed_approx_schur` — a faithful re-run
+of the seed hot path: materialised ``⌈1/α⌉``-copy split, full CSR
+rebuild per round, one walker per stored edge, uncompacted bisection
+stepping.
 
 Reported per mode:
 
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.baselines import seed_approx_schur
 from repro.core.schur import approx_schur, schur_alpha_inverse
 from repro.graphs import generators as G
 
@@ -59,17 +61,14 @@ def make_workload(n_target: int, seed: int):
 
 
 def run_mode(g, C, eps: float, seed: int, legacy: bool, repeats: int):
+    run = seed_approx_schur if legacy else approx_schur
     best = None
     report = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        # incremental=False: this benchmark isolates the PR-1 claim
-        # (implicit vs materialised *representation*); the PR-3
-        # incremental-CSR store has its own footprint and is measured
-        # separately in bench_p03_parallel.py.
-        report = approx_schur(g, C, eps=eps, seed=seed,
-                              return_report=True, legacy=legacy,
-                              incremental=False)
+        # The solver path's peak bytes include the incremental walk
+        # store, which every round keeps alive.
+        report = run(g, C, eps=eps, seed=seed, return_report=True)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return {

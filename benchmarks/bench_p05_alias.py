@@ -1,12 +1,13 @@
 """P5 — O(1)-per-step alias sampling vs global-bisection row sampling.
 
 The walker-stepping phase resolves millions of "sample a neighbour of
-my current vertex" queries per ``approx_schur``.  The historical
-realisation bisects a global cumulative-weight array — O(log m)
-sequential work per query; the PR-5 :class:`CSRAliasSampler` realises
-the paper's Lemma 2.6 accounting literally: per-row alias planes built
-in linear time, O(1) per query (one uniform, a fan-out multiply, two
-gathers, one comparison).
+my current vertex" queries per ``approx_schur``.  The seed realisation
+(:class:`RowSampler`, now the test oracle) bisects a global
+cumulative-weight array — O(log m) sequential work per query; the
+:class:`CSRAliasSampler` the walk engine runs realises the paper's
+Lemma 2.6 accounting literally: per-row alias planes built in linear
+time, O(1) per query (one uniform, a fan-out multiply, two gathers,
+one comparison).
 
 Measured at the p01 workload (grid n≈2025, ε=0.5):
 
@@ -16,17 +17,13 @@ Measured at the p01 workload (grid n≈2025, ε=0.5):
   unit-weight grid the α-split keeps every row uniform, so the two
   samplers take *identical* walks at round 0 — the ratio isolates pure
   sampler cost.
-* **end-to-end** — ``approx_schur`` per sampler (informational).
+* **end-to-end** — ``approx_schur`` wall-clock (informational).
 
-Always-on correctness gates (both samplers):
+Always-on correctness gate:
 
-* **invariance** — fixed seed + fixed sampler ⇒ bit-identical
-  ``approx_schur`` across ``{serial, thread, process}`` × ``{1, 2, 4}``
-  workers, with no leaked shared-memory segments;
-* **incremental equality** — the incrementally maintained alias planes
-  (and the bisect path's maintained CSR) reproduce the from-scratch
-  rebuild bit-for-bit end to end (``incremental=True`` ==
-  ``incremental=False``).
+* **invariance** — fixed seed ⇒ bit-identical ``approx_schur`` across
+  ``{serial, thread, process}`` × ``{1, 2, 4}`` workers, with no
+  leaked shared-memory segments.
 
 Results land in ``BENCH_alias.json`` at the repo root.
 
@@ -54,7 +51,8 @@ from repro.core.boundedness import naive_split
 from repro.core.schur import approx_schur, schur_alpha_inverse
 from repro.graphs import generators as G
 from repro.pram.executor import BACKENDS, live_segment_names
-from repro.sampling.walks import SAMPLERS, WalkEngine
+from repro.sampling.rowsample import RowSampler
+from repro.sampling.walks import WalkEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,20 +81,23 @@ def walk_phase(g, C, eps: float, seed: int, repeats: int) -> dict:
     out: dict = {"walkers": int(starts.size),
                  "stored_edges": int(work.m),
                  "logical_edges": int(work.m_logical)}
-    engines = {kind: WalkEngine(work, is_term, sampler=kind)
-               for kind in SAMPLERS}
-    best: dict = {kind: None for kind in SAMPLERS}
+    alias = WalkEngine(work, is_term)
+    engines = {"alias": alias,
+               "bisect": WalkEngine.from_adjacency(
+                   alias.adj, work.multiplicities()[alias.adj.edge_id],
+                   is_term, row_sampler=RowSampler(alias.adj))}
+    best: dict = {kind: None for kind in engines}
     results: dict = {}
     # Interleave the repeats so neither sampler systematically runs
     # with colder caches or under different transient load.
     for _ in range(repeats):
-        for kind in SAMPLERS:
+        for kind in engines:
             t0 = time.perf_counter()
             results[kind] = engines[kind].run(starts, seed=seed)
             elapsed = time.perf_counter() - t0
             best[kind] = elapsed if best[kind] is None \
                 else min(best[kind], elapsed)
-    for kind in SAMPLERS:
+    for kind in engines:
         out[kind] = {"seconds": best[kind],
                      "rounds": int(results[kind].rounds),
                      "total_steps": int(results[kind].length.sum())}
@@ -105,72 +106,47 @@ def walk_phase(g, C, eps: float, seed: int, repeats: int) -> dict:
 
 
 def end_to_end(g, C, eps: float, seed: int, repeats: int) -> dict:
-    """approx_schur wall-clock per sampler (informational)."""
-    out: dict = {}
-    for kind in SAMPLERS:
-        opts = default_options().with_(sampler=kind)
-        best = None
-        report = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            report = approx_schur(g, C, eps=eps, seed=seed, options=opts,
-                                  return_report=True)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        out[kind] = {"seconds": best,
-                     "rounds": int(report.rounds),
-                     "total_walkers": int(report.total_walkers)}
-    out["speedup"] = out["bisect"]["seconds"] / out["alias"]["seconds"]
-    return out
+    """approx_schur wall-clock (informational)."""
+    best = None
+    report = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        report = approx_schur(g, C, eps=eps, seed=seed,
+                              return_report=True)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return {"seconds": best,
+            "rounds": int(report.rounds),
+            "total_walkers": int(report.total_walkers)}
 
 
 def invariance_gate(seed: int) -> dict:
-    """Per sampler: bit-identical approx_schur across the backend
-    matrix, and no leaked shared-memory segments afterwards."""
+    """Bit-identical approx_schur across the backend matrix, and no
+    leaked shared-memory segments afterwards."""
     g = G.grid2d(14, 14)
     C = np.arange(0, g.n, 3)
-    out: dict = {}
     saved = {k: os.environ.get(k) for k in ("REPRO_BACKEND",
                                             "REPRO_WORKERS")}
+    opts = default_options().with_(chunk_items=512)
+    base = None
+    ok = True
     try:
-        for kind in SAMPLERS:
-            opts = default_options().with_(chunk_items=512, sampler=kind)
-            base = None
-            ok = True
-            for backend in BACKENDS:
-                for workers in (1, 2, 4):
-                    os.environ["REPRO_BACKEND"] = backend
-                    os.environ["REPRO_WORKERS"] = str(workers)
-                    got = approx_schur(g, C, eps=0.5, seed=seed,
-                                       options=opts)
-                    if base is None:
-                        base = got
-                    elif got != base:
-                        ok = False
-            out[kind] = ok
+        for backend in BACKENDS:
+            for workers in (1, 2, 4):
+                os.environ["REPRO_BACKEND"] = backend
+                os.environ["REPRO_WORKERS"] = str(workers)
+                got = approx_schur(g, C, eps=0.5, seed=seed, options=opts)
+                if base is None:
+                    base = got
+                elif got != base:
+                    ok = False
     finally:
         for key, value in saved.items():
             if value is None:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-    out["shm_clean"] = live_segment_names() == ()
-    return out
-
-
-def incremental_gate(seed: int) -> dict:
-    """Per sampler: maintained planes/CSR == from-scratch rebuilds."""
-    g = G.grid2d(13, 13)
-    C = np.arange(0, g.n, 4)
-    out = {}
-    for kind in SAMPLERS:
-        opts = default_options().with_(sampler=kind)
-        a = approx_schur(g, C, eps=0.5, seed=seed, options=opts,
-                         incremental=True)
-        b = approx_schur(g, C, eps=0.5, seed=seed, options=opts,
-                         incremental=False)
-        out[kind] = a == b
-    return out
+    return {"ok": ok, "shm_clean": live_segment_names() == ()}
 
 
 def main(argv=None) -> int:
@@ -202,14 +178,11 @@ def main(argv=None) -> int:
     walk = walk_phase(g, C, args.eps, args.seed, args.repeats)
     e2e = end_to_end(g, C, args.eps, args.seed, args.repeats)
     invariance = invariance_gate(args.seed)
-    incremental = incremental_gate(args.seed)
 
-    gates_ok = (all(invariance[k] for k in SAMPLERS)
-                and invariance["shm_clean"]
-                and all(incremental[k] for k in SAMPLERS))
+    gates_ok = invariance["ok"] and invariance["shm_clean"]
     # Wall-clock is gated on the full run only (the deterministic
-    # invariance/equality gates are always on) — same convention as
-    # the p01 smoke.
+    # invariance gate is always on) — same convention as the p01
+    # smoke.
     speed_ok = args.smoke or walk["speedup"] >= FULL_SPEEDUP
     ok = gates_ok and speed_ok
 
@@ -222,7 +195,6 @@ def main(argv=None) -> int:
         "walk_phase": walk,
         "end_to_end": e2e,
         "invariance": invariance,
-        "incremental_equality": incremental,
         "targets": {"walk_phase_speedup": FULL_SPEEDUP},
         "pass": ok,
         "platform": {"python": platform.python_version(),
@@ -236,11 +208,9 @@ def main(argv=None) -> int:
           f"alias {walk['alias']['seconds']:.3f}s  "
           f"-> {walk['speedup']:.2f}x "
           f"({'informational in smoke' if args.smoke else 'target >= 1.5x'})")
-    print(f"end-to-end approx_schur: "
-          f"bisect {e2e['bisect']['seconds']:.3f}s  "
-          f"alias {e2e['alias']['seconds']:.3f}s  "
-          f"-> {e2e['speedup']:.2f}x (informational)")
-    print(f"invariance: {invariance}   incremental: {incremental}")
+    print(f"end-to-end approx_schur: {e2e['seconds']:.3f}s "
+          f"(informational)")
+    print(f"invariance: {invariance}")
     print(f"{'PASS' if ok else 'FAIL'} -> {args.output}")
     return 0 if ok else 1
 

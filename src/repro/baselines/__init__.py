@@ -7,6 +7,9 @@
 * :mod:`repro.baselines.direct` — dense pseudoinverse / sparse LU.
 * :mod:`repro.baselines.cg_baseline` — unpreconditioned and
   Jacobi-preconditioned conjugate gradient.
+* :mod:`repro.baselines.seed_hotpath` — the seed's ``ApproxSchur`` /
+  ``TerminalWalks`` hot path (materialised split, full CSR per round,
+  uncompacted bisection stepping), the hot-path benchmark's reference.
 """
 
 from repro.baselines.ks16 import KS16Solver, approximate_cholesky
@@ -15,6 +18,8 @@ from repro.baselines.cg_baseline import (
     cg_solve,
     jacobi_pcg_solve,
 )
+from repro.baselines.seed_hotpath import seed_approx_schur, \
+    seed_terminal_walks
 
 __all__ = [
     "KS16Solver",
@@ -22,4 +27,6 @@ __all__ = [
     "DirectSolver",
     "cg_solve",
     "jacobi_pcg_solve",
+    "seed_approx_schur",
+    "seed_terminal_walks",
 ]

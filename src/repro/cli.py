@@ -92,8 +92,6 @@ def _cmd_solve(args) -> int:
         options = options.with_(workers=args.workers)
     if args.backend is not None:
         options = options.with_(backend=args.backend)
-    if args.sampler is not None:
-        options = options.with_(sampler=args.sampler)
     if args.retries is not None:
         options = options.with_(retries=args.retries)
     if args.chunk_timeout is not None:
@@ -151,8 +149,6 @@ def _cmd_serve(args) -> int:
 
     g = load_npz(args.graph)
     options = default_options()
-    if args.sampler is not None:
-        options = options.with_(sampler=args.sampler)
     if args.backend is not None:
         options = options.with_(backend=args.backend)
     service = SolverService(options=options,
@@ -269,12 +265,6 @@ def main(argv: list[str] | None = None) -> int:
                         "var / thread); process ships walker chunks to "
                         "a lease-scheduled worker-process pool — "
                         "results are backend independent")
-    p.add_argument("--sampler", choices=["alias", "bisect"],
-                   default=None,
-                   help="walker-step row sampler (default: REPRO_SAMPLER "
-                        "env var / alias); alias is the O(1)-per-step "
-                        "Lemma 2.6 realisation — results are "
-                        "deterministic per (seed, sampler) pair")
     p.add_argument("--retries", type=int, default=None,
                    help="extra attempts per lost/hung chunk (default: "
                         "REPRO_RETRIES env var / 2); re-dispatch is "
@@ -340,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
                         "beyond this are shed with 503 + Retry-After "
                         "(default: REPRO_SERVE_MAX_PENDING env var / "
                         "256; 0 disables shedding)")
-    p.add_argument("--sampler", choices=["alias", "bisect"],
-                   default=None)
     p.add_argument("--backend", choices=list(BACKENDS), default=None)
     p.set_defaults(fn=_cmd_serve)
 

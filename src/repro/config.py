@@ -96,18 +96,14 @@ class SolverOptions:
         never changes results — fixed seed ⇒ bit-identical graphs,
         solutions, and ledger totals across all three.
     sampler:
-        Row sampler for the walker-stepping hot path: ``"alias"``
-        (CSR-aligned per-row alias planes — Lemma 2.6's O(1)-per-query
-        realisation) or ``"bisect"`` (global cumulative-weight
-        bisection, O(log m) per query — the historical realisation).
-        ``None`` (default) consults the ``REPRO_SAMPLER`` env var
-        lazily (default ``"alias"``).  Determinism contract
-        (DESIGN.md §8): fixed seed **and fixed sampler** ⇒ bit-identical
-        graphs, solutions, and ledger totals across backends and worker
-        counts.  The two samplers map the same RNG stream to different
-        transitions, so swapping samplers changes results
-        *distributionally* (both are exact walk samplers; outputs agree
-        statistically, not bitwise).
+        Row sampler for walker stepping.  The only one is ``"alias"``
+        (CSR-aligned per-row alias planes on the incremental walk
+        store — Lemma 2.6's O(1)-per-query realisation); ``None`` and
+        ``"alias"`` mean the same thing, and any other value raises
+        :class:`repro.errors.InvalidInputError` at construction.
+        Determinism contract (DESIGN.md §8): fixed seed ⇒
+        bit-identical graphs, solutions, and ledger totals across
+        backends and worker counts.
     chunk_items / chunk_columns:
         Chunk-policy overrides for the execution context (``None`` =
         library defaults; ``chunk_items`` additionally honours the
@@ -140,14 +136,6 @@ class SolverOptions:
         lazily (default off).  Engages only with >1 column chunk;
         fixed seed ⇒ bit-identical solutions and ledger totals with or
         without shipping.
-    incremental_csr:
-        Maintain the elimination loops' restricted walk CSR
-        incrementally across rounds
-        (:class:`repro.sampling.IncrementalWalkCSR`).  Extracted views
-        are bit-identical to from-scratch rebuilds, so this never
-        changes results; ``False`` trades the store's O(m) footprint
-        for per-round rebuilds (e.g. for memory-constrained streaming
-        factorizations).
     coalesce_emitted:
         Coalesce each elimination round's emitted parallel edges in
         the incremental walk store: same-``{u, v}`` duplicates merge
@@ -160,9 +148,8 @@ class SolverOptions:
         through the coalesced store differ *distributionally* from the
         uncoalesced realisation (fixed seed + fixed coalesce setting ⇒
         bit-identical graphs, solutions, and ledger totals across
-        backends, worker counts, and per sampler).  Requires
-        ``incremental_csr``; legacy baselines are structurally pinned
-        off.
+        backends and worker counts).  The seed baseline
+        (:mod:`repro.baselines.seed_hotpath`) never coalesces.
     seed:
         Default seed threaded to all stochastic routines.
     """
@@ -187,10 +174,16 @@ class SolverOptions:
     chunk_timeout: float | None = None
     degrade: bool | None = None
     ship_solves: bool | None = None
-    incremental_csr: bool = True
     coalesce_emitted: bool | None = None
     seed: int | None = None
     track_costs: bool = True
+
+    def __post_init__(self) -> None:
+        if self.sampler not in (None, "alias"):
+            from repro.errors import InvalidInputError
+
+            raise InvalidInputError(
+                f"sampler must be None or 'alias', got {self.sampler!r}")
 
     def alpha_inverse(self, n: int) -> int:
         """α⁻¹ = Θ(log² n) rounded to an integer ≥ 1 (see Theorem 3.9)."""
@@ -213,20 +206,6 @@ class SolverOptions:
     def with_(self, **kwargs) -> "SolverOptions":
         """Functional update (``dataclasses.replace`` wrapper)."""
         return replace(self, **kwargs)
-
-    def resolve_sampler(self) -> str:
-        """The row-sampler name to use *right now* (lazy env lookup)."""
-        if self.sampler is not None:
-            from repro.sampling.walks import SAMPLERS
-
-            if self.sampler not in SAMPLERS:
-                raise ValueError(
-                    f"sampler must be None or one of {SAMPLERS}, "
-                    f"got {self.sampler!r}")
-            return self.sampler
-        from repro.sampling.walks import default_sampler
-
-        return default_sampler()
 
     def resolve_ship_solves(self) -> bool:
         """Whether blocked solves ship *right now* (lazy env lookup)."""
@@ -279,7 +258,7 @@ def reset_env_caches() -> None:
     """Forget every cached ``REPRO_*`` environment lookup.
 
     The env-var knobs (``REPRO_WORKERS``, ``REPRO_BACKEND``,
-    ``REPRO_SAMPLER``, ``REPRO_CHUNK_ITEMS``, ``REPRO_FAULTS``, the
+    ``REPRO_COALESCE``, ``REPRO_CHUNK_ITEMS``, ``REPRO_FAULTS``, the
     ``REPRO_SERVE_*`` family, ...) all funnel through one module-level
     cache (:func:`repro.pram.executor._env_cached`), keyed on the raw
     env string.  A *changed* value is therefore picked up automatically,

@@ -30,7 +30,7 @@ from repro.graphs.multigraph import MultiGraph
 from repro.pram import charge
 from repro.pram import primitives as P
 from repro.rng import as_generator
-from repro.sampling.walks import WalkEngine
+from repro.sampling.inc_csr import IncrementalWalkCSR
 
 __all__ = ["block_cholesky"]
 
@@ -38,7 +38,7 @@ __all__ = ["block_cholesky"]
 def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
                             rng, opts: SolverOptions, baseline: int,
                             max_retries: int = 25,
-                            engine=None, ctx=None, sampler=None
+                            engine=None, ctx=None
                             ) -> "tuple[MultiGraph, TerminalWalkStats, int]":
     """``TerminalWalks`` with a connectivity certificate.
 
@@ -53,10 +53,10 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
     cut edges (e.g. barbells), where a level has a constant chance of
     dropping every copy of a bridge.
 
-    ``engine``/``ctx``/``sampler`` thread a prebuilt walk engine
-    (shared across retries — the CSR, and hence any alias planes, do
-    not change between resamples), the execution context, and the row-
-    sampler choice through to :func:`terminal_walks`.
+    ``engine``/``ctx`` thread a prebuilt walk engine (shared across
+    retries — the CSR, and hence the alias planes, do not change
+    between resamples) and the execution context through to
+    :func:`terminal_walks`.
 
     ``baseline`` is the component count of ``current`` on its vertex
     set — the previous level's accepted count, carried forward: a sound
@@ -71,8 +71,7 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
         nxt, stats = terminal_walks(current, C, seed=rng,
                                     max_steps=opts.max_walk_steps,
                                     return_stats=True,
-                                    engine=engine, ctx=ctx,
-                                    sampler=sampler)
+                                    engine=engine, ctx=ctx)
         count = _components_on(nxt, C.size)
         if count <= baseline:
             return nxt, stats, count
@@ -114,7 +113,9 @@ def block_cholesky(graph: MultiGraph,
     Walker batches inside each level step through ``options``'
     execution context (serial / thread / shared-memory process
     backend); for a fixed seed the chain is bit-identical across
-    backends and worker counts (DESIGN.md §6–§7).  With
+    backends and worker counts (DESIGN.md §6–§7).  Every level walks
+    through one incremental edge store
+    (:class:`repro.sampling.IncrementalWalkCSR`).  With
     ``options.coalesce_emitted`` (or ``REPRO_COALESCE``) each level's
     emitted parallel edges are merged per ``{u, v}`` pair in the
     incremental store — same Laplacian, smaller levels; the chain for
@@ -134,15 +135,8 @@ def block_cholesky(graph: MultiGraph,
     opts = options or default_options()
     rng = as_generator(seed if seed is not None else opts.seed)
     ctx = opts.execution()
-    sampler = opts.resolve_sampler()
-    inc = None
-    if opts.incremental_csr and graph.m:
-        from repro.sampling.inc_csr import IncrementalWalkCSR
-
-        inc = IncrementalWalkCSR(graph)
-    # Emitted-edge coalescing lives in the incremental store; without
-    # the store the flag is structurally inert (DESIGN.md §11).
-    coalesce = inc is not None and opts.resolve_coalesce()
+    inc = IncrementalWalkCSR(graph)
+    coalesce = opts.resolve_coalesce()
 
     active = np.arange(graph.n, dtype=np.int64)
     current = graph
@@ -168,33 +162,11 @@ def block_cholesky(graph: MultiGraph,
         idxF = np.searchsorted(active, F)
         idxC = np.searchsorted(active, C)
         blocks = laplacian_blocks(current, F, C)
-        engine = None
-        if inc is not None:
-            is_term = np.zeros(graph.n, dtype=bool)
-            is_term[C] = True
-            view, slot_mult = inc.restricted_view(F)
-            planes = inc.alias_planes(F, view) if sampler == "alias" \
-                else None
-            engine = WalkEngine.from_adjacency(view, slot_mult, is_term,
-                                               sampler=sampler,
-                                               alias_planes=planes)
         nxt, walk_stats, components = _sample_schur_connected(
-            current, C, rng, opts, components, engine=engine, ctx=ctx,
-            sampler=sampler)
-        if inc is not None:
-            # The accepted sample's layout is pass-through groups (the
-            # edges not incident to F, order preserved) followed by the
-            # emitted edges — mirror it into the incremental store.
-            p = walk_stats.passthrough_stored
-            inc.advance(F, nxt.u[p:], nxt.v[p:], nxt.w[p:],
-                        None if nxt.mult is None else nxt.mult[p:],
-                        coalesce=coalesce)
-            if coalesce:
-                # Duplicates merged (and possibly folded into live
-                # slots): the next level's working graph is the
-                # store's live image.  Laplacian and logical edge
-                # counts are preserved.
-                nxt = inc.live_graph()
+            current, C, rng, opts, components,
+            engine=inc.walk_engine(F, C), ctx=ctx)
+        nxt = inc.accept_round(F, nxt, walk_stats.passthrough_stored,
+                               coalesce)
         levels.append(Level(F=F, C=C, idxF=idxF, idxC=idxC,
                             blocks=blocks, parent_edges=current.m_logical))
         if keep_graphs:

@@ -80,21 +80,20 @@ def split_counts_for_alpha(alpha: float) -> int:
     return int(np.ceil(1.0 / alpha))
 
 
-def naive_split(graph: MultiGraph, alpha: float,
-                materialize: bool = False) -> MultiGraph:
+def naive_split(graph: MultiGraph, alpha: float) -> MultiGraph:
     """Lemma 3.2: split every edge into ``⌈1/α⌉`` α-bounded copies.
 
     Returns a multigraph ``H`` with ``m·⌈1/α⌉`` *logical* multi-edges
     and ``L_H = L_G`` exactly.  By default the copies are implicit
     (``H.m == graph.m`` stored groups carrying ``mult = ⌈1/α⌉``), so
-    the split costs O(m) work and memory rather than O(m/α).  Pass
-    ``materialize=True`` to expand the copies into explicit rows — the
-    seed representation, kept for benchmark baselines and equivalence
-    tests.
+    the split costs O(m) work and memory rather than O(m/α).
+    :meth:`MultiGraph.materialized` expands the copies into explicit
+    rows — the seed representation, kept for benchmark baselines and
+    equivalence tests.
     """
     k = split_counts_for_alpha(alpha)
     if k == 1:
-        return graph.materialized() if materialize else graph.copy()
+        return graph.copy()
     if ledger_active():
         charge(*P.map_cost(graph.m), label="naive_split")
-    return graph.split_copies(k, materialize=materialize)
+    return graph.split_copies(k)

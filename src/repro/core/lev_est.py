@@ -189,13 +189,12 @@ def leverage_split(graph: MultiGraph, alpha: float,
                    K: float | None = None,
                    seed=None,
                    options: SolverOptions | None = None,
-                   tau_hat: np.ndarray | None = None,
-                   materialize: bool = False) -> MultiGraph:
+                   tau_hat: np.ndarray | None = None) -> MultiGraph:
     """Lemma 3.3: split edge ``e`` into ``⌈τ̂(e)/α⌉`` α-bounded copies.
 
     The output has ``O(m + nKα⁻¹)`` *logical* multi-edges and the same
     Laplacian.  By default the copies are implicit multiplicities
-    (O(m) stored groups); pass ``materialize=True`` for explicit rows.
+    (O(m) stored groups); ``.materialized()`` gives explicit rows.
     Pass ``tau_hat`` to reuse precomputed overestimates.
     """
     opts = options or default_options()
@@ -216,4 +215,4 @@ def leverage_split(graph: MultiGraph, alpha: float,
         charge(*P.map_cost(graph.m), label="leverage_split")
     if graph.mult is None and np.all(copies == 1):
         return graph.copy()
-    return graph.split_copies(copies, materialize=materialize)
+    return graph.split_copies(copies)

@@ -15,10 +15,11 @@ here the approximation must hold to ε, not just a constant.
 
 The α-split is *implicit* (Lemma 3.2 via multiplicities, DESIGN.md):
 the working graph stays O(m)-sized groups instead of O(m/α) rows, and
-each round's rebuild — degrees, interior masks, the walk engine's
-restricted CSR — is linear in the stored groups, not the logical edge
-count.  ``legacy=True`` reruns the seed hot path (materialised split,
-full CSR per round, uncompacted walkers) for benchmarking.
+each round's work — interior degrees, the walk engine's restricted
+CSR and alias planes, all served by one incremental edge store — is
+linear in the stored groups, not the logical edge count.  The seed hot
+path (materialised split, full CSR per round, uncompacted walkers)
+lives in :mod:`repro.baselines.seed_hotpath` for benchmarking.
 
 Paper-notation note (documented in DESIGN.md): Algorithm 6's line 5
 writes ``C_k ← C_{k-1} ∖ F_k``; the consistent reading — used in the
@@ -43,7 +44,7 @@ from repro.core.terminal_walks import terminal_walks
 from repro.errors import FactorizationError, SamplingError
 from repro.graphs.multigraph import MultiGraph
 from repro.rng import as_generator
-from repro.sampling.walks import WalkEngine
+from repro.sampling.inc_csr import IncrementalWalkCSR
 
 __all__ = ["approx_schur", "schur_alpha_inverse", "ApproxSchurReport"]
 
@@ -81,8 +82,7 @@ class ApproxSchurReport:
     #: live-slot folds); 0 when not coalescing.
     emitted_slots_saved: int = 0
     #: Alias-table slots rebuilt after the one-time prime (the
-    #: per-round churn cost coalescing shrinks); 0 without the store
-    #: or under the bisect sampler.
+    #: per-round churn cost coalescing shrinks).
     alias_rebuilt_slots: int = 0
 
 
@@ -93,9 +93,7 @@ def approx_schur(graph: MultiGraph,
                  options: SolverOptions | None = None,
                  split: bool = True,
                  alpha_scale: float = 0.25,
-                 return_report: bool = False,
-                 legacy: bool = False,
-                 incremental: bool | None = None
+                 return_report: bool = False
                  ) -> MultiGraph | ApproxSchurReport:
     """Sparse ε-approximation of ``SC(L_G, C)``.
 
@@ -112,24 +110,14 @@ def approx_schur(graph: MultiGraph,
         Pass ``False`` when the input is already suitably α-bounded.
     alpha_scale:
         Constant in front of ``ε⁻² log² n`` (benchmark E11 sweeps it).
-    legacy:
-        Benchmark baseline: materialise the split and run the seed hot
-        path (full per-round CSR, one walker per stored edge,
-        uncompacted stepping).  Statistically equivalent, O(m/α)
-        memory.
-    incremental:
-        Maintain the walk engine's restricted CSR incrementally across
-        rounds (delete eliminated-``F`` rows, insert emitted edges —
-        :class:`repro.sampling.IncrementalWalkCSR`) instead of
-        rebuilding it per round.  The extracted views are bit-identical
-        to from-scratch builds, so the output is unchanged; ``False``
-        re-runs the per-round rebuild for comparison.  ``None``
-        (default) follows ``options.incremental_csr``.  With the store
-        active, ``options.coalesce_emitted`` / ``REPRO_COALESCE``
-        additionally merges each round's emitted parallel edges per
-        ``{u, v}`` pair (Laplacian preserved exactly, walks change
-        distributionally — DESIGN.md §11); the legacy baseline never
-        coalesces.
+
+    Each round's walks run through one incrementally maintained edge
+    store (:class:`repro.sampling.IncrementalWalkCSR`): delete the
+    eliminated ``F`` rows, insert the emitted edges.  With
+    ``options.coalesce_emitted`` / ``REPRO_COALESCE`` the store also
+    merges each round's emitted parallel edges per ``{u, v}`` pair
+    (Laplacian preserved exactly, walks change distributionally —
+    DESIGN.md §11).
 
     The walker batches step through ``options``' execution context in
     deterministic disjoint chunks, so for a fixed seed the output is
@@ -144,7 +132,6 @@ def approx_schur(graph: MultiGraph,
     opts = options or default_options()
     rng = as_generator(seed if seed is not None else opts.seed)
     ctx = opts.execution()
-    sampler = opts.resolve_sampler()
     C = np.unique(np.asarray(C, dtype=np.int64))
     if C.size == 0 or C.size >= graph.n:
         raise SamplingError("C must be a non-trivial vertex subset")
@@ -152,25 +139,16 @@ def approx_schur(graph: MultiGraph,
         raise SamplingError("C contains out-of-range vertex ids")
 
     work = naive_split(graph, 1.0 / schur_alpha_inverse(
-        graph.n, eps, alpha_scale), materialize=legacy) if split else graph
-    if incremental is None:
-        incremental = opts.incremental_csr
-    inc = None
-    if incremental and not legacy:
-        from repro.sampling.inc_csr import IncrementalWalkCSR
-
-        inc = IncrementalWalkCSR(work)
-    # Coalescing is a property of the incremental store; without the
-    # store (or on the legacy baseline) the flag is structurally inert.
-    coalesce = inc is not None and opts.resolve_coalesce()
+        graph.n, eps, alpha_scale)) if split else graph
+    inc = IncrementalWalkCSR(work)
+    coalesce = opts.resolve_coalesce()
 
     in_C = np.zeros(graph.n, dtype=bool)
     in_C[C] = True
     U = np.nonzero(~in_C)[0]
-    if inc is not None and sampler == "alias":
-        # Only interior rows can ever be eliminated (and hence walked
-        # from): narrow the one-time alias prime to them.
-        inc.prime_alias(U)
+    # Only interior rows can ever be eliminated (and hence walked
+    # from): narrow the one-time alias prime to them.
+    inc.prime_alias(U)
     active = np.arange(graph.n, dtype=np.int64)
 
     edges_per_round = [work.m_logical]
@@ -187,20 +165,11 @@ def approx_schur(graph: MultiGraph,
                 "ApproxSchur exceeded its round budget (Lemma 3.4 "
                 "guarantees a constant-fraction shrink per round)")
         # 5DDSubset measures degrees within the induced interior
-        # subgraph (Algorithm 6 line 5).  With the incremental store
-        # that subgraph is never rebuilt: a degree oracle gathers only
-        # the interior rows from the store's epoch index —
-        # O(deg U + churn) instead of O(stored edges) — with degrees
-        # bit-identical to the rebuild (InteriorDegreeOracle docstring).
-        if inc is not None:
-            scan = inc.interior_degrees(U)
-            scan_bytes = scan.nbytes
-        else:
-            member = np.zeros(graph.n, dtype=bool)
-            member[U] = True
-            interior_mask = member[work.u] & member[work.v]
-            scan = work.edge_subset(interior_mask)
-            scan_bytes = scan.edge_nbytes
+        # subgraph (Algorithm 6 line 5).  That subgraph is never
+        # rebuilt: a degree oracle gathers only the interior rows from
+        # the store's epoch index — O(deg U + churn) instead of
+        # O(stored edges) (InteriorDegreeOracle docstring).
+        scan = inc.interior_degrees(U)
         deg_U = scan.weighted_degrees()
         trivially_dd = U[deg_U[U] == 0]  # no interior edges: always 5-DD
         if trivially_dd.size == U.size:
@@ -213,36 +182,15 @@ def approx_schur(graph: MultiGraph,
         # The scan structure only exists to pick F: release it before
         # the walk phase so the two big per-round footprints (5DD scan
         # vs walk emission) never coexist.
-        dd_bytes = work.edge_nbytes + scan_bytes
+        dd_bytes = work.edge_nbytes + scan.nbytes
         scan = None
-        engine = None
-        if inc is not None:
-            is_term = np.zeros(graph.n, dtype=bool)
-            is_term[terminals] = True
-            view, slot_mult = inc.restricted_view(F)
-            planes = inc.alias_planes(F, view) if sampler == "alias" \
-                else None
-            engine = WalkEngine.from_adjacency(view, slot_mult, is_term,
-                                               sampler=sampler,
-                                               alias_planes=planes)
         nxt, stats = terminal_walks(work, terminals, seed=rng,
                                     max_steps=opts.max_walk_steps,
-                                    return_stats=True, legacy=legacy,
-                                    engine=engine, ctx=ctx,
-                                    sampler=sampler)
-        if inc is not None:
-            p = stats.passthrough_stored
-            inc.advance(F, nxt.u[p:], nxt.v[p:], nxt.w[p:],
-                        None if nxt.mult is None else nxt.mult[p:],
-                        coalesce=coalesce)
-            if coalesce:
-                # The store merged duplicates (and possibly folded
-                # groups into live slots): the next round's working
-                # graph is the store's live image, not the raw
-                # emission.  Logical edge counts are preserved —
-                # multiplicities sum.
-                nxt = inc.live_graph()
-        inc_bytes = 0 if inc is None else inc.nbytes
+                                    return_stats=True,
+                                    engine=inc.walk_engine(F, terminals),
+                                    ctx=ctx)
+        nxt = inc.accept_round(F, nxt, stats.passthrough_stored, coalesce)
+        inc_bytes = inc.nbytes
         walk_bytes = (work.edge_nbytes + stats.csr_nbytes
                       + stats.walker_nbytes + nxt.edge_nbytes + inc_bytes)
         peak_bytes = max(peak_bytes, dd_bytes + inc_bytes, walk_bytes)
@@ -264,8 +212,6 @@ def approx_schur(graph: MultiGraph,
             peak_edge_bytes=peak_bytes,
             total_walkers=total_walkers,
             coalesced=coalesce,
-            emitted_slots_saved=0 if inc is None
-            else inc.emitted_slots_saved,
-            alias_rebuilt_slots=0 if inc is None
-            else inc.alias_rebuilt_slots)
+            emitted_slots_saved=inc.emitted_slots_saved,
+            alias_rebuilt_slots=inc.alias_rebuilt_slots)
     return work

@@ -85,10 +85,8 @@ def terminal_walks(graph: MultiGraph,
                    seed=None,
                    max_steps: int = 10_000,
                    return_stats: bool = False,
-                   legacy: bool = False,
                    engine: WalkEngine | None = None,
-                   ctx=None,
-                   sampler: str | None = None
+                   ctx=None
                    ) -> MultiGraph | tuple[MultiGraph, TerminalWalkStats]:
     """Sample a sparse approximation to ``SC(L_G, C)``.
 
@@ -105,15 +103,11 @@ def terminal_walks(graph: MultiGraph,
         Randomness and the safety cap of the walk engine.
     return_stats:
         Also return a :class:`TerminalWalkStats`.
-    legacy:
-        Reproduce the seed hot path exactly — one walker per endpoint
-        of *every* stored edge, full (unrestricted) CSR, uncompacted
-        stepping.  Requires an explicit graph (``mult is None``).
-        Benchmark baselines only.
     engine:
         Prebuilt :class:`WalkEngine` over ``graph``'s current edges
-        with terminals ``C`` (e.g. from an incrementally maintained
-        restricted CSR).  ``None`` builds one from scratch.
+        with terminals ``C`` (the elimination loops pass
+        :meth:`repro.sampling.IncrementalWalkCSR.walk_engine`).
+        ``None`` builds one from scratch.
     ctx:
         Optional :class:`repro.pram.ExecutionContext`.  When given, the
         walkers step in deterministic disjoint chunks (one spawned RNG
@@ -122,16 +116,6 @@ def terminal_walks(graph: MultiGraph,
         bit-identical for a fixed seed regardless of backend and
         worker count.  ``None`` keeps the single-stream serial
         stepping.
-    sampler:
-        Row sampler for a freshly built engine: ``"alias"`` (per-row
-        alias planes, O(1)/query — Lemma 2.6) or ``"bisect"`` (global
-        cumulative-weight bisection).  ``None`` consults
-        ``REPRO_SAMPLER`` lazily (default ``"alias"``).  Ignored when
-        ``engine`` is supplied (the engine already carries its
-        sampler); the ``legacy`` path always bisects, mirroring the
-        seed.  Fixed seed + fixed sampler ⇒ bit-identical output; the
-        two samplers consume the RNG stream through different maps, so
-        cross-sampler agreement is distributional (DESIGN.md §8).
 
     Returns
     -------
@@ -153,13 +137,6 @@ def terminal_walks(graph: MultiGraph,
         return (empty, stats) if return_stats else empty
 
     rng = as_generator(seed)
-    if legacy:
-        if graph.mult is not None:
-            raise SamplingError(
-                "legacy terminal_walks requires an explicit (materialised) "
-                "graph")
-        return _terminal_walks_legacy(graph, is_terminal, rng, max_steps,
-                                      return_stats)
 
     # Groups entirely inside C pass through verbatim: both walks are
     # empty, so each logical copy deterministically re-emits itself.
@@ -195,7 +172,7 @@ def terminal_walks(graph: MultiGraph,
     starts = np.concatenate([np.repeat(graph.u[widx], k),
                              np.repeat(graph.v[widx], k)])
     if engine is None:
-        engine = WalkEngine(graph, is_terminal, sampler=sampler)
+        engine = WalkEngine(graph, is_terminal)
     if ctx is not None:
         result = engine.run_chunked(starts, seed=rng, max_steps=max_steps,
                                     ctx=ctx)
@@ -236,43 +213,3 @@ def terminal_walks(graph: MultiGraph,
         return H, stats
     return H
 
-
-def _terminal_walks_legacy(graph: MultiGraph, is_terminal: np.ndarray,
-                           rng, max_steps: int, return_stats: bool
-                           ) -> MultiGraph | tuple[MultiGraph,
-                                                   TerminalWalkStats]:
-    """The seed hot path: every stored edge launches two walkers.
-
-    Always bisects — the baseline reproduces the seed realisation
-    regardless of the ambient ``REPRO_SAMPLER``.
-    """
-    m = graph.m
-    engine = WalkEngine(graph, is_terminal, restricted=False,
-                        sampler="bisect")
-    starts = np.concatenate([graph.u, graph.v])
-    result = engine.run(starts, seed=rng, max_steps=max_steps,
-                        compact=False)
-
-    c1 = result.terminal[:m]
-    c2 = result.terminal[m:]
-    resistance = 1.0 / graph.w + result.resistance[:m] + result.resistance[m:]
-    keep = c1 != c2
-    H = MultiGraph(graph.n, c1[keep], c2[keep], 1.0 / resistance[keep],
-                   validate=False)
-    if ledger_active():
-        charge(*P.map_cost(m), label="terminal_walks_combine")
-
-    if return_stats:
-        lengths = result.length[:m] + result.length[m:]
-        stats = TerminalWalkStats(
-            total_steps=int(result.length.sum()),
-            max_walk_length=int(lengths.max(initial=0)),
-            mean_walk_length=float(lengths.mean()) if m else 0.0,
-            edges_in=m,
-            edges_out=int(keep.sum()),
-            self_loops_dropped=int(m - keep.sum()),
-            walkers=2 * m,
-            csr_nbytes=engine.adj.nbytes,
-            walker_nbytes=2 * m * engine.state_nbytes_per_walker)
-        return H, stats
-    return H

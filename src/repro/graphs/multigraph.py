@@ -129,13 +129,7 @@ class AdjacencyView:
 
     * ``neighbor`` — the other endpoint of each incident edge group,
     * ``weight`` — the group's *total* weight (all logical copies),
-    * ``edge_id`` — index into the parent graph's edge arrays,
-    * ``cumweight`` — *globally shifted* inclusive prefix sums of
-      ``weight`` within each row; row ``x`` spans the half-open value
-      interval ``(base[x], base[x] + degree[x]]`` where
-      ``base[x] = cumweight[indptr[x]-1]`` (0 for the first row).  This
-      lets a single vectorised ``searchsorted`` sample a
-      weight-proportional neighbour for millions of walkers at once.
+    * ``edge_id`` — index into the parent graph's edge arrays.
 
     A view may be *restricted* (see
     :meth:`MultiGraph.adjacency_restricted`): rows outside the requested
@@ -147,27 +141,17 @@ class AdjacencyView:
     neighbor: np.ndarray
     weight: np.ndarray
     edge_id: np.ndarray
-    cumweight: np.ndarray
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(neighbors, weights, edge ids) of vertex ``x``."""
         lo, hi = self.indptr[x], self.indptr[x + 1]
         return self.neighbor[lo:hi], self.weight[lo:hi], self.edge_id[lo:hi]
 
-    def row_base(self, x: np.ndarray | int) -> np.ndarray:
-        """Value of the global cumulative weight just before row ``x``."""
-        lo = self.indptr[x]
-        base = np.where(np.asarray(lo) > 0,
-                        self.cumweight[np.maximum(np.asarray(lo) - 1, 0)],
-                        0.0)
-        return base
-
     @property
     def nbytes(self) -> int:
         """Total bytes held by the CSR arrays (perf accounting)."""
         return (self.indptr.nbytes + self.neighbor.nbytes
-                + self.weight.nbytes + self.edge_id.nbytes
-                + self.cumweight.nbytes)
+                + self.weight.nbytes + self.edge_id.nbytes)
 
 
 class MultiGraph:
@@ -328,17 +312,14 @@ class MultiGraph:
     def _assemble_csr(ends: np.ndarray, others: np.ndarray,
                       ws: np.ndarray, eid: np.ndarray,
                       n: int) -> AdjacencyView:
-        """Shared CSR assembly tail: counting sort + prefix weights."""
+        """Shared CSR assembly tail: counting sort by source vertex."""
         indptr, order = _counting_sort_halfedges(ends, n)
-        weight = ws[order]
-        cumweight = np.cumsum(weight)
         if ledger_active():
             charge(*P.convert_cost(ends.size), label="adjacency_build")
         return AdjacencyView(indptr=indptr,
                              neighbor=others[order],
-                             weight=weight,
-                             edge_id=eid[order],
-                             cumweight=cumweight)
+                             weight=ws[order],
+                             edge_id=eid[order])
 
     def _build_adjacency(self) -> AdjacencyView:
         m = self.m
@@ -452,16 +433,15 @@ class MultiGraph:
             charge(*P.sort_cost(self.m), label="coalesce")
         return MultiGraph(self.n, out_u, out_v, w, validate=False)
 
-    def split_copies(self, copies: int | np.ndarray,
-                     materialize: bool = False) -> "MultiGraph":
+    def split_copies(self, copies: int | np.ndarray) -> "MultiGraph":
         """Split each group into ``copies`` (scalar or per-group array)
         times its current number of logical copies, totals preserved.
 
         This is the shared tail of Lemma 3.2/3.3 splitting: compose the
         new copy counts with any existing multiplicities in int64 (the
         constructor rejects products beyond int32 rather than letting
-        them wrap), then optionally expand for the materialised
-        baseline representation.
+        them wrap).  :meth:`materialized` expands the result into
+        explicit rows.
         """
         copies = np.asarray(copies)
         if np.any(copies < 1):
@@ -469,9 +449,8 @@ class MultiGraph:
                 "split factors must be >= 1 (0 would silently drop "
                 "edges from walks while keeping their Laplacian weight)")
         mult = self.multiplicities().astype(np.int64) * copies
-        H = MultiGraph(self.n, self.u.copy(), self.v.copy(),
-                       self.w.copy(), mult=mult, validate=False)
-        return H.materialized() if materialize else H
+        return MultiGraph(self.n, self.u.copy(), self.v.copy(),
+                          self.w.copy(), mult=mult, validate=False)
 
     def materialized(self) -> "MultiGraph":
         """Expand implicit multiplicities into explicit parallel edges.

@@ -127,8 +127,7 @@ def _env_cached(var: str, parse):
 
     ``parse`` receives the raw env string (or ``None`` when unset),
     returns the resolved value, and may raise :class:`ValueError` —
-    errors are not cached, so a corrected environment recovers.  Also
-    serves ``default_sampler`` in :mod:`repro.sampling.walks`.
+    errors are not cached, so a corrected environment recovers.
     """
     env = os.environ.get(var)
     hit = _env_caches.get(var)
@@ -319,8 +318,8 @@ def default_coalesce() -> bool:
     The Laplacian is preserved exactly; walk realisations change
     *distributionally* (per flag setting results stay bit-deterministic
     across backends and worker counts).  ``SolverOptions.
-    coalesce_emitted`` takes precedence when set; legacy baselines are
-    structurally pinned off (they never build the store).
+    coalesce_emitted`` takes precedence when set; the seed baseline
+    (:mod:`repro.baselines.seed_hotpath`) never builds the store.
     """
 
     def parse(env: str | None) -> bool:

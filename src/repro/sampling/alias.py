@@ -364,10 +364,10 @@ def build_alias_tables(indptr: np.ndarray, weight: np.ndarray
 class CSRAliasSampler:
     """O(1)-per-query per-row sampler over a CSR adjacency.
 
-    Drop-in alternative to :class:`repro.sampling.rowsample.RowSampler`
-    (same ``sample`` contract: global slot ids, weight-proportional
-    within each queried row) that realises Lemma 2.6's accounting
-    literally: linear preprocessing builds one alias table per row,
+    The walk engine's sampler, with the same ``sample`` contract as
+    the bisection oracle :class:`repro.sampling.rowsample.RowSampler`
+    (global slot ids, weight-proportional within each queried row).
+    It realises Lemma 2.6's accounting literally: linear preprocessing builds one alias table per row,
     after which a step is one uniform draw, a fan-out multiply, two
     gathers, and a comparison — constant work per walker regardless of
     the adjacency size, where the bisect sampler pays ``O(log m)``.
@@ -376,7 +376,7 @@ class CSRAliasSampler:
     ----------
     adj:
         The :class:`repro.graphs.multigraph.AdjacencyView` to sample
-        from (``cumweight`` is not consulted).
+        from.
     planes:
         Optional prebuilt ``(prob, alias, row_total)`` planes aligned
         with ``adj``'s slots (e.g. incrementally maintained by

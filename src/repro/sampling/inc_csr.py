@@ -18,8 +18,8 @@ Invariants (asserted by the equality tests, documented in DESIGN.md §6):
   edges append.  This matches ``terminal_walks``'s output layout
   (pass-through groups first, emitted edges after).
 * **View equality.**  :meth:`restricted_view` returns an
-  ``AdjacencyView`` whose ``indptr``/``neighbor``/``weight``/
-  ``cumweight`` (and per-slot multiplicities) are *bit-identical* to
+  ``AdjacencyView`` whose ``indptr``/``neighbor``/``weight`` (and
+  per-slot multiplicities) are *bit-identical* to
   ``MultiGraph.adjacency_restricted`` on the equivalent compacted
   graph — same per-row slot order (all ``u``-side half-edges by edge
   index, then all ``v``-side), same float summation order — so walk
@@ -72,7 +72,8 @@ from repro.graphs.multigraph import (
 )
 from repro.pram import charge, ledger_active
 from repro.pram import primitives as P
-from repro.sampling.alias import build_alias_tables
+from repro.sampling.alias import CSRAliasSampler, build_alias_tables
+from repro.sampling.walks import WalkEngine
 
 __all__ = ["IncrementalWalkCSR", "InteriorDegreeOracle"]
 
@@ -514,6 +515,42 @@ class IncrementalWalkCSR:
             charge(*P.sort_cost(u.size), label="inc_csr_coalesce")
         self._maybe_rebuild()
 
+    def walk_engine(self, F: np.ndarray,
+                    terminals: np.ndarray) -> WalkEngine:
+        """The walk engine for one elimination round.
+
+        Extracts the restricted view of ``F``'s rows, wires the
+        maintained alias planes around it, and returns the engine that
+        round's :func:`repro.core.terminal_walks.terminal_walks` steps
+        toward ``terminals`` — the only walk path both elimination
+        loops run.
+        """
+        is_terminal = np.zeros(self.n, dtype=bool)
+        is_terminal[terminals] = True
+        view, slot_mult = self.restricted_view(F)
+        planes = self.alias_planes(F, view)
+        return WalkEngine.from_adjacency(
+            view, slot_mult, is_terminal,
+            row_sampler=CSRAliasSampler.from_planes(view, *planes))
+
+    def accept_round(self, F: np.ndarray, sample: MultiGraph,
+                     passthrough: int, coalesce: bool) -> MultiGraph:
+        """Mirror an accepted round into the store; return the next
+        working graph.
+
+        ``sample`` is the round's terminal-walk output: its first
+        ``passthrough`` groups are the edges not incident to ``F``
+        (order preserved), the rest were emitted.  With ``coalesce``
+        the store merged duplicates (and possibly folded groups into
+        live slots), so the next working graph is the store's live
+        image — same Laplacian, same logical edge count.
+        """
+        p = passthrough
+        self.advance(F, sample.u[p:], sample.v[p:], sample.w[p:],
+                     None if sample.mult is None else sample.mult[p:],
+                     coalesce=coalesce)
+        return self.live_graph() if coalesce else sample
+
     def advance(self, F: np.ndarray, emitted_u: np.ndarray,
                 emitted_v: np.ndarray, emitted_w: np.ndarray,
                 emitted_mult: np.ndarray | None = None,
@@ -587,8 +624,7 @@ class IncrementalWalkCSR:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
         view = AdjacencyView(indptr=indptr, neighbor=neighbor,
-                             weight=weight, edge_id=eid,
-                             cumweight=np.cumsum(weight))
+                             weight=weight, edge_id=eid)
         slot_mult = None if self.mult is None else self.mult[eid]
         if ledger_active():
             charge(*P.convert_cost(eid.size), label="inc_csr_extract")

@@ -1,13 +1,15 @@
 """Batched per-row weighted sampling over a CSR structure.
 
-``TerminalWalks`` needs, for millions of concurrent walkers, "sample a
-neighbour of *my current vertex* proportional to edge weight".  The
-alias method (Lemma 2.6) answers one distribution at a time; here we
-need a *different* distribution per walker.  The trick: store a single
-globally increasing cumulative-weight array over all CSR rows; then a
-walker at vertex ``x`` draws a uniform value inside row ``x``'s value
-interval and one vectorised ``searchsorted`` over the global array
-resolves every walker's choice simultaneously.
+The walk engine samples through the alias planes of
+:class:`repro.sampling.alias.CSRAliasSampler`.  This module keeps the
+independent bisection realisation of the same per-row distributions:
+the test oracle the alias sampler is checked against (chi-square and
+hitting distributions), the sampler of the seed baseline
+(:mod:`repro.baselines.seed_hotpath`), and Wilson's spanning-tree walk.
+It stores a single globally increasing cumulative-weight array over
+all CSR rows; a walker at vertex ``x`` draws a uniform value inside row
+``x``'s value interval and one vectorised ``searchsorted`` over the
+global array resolves every walker's choice simultaneously.
 
 Per query this costs ``O(log deg)`` sequential bisection — a standard
 CREW PRAM primitive with depth ``O(log m)`` for the whole batch, which
@@ -33,12 +35,15 @@ __all__ = ["RowSampler"]
 class RowSampler:
     """Samples CSR-adjacency entries weight-proportionally, per row."""
 
-    __slots__ = ("adj", "_base", "_top")
+    __slots__ = ("adj", "_cum", "_base", "_top")
 
     def __init__(self, adj: AdjacencyView) -> None:
         self.adj = adj
         indptr = adj.indptr
-        cum = adj.cumweight
+        # Globally shifted inclusive prefix sums: row x spans the value
+        # interval (base[x], top[x]].
+        cum = np.cumsum(adj.weight)
+        self._cum = cum
         n = indptr.size - 1
         # base[x] = cumulative weight before row x; top[x] = after row x.
         base = np.zeros(n, dtype=np.float64)
@@ -51,6 +56,11 @@ class RowSampler:
         self._top = top
         if ledger_active():
             charge(*P.sampler_build_cost(n), label="rowsampler_build")
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the prefix sums and row bounds."""
+        return self._cum.nbytes + self._base.nbytes + self._top.nbytes
 
     def row_totals(self) -> np.ndarray:
         """Total weight per row (the weighted degrees)."""
@@ -73,7 +83,7 @@ class RowSampler:
         rng = as_generator(seed)
         # Right-open draw keeps us strictly inside the row interval.
         x = base + rng.random(rows.size) * span
-        slot = np.searchsorted(self.adj.cumweight, x, side="right")
+        slot = np.searchsorted(self._cum, x, side="right")
         # Guard against floating-point landing one slot out of the row.
         lo = self.adj.indptr[rows]
         hi = self.adj.indptr[rows + 1] - 1

@@ -6,13 +6,10 @@ reaches the terminal set ``C``.  This module implements that
 synchronous stepping:
 
 * each round, all still-active walkers sample a weight-proportional
-  incident edge — via the CSR-aligned alias planes of
+  incident edge via the CSR-aligned alias planes of
   :class:`repro.sampling.alias.CSRAliasSampler` (Lemma 2.6: O(1) per
-  query) or the global-bisection
-  :class:`repro.sampling.rowsample.RowSampler` (O(log m) per query),
-  selected by the ``sampler`` knob / ``REPRO_SAMPLER`` env var — and
-  move across it, accumulating the *per-copy* resistance of the edge
-  they crossed;
+  query) and move across it, accumulating the *per-copy* resistance of
+  the edge they crossed;
 * walkers standing on a terminal vertex retire immediately (a walker
   that *starts* on a terminal retires after zero steps — that is the
   paper's convention for an endpoint already in ``C``).
@@ -55,45 +52,8 @@ from repro.pram import charge, ledger_active
 from repro.pram import primitives as P
 from repro.rng import as_generator
 from repro.sampling.alias import CSRAliasSampler
-from repro.sampling.rowsample import RowSampler
 
-__all__ = ["WalkEngine", "WalkResult", "SAMPLERS", "default_sampler",
-           "make_row_sampler"]
-
-#: Recognised row samplers: ``alias`` = per-row alias planes (Lemma
-#: 2.6, O(1)/query), ``bisect`` = global cumulative-weight bisection
-#: (the historical realisation, O(log m)/query).
-SAMPLERS = ("alias", "bisect")
-
-def _parse_sampler(env: str | None) -> str:
-    value = (env or "alias").strip().lower()
-    if value not in SAMPLERS:
-        raise ValueError(
-            f"REPRO_SAMPLER must be one of {SAMPLERS}, got {env!r}")
-    return value
-
-
-def default_sampler() -> str:
-    """Sampler name from ``REPRO_SAMPLER`` env var (default: alias).
-
-    Raises :class:`ValueError` for anything outside :data:`SAMPLERS` —
-    the sampler changes how the RNG stream maps to walk transitions,
-    so a typo must fail loudly, not silently pick a different walk
-    distribution realisation.  Env-cached like the other ``default_*``
-    getters (:func:`repro.pram.executor._env_cached`).
-    """
-    from repro.pram.executor import _env_cached
-
-    return _env_cached("REPRO_SAMPLER", _parse_sampler)
-
-
-def make_row_sampler(adj, kind: str):
-    """Build the row sampler ``kind`` over adjacency ``adj``."""
-    if kind == "alias":
-        return CSRAliasSampler(adj)
-    if kind == "bisect":
-        return RowSampler(adj)
-    raise ValueError(f"unknown sampler {kind!r}; choose from {SAMPLERS}")
+__all__ = ["WalkEngine", "WalkResult"]
 
 
 def _walk_chunk_task(arrays, meta, lo, hi, stream, ledger):
@@ -102,12 +62,10 @@ def _walk_chunk_task(arrays, meta, lo, hi, stream, ledger):
     This is the process-backend counterpart of the closure
     :meth:`WalkEngine.run_chunked` dispatches in-process: ``arrays``
     holds the engine's immutable state (restricted CSR, per-slot
-    resistances, terminal mask, the sampler's derived planes — alias
-    ``prob``/``alias``/row totals for ``sampler="alias"``, per-row
-    ``base``/``top`` cumulative bounds for ``"bisect"``) plus the full
-    ``starts`` batch — reconstructed worker-side as read-only
-    shared-memory views — and the chunk itself is just slice bounds
-    plus a spawned RNG stream.
+    resistances, terminal mask, the alias sampler's ``prob``/``alias``/
+    row-total planes) plus the full ``starts`` batch — reconstructed
+    worker-side as read-only shared-memory views — and the chunk
+    itself is just slice bounds plus a spawned RNG stream.
 
     Engine assembly is pure view-wiring (the parent ships the
     sampler's derived arrays, so nothing is recomputed per chunk) and
@@ -119,35 +77,22 @@ def _walk_chunk_task(arrays, meta, lo, hi, stream, ledger):
     from repro.graphs.multigraph import AdjacencyView
     from repro.pram.ledger import use_ledger
 
-    kind = meta.get("sampler", "bisect")
     adj = AdjacencyView(indptr=arrays["indptr"],
                         neighbor=arrays["neighbor"],
                         weight=arrays["weight"],
                         # Stepping never decodes edge ids — placeholder.
-                        edge_id=np.empty(0, dtype=np.int64),
-                        # Only the bisect sampler consults cumweight.
-                        cumweight=arrays["cumweight"] if kind == "bisect"
-                        else np.empty(0, dtype=np.float64))
-    if kind == "alias":
-        # Pure view-wiring (mirrors the bisect branch): every derived
-        # array ships, nothing is recomputed per chunk.
-        sampler = CSRAliasSampler.__new__(CSRAliasSampler)
-        sampler.adj = adj
-        sampler.prob = arrays["alias_prob"]
-        sampler.alias = arrays["alias_alias"]
-        sampler.row_total = arrays["alias_total"]
-        sampler._deg = arrays["alias_deg"]
-    else:
-        sampler = RowSampler.__new__(RowSampler)
-        sampler.adj = adj
-        sampler._base = arrays["sampler_base"]
-        sampler._top = arrays["sampler_top"]
+                        edge_id=np.empty(0, dtype=np.int64))
+    sampler = CSRAliasSampler.__new__(CSRAliasSampler)
+    sampler.adj = adj
+    sampler.prob = arrays["alias_prob"]
+    sampler.alias = arrays["alias_alias"]
+    sampler.row_total = arrays["alias_total"]
+    sampler._deg = arrays["alias_deg"]
     engine = WalkEngine.__new__(WalkEngine)
     engine.graph = None
     engine.is_terminal = arrays["is_terminal"]
     engine.adj = adj
     engine.sampler = sampler
-    engine.sampler_kind = kind
     engine._slot_resistance = arrays["slot_resistance"]
     starts = arrays["starts"][lo:hi]
     if ledger is None:
@@ -190,23 +135,13 @@ class WalkEngine:
         The multigraph to walk on (implicit multiplicities supported).
     is_terminal:
         Boolean mask over vertices; walks stop on ``True`` vertices.
-    restricted:
-        Build CSR rows for non-terminal vertices only (default).  Pass
-        ``False`` to build the full cached adjacency — the seed
-        behaviour, kept for benchmark baselines.
-    sampler:
-        ``"alias"`` (per-row alias planes, O(1)/query) or ``"bisect"``
-        (global cumulative-weight bisection).  ``None`` (default)
-        consults the ``REPRO_SAMPLER`` env var lazily (default
-        ``"alias"``).  For a fixed seed and a fixed sampler, results
-        are bit-identical across backends and worker counts; the two
-        samplers map the RNG stream to transitions differently, so
-        cross-sampler agreement is distributional (DESIGN.md §8).
+
+    Walkers sample from the rows of non-terminal vertices only (a
+    walker on a terminal has retired), so the engine builds just those
+    rows and one alias table per row (Lemma 2.6).
     """
 
-    def __init__(self, graph: MultiGraph, is_terminal: np.ndarray,
-                 restricted: bool = True,
-                 sampler: str | None = None) -> None:
+    def __init__(self, graph: MultiGraph, is_terminal: np.ndarray) -> None:
         is_terminal = np.asarray(is_terminal, dtype=bool)
         if is_terminal.shape != (graph.n,):
             raise SamplingError("is_terminal must have one flag per vertex")
@@ -214,13 +149,8 @@ class WalkEngine:
             raise SamplingError("terminal set must be non-empty")
         self.graph = graph
         self.is_terminal = is_terminal
-        if restricted:
-            self.adj = graph.adjacency_restricted(~is_terminal)
-        else:
-            self.adj = graph.adjacency()
-        self.sampler_kind = sampler if sampler is not None \
-            else default_sampler()
-        self.sampler = make_row_sampler(self.adj, self.sampler_kind)
+        self.adj = graph.adjacency_restricted(~is_terminal)
+        self.sampler = CSRAliasSampler(self.adj)
         # Resistance of crossing ONE logical copy of each CSR slot's
         # edge group: a copy weighs w/mult, so 1/(w/mult) = mult/w.
         if graph.mult is None:
@@ -232,20 +162,21 @@ class WalkEngine:
     @classmethod
     def from_adjacency(cls, adj, slot_mult: np.ndarray | None,
                        is_terminal: np.ndarray,
-                       sampler: str | None = None,
-                       alias_planes=None) -> "WalkEngine":
-        """Engine over a prebuilt (restricted) adjacency view.
+                       row_sampler=None) -> "WalkEngine":
+        """Engine over a prebuilt adjacency view.
 
         This is how the elimination loops reuse an incrementally
-        maintained CSR (:class:`repro.sampling.inc_csr.IncrementalWalkCSR`)
-        instead of rebuilding the adjacency per round.  ``slot_mult``
-        gives each slot's logical copy count (``None`` = all ones); the
-        view's ``edge_id`` may index any backing store — the engine only
-        consumes per-slot quantities.  ``sampler`` selects the row
-        sampler as in the constructor; with ``sampler="alias"`` the
-        caller may hand incrementally maintained
-        ``(prob, alias, row_total)`` planes via ``alias_planes`` so
-        nothing is rebuilt (:meth:`IncrementalWalkCSR.alias_planes`).
+        maintained CSR (:meth:`repro.sampling.inc_csr.IncrementalWalkCSR.
+        walk_engine`) instead of rebuilding the adjacency per round.
+        ``slot_mult`` gives each slot's logical copy count (``None`` =
+        all ones); the view's ``edge_id`` may index any backing store —
+        the engine only consumes per-slot quantities.  ``row_sampler``
+        is a prebuilt sampler over ``adj`` (anything with a
+        ``sample(rows, seed)`` returning slot ids — the store's
+        maintained alias planes, or the bisection
+        :class:`repro.sampling.rowsample.RowSampler` that test oracles
+        and the seed baseline use); ``None`` builds alias planes from
+        ``adj``.
         """
         is_terminal = np.asarray(is_terminal, dtype=bool)
         if not is_terminal.any():
@@ -254,12 +185,8 @@ class WalkEngine:
         engine.graph = None
         engine.is_terminal = is_terminal
         engine.adj = adj
-        kind = sampler if sampler is not None else default_sampler()
-        engine.sampler_kind = kind
-        if kind == "alias" and alias_planes is not None:
-            engine.sampler = CSRAliasSampler.from_planes(adj, *alias_planes)
-        else:
-            engine.sampler = make_row_sampler(adj, kind)
+        engine.sampler = row_sampler if row_sampler is not None \
+            else CSRAliasSampler(adj)
         if slot_mult is None:
             engine._slot_resistance = 1.0 / adj.weight
         else:
@@ -402,19 +329,13 @@ class WalkEngine:
                       "weight": self.adj.weight,
                       "slot_resistance": self._slot_resistance,
                       "is_terminal": self.is_terminal,
-                      "starts": starts}
-            if self.sampler_kind == "alias":
-                arrays["alias_prob"] = self.sampler.prob
-                arrays["alias_alias"] = self.sampler.alias
-                arrays["alias_total"] = self.sampler.row_total
-                arrays["alias_deg"] = self.sampler._deg
-            else:
-                arrays["cumweight"] = self.adj.cumweight
-                arrays["sampler_base"] = self.sampler._base
-                arrays["sampler_top"] = self.sampler._top
+                      "starts": starts,
+                      "alias_prob": self.sampler.prob,
+                      "alias_alias": self.sampler.alias,
+                      "alias_total": self.sampler.row_total,
+                      "alias_deg": self.sampler._deg}
             results = ctx.run_shipped(_walk_chunk_task, arrays,
-                                      {"max_steps": max_steps,
-                                       "sampler": self.sampler_kind},
+                                      {"max_steps": max_steps},
                                       pieces, rng=rng, scope="walk")
         else:
 

@@ -16,11 +16,11 @@ factorization.  Identity has two halves:
   chain's bits.  Runtime knobs that the determinism contract
   (DESIGN.md §6) proves result-neutral (``workers``, ``backend``,
   ``retries``, ``chunk_timeout``, ``degrade``, ``ship_solves``,
-  ``keep_graphs``, ``incremental_csr``) are deliberately excluded, so
-  a thread-backend client and a process-backend client share one
-  resident chain.  Lazy fields that *do* affect bits (``sampler``,
-  ``coalesce_emitted``, ``chunk_items``) are resolved against the
-  environment at key time.
+  ``keep_graphs``, and ``sampler``, which has one value) are
+  deliberately excluded, so a thread-backend client and a
+  process-backend client share one resident chain.  Lazy fields that
+  *do* affect bits (``coalesce_emitted``, ``chunk_items``) are
+  resolved against the environment at key time.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ def options_token(options: SolverOptions) -> str:
     """Stable string of the chain-affecting option fields.
 
     Lazy env-backed fields are resolved *now* — two processes with
-    different ``REPRO_SAMPLER`` environments must not share a chain.
+    different ``REPRO_COALESCE`` environments must not share a chain.
     """
     parts = [f"{name}={getattr(options, name)!r}"
              for name in _CHAIN_FIELDS]
-    parts.append(f"sampler={options.resolve_sampler()}")
     parts.append(f"coalesce={options.resolve_coalesce()}")
     if options.chunk_items is not None:
         chunk_items = options.chunk_items

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,59 @@ def balanced_rhs():
         return b - b.mean()
 
     return make
+
+
+def _scratch_terminal_walks(graph, C, *args, engine=None, **kwargs):
+    """``terminal_walks`` ignoring the store's engine: the walk CSR and
+    alias planes are rebuilt from the working graph itself."""
+    from repro.core.terminal_walks import terminal_walks
+
+    return terminal_walks(graph, C, *args, **kwargs)
+
+
+class _RebuiltScan(MultiGraph):
+    """An induced interior subgraph with the degree oracle's ``nbytes``."""
+
+    __slots__ = ()
+
+    @property
+    def nbytes(self) -> int:
+        return self.edge_nbytes
+
+
+def _scratch_interior_degrees(self, rows):
+    """The 5-DD scan on the induced interior subgraph, rebuilt from the
+    store's live edges instead of gathered from its epoch index."""
+    member = np.zeros(self.n, dtype=bool)
+    member[rows] = True
+    live = self.live_graph()
+    sub = live.edge_subset(member[live.u] & member[live.v])
+    return _RebuiltScan(sub.n, sub.u, sub.v, sub.w, mult=sub.mult,
+                        validate=False)
+
+
+@pytest.fixture
+def scratch_walks(monkeypatch):
+    """Oracle for the incremental walk store: inside the returned
+    context, both elimination loops walk engines built from scratch on
+    each round's working graph and scan rebuilt interior subgraphs.
+    Without coalescing the store's views are bit-identical to these
+    rebuilds, so outputs must match an unpatched run bit for bit."""
+    from repro.sampling.inc_csr import IncrementalWalkCSR
+
+    # importlib: ``repro.core.block_cholesky`` the attribute is the
+    # re-exported function, not the module.
+    block_cholesky = importlib.import_module("repro.core.block_cholesky")
+    schur = importlib.import_module("repro.core.schur")
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            m.setattr(block_cholesky, "terminal_walks",
+                      _scratch_terminal_walks)
+            m.setattr(schur, "terminal_walks", _scratch_terminal_walks)
+            m.setattr(IncrementalWalkCSR, "interior_degrees",
+                      _scratch_interior_degrees)
+            yield
+
+    return patched

@@ -4,11 +4,12 @@ Pins the PR-5 contracts:
 
 * the batched Vose construction encodes every row's distribution
   exactly (pmf reconstruction == weights / total, aliases stay in-row);
-* alias and bisect transition distributions agree per row (chi-square);
-* sampler selection threads ``SolverOptions.sampler`` / ``REPRO_SAMPLER``
-  / explicit parameters through the walk stack, with the legacy
-  baseline pinned to bisect;
-* per sampler, fixed seed ⇒ bit-identical results across
+* the alias sampler and the bisection oracle (``RowSampler``) agree
+  per row (chi-square) and in hitting distributions;
+* the alias sampler is the only walk path: ``SolverOptions.sampler``
+  accepts only ``None``/``"alias"``, a stale ``REPRO_SAMPLER`` is
+  ignored, and the seed baseline in :mod:`repro.baselines` bisects;
+* fixed seed ⇒ bit-identical results across
   ``{serial, thread, process}`` × ``{1, 2, 4}`` workers;
 * the incrementally maintained alias planes equal a from-scratch
   rebuild after every elimination round — bitwise;
@@ -20,10 +21,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.config import default_options
+from repro.config import SolverOptions, default_options
 from repro.core.schur import approx_schur
 from repro.core.terminal_walks import terminal_walks
-from repro.errors import SamplingError
+from repro.errors import InvalidInputError, SamplingError
 from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
 from repro.pram import use_ledger
@@ -39,11 +40,13 @@ from repro.sampling import (
     CSRAliasSampler,
     IncrementalWalkCSR,
     RowSampler,
-    SAMPLERS,
     WalkEngine,
     build_alias_tables,
-    default_sampler,
 )
+
+#: The values ``SolverOptions.sampler`` accepts; both name the alias
+#: sampler, so both must give the same bits.
+SAMPLER_OPTIONS = (None, "alias")
 
 
 def _random_csr(rng, n_max=14, deg_max=11):
@@ -224,9 +227,10 @@ class TestCSRAliasSampler:
 
 
 class TestChiSquareAgreement:
-    """Alias and bisect encode the same per-row transition pmf."""
+    """The alias sampler and the bisection oracle encode the same
+    per-row transition pmf."""
 
-    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("kind", ["alias", "bisect"])
     def test_per_row_chi_square(self, kind):
         # Irregular weighted graph: a weighted star glued to a path.
         g = MultiGraph(6,
@@ -250,71 +254,88 @@ class TestChiSquareAgreement:
             assert p > 1e-4, (kind, row, p)
 
     def test_cross_sampler_hitting_distribution(self):
-        # Gambler's ruin 0 -(3)- 1 -(1)- 2: both samplers hit 0 from 1
-        # w.p. 3/4 — distributional agreement, not bitwise.
+        # Gambler's ruin 0 -(3)- 1 -(1)- 2: the alias engine and the
+        # bisection oracle both hit 0 from 1 w.p. 3/4 — distributional
+        # agreement, not bitwise.
         g = MultiGraph(3, [0, 1], [1, 2], [3.0, 1.0])
         is_term = np.array([True, False, True])
-        for kind in SAMPLERS:
-            res = WalkEngine(g, is_term, sampler=kind).run(
-                np.full(40_000, 1), seed=5)
+        adj = g.adjacency_restricted(~is_term)
+        oracle = WalkEngine.from_adjacency(adj, None, is_term,
+                                           row_sampler=RowSampler(adj))
+        for engine in (WalkEngine(g, is_term), oracle):
+            res = engine.run(np.full(40_000, 1), seed=5)
             assert abs(float(np.mean(res.terminal == 0)) - 0.75) < 0.01
 
 
 class TestSamplerSelection:
-    def test_default_sampler_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SAMPLER", raising=False)
-        assert default_sampler() == "alias"
-        monkeypatch.setenv("REPRO_SAMPLER", "alias")
-        assert default_sampler() == "alias"
-        monkeypatch.setenv("REPRO_SAMPLER", "bisect")
-        assert default_sampler() == "bisect"
+    def test_options_resolve_sampler(self):
+        # None and "alias" both name the only sampler.
+        assert SolverOptions().sampler is None
+        assert SolverOptions(sampler="alias").sampler == "alias"
+        assert default_options().with_(sampler="alias").sampler == "alias"
 
-    def test_default_sampler_rejects_typos(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLER", "ailas")
-        with pytest.raises(ValueError):
-            default_sampler()
-
-    def test_options_resolve_sampler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLER", "alias")
-        assert default_options().resolve_sampler() == "alias"
-        assert default_options().with_(
-            sampler="bisect").resolve_sampler() == "bisect"
-        with pytest.raises(ValueError):
-            default_options().with_(sampler="bogus").resolve_sampler()
+    def test_default_sampler_rejects_typos(self):
+        # The bisect sampler left the walk path: naming it is an error,
+        # like any typo, raised when the options are constructed.
+        for bad in ("bisect", "ailas", ""):
+            with pytest.raises(InvalidInputError):
+                SolverOptions(sampler=bad)
+            with pytest.raises(InvalidInputError):
+                default_options().with_(sampler=bad)
 
     def test_engine_sampler_kinds(self):
         g = G.grid2d(4, 4)
         is_term = np.zeros(g.n, dtype=bool)
         is_term[:4] = True
-        assert isinstance(WalkEngine(g, is_term, sampler="alias").sampler,
-                          CSRAliasSampler)
-        assert isinstance(WalkEngine(g, is_term, sampler="bisect").sampler,
-                          RowSampler)
-        with pytest.raises(ValueError):
-            WalkEngine(g, is_term, sampler="nope")
+        assert isinstance(WalkEngine(g, is_term).sampler, CSRAliasSampler)
+        adj = g.adjacency_restricted(~is_term)
+        oracle = RowSampler(adj)
+        engine = WalkEngine.from_adjacency(adj, None, is_term,
+                                           row_sampler=oracle)
+        assert engine.sampler is oracle
+        assert isinstance(
+            WalkEngine.from_adjacency(adj, None, is_term).sampler,
+            CSRAliasSampler)
 
     def test_env_matches_explicit_param(self, monkeypatch):
+        # REPRO_SAMPLER is no longer read: a stale value in the
+        # environment changes nothing.
         g = G.grid2d(8, 8)
         C = np.arange(0, g.n, 3)
-        explicit = terminal_walks(g, C, seed=11, sampler="alias")
-        monkeypatch.setenv("REPRO_SAMPLER", "alias")
-        via_env = terminal_walks(g, C, seed=11)
-        assert explicit == via_env
+        monkeypatch.delenv("REPRO_SAMPLER", raising=False)
+        base = terminal_walks(g, C, seed=11)
+        monkeypatch.setenv("REPRO_SAMPLER", "bisect")
+        assert terminal_walks(g, C, seed=11) == base
 
     def test_legacy_pinned_to_bisect(self, monkeypatch):
+        import repro.baselines.seed_hotpath as seed_hotpath
+        from repro.baselines import seed_terminal_walks
+
         g = G.grid2d(6, 6)
         C = np.arange(0, g.n, 2)
-        base = terminal_walks(g, C, seed=3, legacy=True)
-        monkeypatch.setenv("REPRO_SAMPLER", "alias")
-        assert terminal_walks(g, C, seed=3, legacy=True) == base
+        queries = []
+
+        class CountingRowSampler(RowSampler):
+            __slots__ = ()
+
+            def sample(self, rows, seed=None):
+                queries.append(len(rows))
+                return super().sample(rows, seed=seed)
+
+        base = seed_terminal_walks(g, C, seed=3)
+        monkeypatch.setattr(seed_hotpath, "RowSampler", CountingRowSampler)
+        assert seed_terminal_walks(g, C, seed=3) == base
+        assert queries  # every step bisected
+        with pytest.raises(SamplingError):
+            seed_terminal_walks(g.split_copies(2), C, seed=3)
 
     def test_samplers_change_results_distributionally(self):
+        from repro.baselines import seed_approx_schur
+
         g = G.grid2d(10, 10)
         C = np.arange(0, g.n, 3)
-        a = approx_schur(g, C, eps=0.5, seed=7,
-                         options=default_options().with_(sampler="alias"))
-        b = approx_schur(g, C, eps=0.5, seed=7,
-                         options=default_options().with_(sampler="bisect"))
+        a = approx_schur(g, C, eps=0.5, seed=7)
+        b = seed_approx_schur(g, C, eps=0.5, seed=7)
         assert a != b  # different RNG-to-transition maps
         # ... but both remain supported on C only.
         for h in (a, b):
@@ -322,41 +343,45 @@ class TestSamplerSelection:
 
 
 class TestPerSamplerBackendMatrix:
-    """ISSUE 5 acceptance: fixed seed + fixed sampler ⇒ bit-identical
-    results and ledger totals across backends × worker counts."""
+    """Fixed seed ⇒ bit-identical results and ledger totals across
+    backends × worker counts, for either accepted ``sampler`` value
+    (checked against a serial run with the default ``None``)."""
 
-    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("kind", SAMPLER_OPTIONS)
     def test_backend_matrix_bit_identical(self, kind, monkeypatch):
-        opts = default_options().with_(chunk_items=512, sampler=kind)
+        opts = default_options().with_(chunk_items=512)
 
-        def schur(backend, workers):
+        def schur(backend, workers, opts):
             monkeypatch.setenv("REPRO_BACKEND", backend)
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             g = G.grid2d(14, 14)
             C = np.arange(0, g.n, 3)
             return approx_schur(g, C, eps=0.5, seed=123, options=opts)
 
-        base = schur("serial", 1)
+        base = schur("serial", 1, opts)
+        opts = opts.with_(sampler=kind)
         for backend in BACKENDS:
             for workers in (1, 2, 4):
-                assert schur(backend, workers) == base, (backend, workers)
+                assert schur(backend, workers, opts) == base, \
+                    (backend, workers)
 
-    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("kind", SAMPLER_OPTIONS)
     def test_ledger_totals_invariant(self, kind, monkeypatch):
         g = G.grid2d(10, 10)
         C = np.arange(0, g.n, 2)
-        opts = default_options().with_(chunk_items=512, sampler=kind)
+        opts = default_options().with_(chunk_items=512)
 
-        def totals(backend, workers):
+        def totals(backend, workers, opts):
             monkeypatch.setenv("REPRO_BACKEND", backend)
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             with use_ledger() as ledger:
                 approx_schur(g, C, eps=0.5, seed=3, options=opts)
             return ledger.work, ledger.depth
 
-        base = totals("serial", 1)
+        base = totals("serial", 1, opts)
+        opts = opts.with_(sampler=kind)
         for backend in BACKENDS:
-            assert totals(backend, 2) == base, backend
+            assert totals(backend, 2, opts) == base, backend
 
 
 class TestIncrementalAliasPlanes:
@@ -450,29 +475,27 @@ class TestIncrementalAliasPlanes:
             if r not in (0, 1):
                 assert r in inc._alias_rows
 
-    def test_incremental_matches_scratch_end_to_end(self):
+    def test_incremental_matches_scratch_end_to_end(self, scratch_walks):
         g = G.grid2d(13, 13)
         C = np.arange(0, g.n, 4)
         # Scratch rebuilds cannot coalesce — pin the flag off so the
         # equality is well-defined under a REPRO_COALESCE=1 ambient.
-        opts = default_options().with_(sampler="alias",
-                                       coalesce_emitted=False)
-        a = approx_schur(g, C, eps=0.5, seed=99, options=opts,
-                         incremental=True)
-        b = approx_schur(g, C, eps=0.5, seed=99, options=opts,
-                         incremental=False)
+        opts = default_options().with_(coalesce_emitted=False)
+        a = approx_schur(g, C, eps=0.5, seed=99, options=opts)
+        with scratch_walks():
+            b = approx_schur(g, C, eps=0.5, seed=99, options=opts)
         assert a == b
 
-    def test_solver_chain_alias_incremental_invariant(self):
+    def test_solver_chain_alias_incremental_invariant(self,
+                                                      scratch_walks):
         from repro.config import practical_options
         from repro.core.solver import LaplacianSolver
 
         g = G.grid2d(12, 12)
-        opts = practical_options().with_(sampler="alias",
-                                         coalesce_emitted=False)
+        opts = practical_options().with_(coalesce_emitted=False)
         on = LaplacianSolver(g, options=opts, seed=8)
-        off = LaplacianSolver(g, options=opts.with_(incremental_csr=False),
-                              seed=8)
+        with scratch_walks():
+            off = LaplacianSolver(g, options=opts, seed=8)
         np.testing.assert_array_equal(on.chain.final_pinv,
                                       off.chain.final_pinv)
 

@@ -64,7 +64,7 @@ class TestNaiveSplit:
         assert np.all(H.multiplicities() == 5)
 
     def test_materialized_edge_count(self, zoo_graph):
-        H = naive_split(zoo_graph, alpha=0.2, materialize=True)
+        H = naive_split(zoo_graph, alpha=0.2).materialized()
         assert H.m == 5 * zoo_graph.m
         assert H.mult is None
         implicit = naive_split(zoo_graph, alpha=0.2)
@@ -87,7 +87,7 @@ class TestNaiveSplit:
         # Per-copy weight is w/mult; totals are untouched.
         assert np.allclose(H.w / H.multiplicities(), 1.0 / 3.0)
         assert np.allclose(H.w, g.w)
-        assert np.allclose(naive_split(g, 1.0 / 3.0, materialize=True).w,
+        assert np.allclose(naive_split(g, 1.0 / 3.0).materialized().w,
                            1.0 / 3.0)
 
     def test_lemma_3_2_bound_formula(self, zoo_graph):

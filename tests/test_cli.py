@@ -67,6 +67,15 @@ class TestSolve:
         assert main(["solve", grid_file, "--rhs", rhs,
                      "--method", "pcg"]) == 0
 
+    @pytest.mark.parametrize("command", ["solve", "serve"])
+    def test_sampler_flag_is_unknown(self, grid_file, capsys, command):
+        # The alias sampler is the only walk path; there is no flag.
+        with pytest.raises(SystemExit) as exc:
+            main([command, grid_file, "--sampler", "alias"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sampler" in \
+            capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_prints_ledger(self, grid_file, capsys):

@@ -359,7 +359,7 @@ class TestCoalesceEndToEnd:
                 assert got[0] == base[0], (backend, workers)
                 assert got[1:] == base[1:], (backend, workers)
 
-    @pytest.mark.parametrize("sampler", ["alias", "bisect"])
+    @pytest.mark.parametrize("sampler", [None, "alias"])
     def test_deterministic_per_sampler(self, sampler):
         g, C = self._workload()
         opts = default_options().with_(coalesce_emitted=True,
@@ -382,9 +382,10 @@ class TestCoalesceEndToEnd:
                                       again.chain.final_pinv)
 
     def test_legacy_baseline_pinned_off(self):
+        from repro.baselines import seed_approx_schur
+
         g, C = self._workload()
         opts = default_options().with_(coalesce_emitted=True)
-        report = approx_schur(g, C, eps=0.5, seed=1, options=opts,
-                              legacy=True, split=True,
-                              return_report=True)
-        assert not report.coalesced  # no store on the legacy path
+        report = seed_approx_schur(g, C, eps=0.5, seed=1, options=opts,
+                                   split=True, return_report=True)
+        assert not report.coalesced  # no store on the seed path

@@ -17,6 +17,7 @@ Three contracts (see DESIGN.md):
 import numpy as np
 import pytest
 
+from repro.baselines import seed_approx_schur, seed_terminal_walks
 from repro.core.boundedness import (
     is_alpha_bounded,
     leverage_scores,
@@ -73,9 +74,9 @@ class TestImplicitSplitExact:
         g = G.path(4)
         H = naive_split(naive_split(g, 0.5), 0.25)
         assert H.m_logical == 2 * 4 * g.m
-        # materialize=True on an already-split graph must equal the
-        # materialization of the implicit result (copies compose).
-        mat = naive_split(naive_split(g, 0.5), 0.25, materialize=True)
+        # Materialising a split of an already-split graph must equal
+        # the materialization of the implicit result (copies compose).
+        mat = naive_split(naive_split(g, 0.5), 0.25).materialized()
         assert mat == H.materialized()
         assert np.allclose(mat.w, 1.0 / 8.0)
 
@@ -175,7 +176,7 @@ class TestWalkEquivalence:
         # implicit and materialised splits agree exactly, per copy.
         g = MultiGraph(3, [0, 1], [1, 2], [2.0, 4.0])
         implicit = naive_split(g, 0.5)
-        explicit = naive_split(g, 0.5, materialize=True)
+        explicit = naive_split(g, 0.5).materialized()
         C = np.array([0, 2])
         Hi = terminal_walks(implicit, C, seed=1)
         He = terminal_walks(explicit, C, seed=2)
@@ -210,14 +211,14 @@ class TestWalkEquivalence:
 
     def test_legacy_requires_materialized(self):
         H = naive_split(G.grid2d(3, 3), 0.5)
-        with pytest.raises(SamplingError, match="legacy"):
-            terminal_walks(H, np.array([0, 1]), legacy=True)
+        with pytest.raises(SamplingError, match="materialised"):
+            seed_terminal_walks(H, np.array([0, 1]))
 
     def test_legacy_matches_seed_semantics(self):
         g = G.grid2d(4, 4)
         C = np.arange(0, g.n, 2)
         H_new = terminal_walks(g, C, seed=9)
-        H_old = terminal_walks(g, C, seed=9, legacy=True)
+        H_old = seed_terminal_walks(g, C, seed=9)
         # Different RNG consumption order (pass-through edges launch no
         # walkers in the new path), so compare distributional summaries.
         in_C = np.zeros(g.n, dtype=bool)
@@ -251,8 +252,10 @@ class TestWalkEngineCompaction:
     @pytest.mark.parametrize("seed", range(3))
     def test_restricted_csr_identical_to_full(self, seed):
         g, is_term, starts = self._engine_and_starts(seed)
-        restricted = WalkEngine(g, is_term, restricted=True)
-        full = WalkEngine(g, is_term, restricted=False)
+        restricted = WalkEngine(g, is_term)
+        adj = g.adjacency()
+        full = WalkEngine.from_adjacency(
+            adj, g.multiplicities()[adj.edge_id], is_term)
         a = restricted.run(starts, seed=seed)
         b = full.run(starts, seed=seed)
         assert np.array_equal(a.terminal, b.terminal)
@@ -305,8 +308,7 @@ class TestApproxSchurImplicit:
         SC = exact_schur_complement(laplacian(g).toarray(), C)
         from repro.linalg.loewner import approximation_factor
 
-        rep = approx_schur(g, C, eps=0.5, seed=4, return_report=True,
-                           legacy=True)
+        rep = seed_approx_schur(g, C, eps=0.5, seed=4, return_report=True)
         LH = laplacian(rep.graph).toarray()[np.ix_(C, C)]
         assert approximation_factor(LH, SC) <= 0.5
         # Legacy materialises the split: stored == logical everywhere.
@@ -316,6 +318,5 @@ class TestApproxSchurImplicit:
         g = G.grid2d(10, 10)
         C = np.arange(0, g.n, 3)
         imp = approx_schur(g, C, eps=0.5, seed=5, return_report=True)
-        leg = approx_schur(g, C, eps=0.5, seed=5, return_report=True,
-                           legacy=True)
+        leg = seed_approx_schur(g, C, eps=0.5, seed=5, return_report=True)
         assert 0 < imp.peak_edge_bytes < leg.peak_edge_bytes

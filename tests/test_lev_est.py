@@ -107,10 +107,9 @@ class TestLeverageSplit:
         H = leverage_split(g, alpha=0.25, tau_hat=tau_hat)
         assert H.m == g.m  # stored groups stay compact
         assert H.m_logical == 2 * g.m  # ceil(0.5/0.25) = 2 copies each
-        mat = leverage_split(g, alpha=0.25, tau_hat=tau_hat,
-                             materialize=True)
-        assert mat.m == 2 * g.m
-        assert H.materialized() == mat
+        mat = H.materialized()
+        assert mat.m == mat.m_logical == 2 * g.m
+        assert np.allclose(mat.w, np.repeat(g.w / 2.0, 2))
 
     def test_tau_hat_shape_checked(self):
         with pytest.raises(SamplingError):

@@ -5,8 +5,8 @@ Re-proves the library's contracts at the service boundary
 
 * **batching equivalence** — k concurrent single-RHS requests through
   the micro-batcher are bit-identical to one direct ``solve_many`` on
-  the assembled block, across ``{serial, thread, process}`` backends
-  and both samplers; sequential library ``solve(b)`` calls agree to
+  the assembled block, across ``{serial, thread, process}`` backends;
+  sequential library ``solve(b)`` calls agree to
   solver tolerance (the blocked path's documented contract: reductions
   depend on the block width — DESIGN.md §5);
 * **cache semantics** — canonical graph hashing, LRU eviction under a
@@ -146,13 +146,16 @@ class TestGraphKeys:
                         default_options().with_(keep_graphs=False)):
             assert solver_cache_key(g, variant, 0) == base
 
-    def test_sampler_resolution_changes_the_key(self):
+    def test_sampler_option_does_not_change_the_key(self):
+        # There is one walk sampler, so every accepted ``sampler`` value
+        # builds the same chain and names the same key; a value that
+        # would pick another walk is refused before it can name one.
         g = G.grid2d(5, 5)
-        alias = solver_cache_key(
-            g, default_options().with_(sampler="alias"), 0)
-        bisect = solver_cache_key(
-            g, default_options().with_(sampler="bisect"), 0)
-        assert alias != bisect
+        base = solver_cache_key(g, default_options(), 0)
+        assert solver_cache_key(
+            g, default_options().with_(sampler="alias"), 0) == base
+        with pytest.raises(InvalidInputError):
+            default_options().with_(sampler="bisect")
 
     def test_solver_cache_key_method(self):
         g = G.grid2d(4, 4)
@@ -279,18 +282,18 @@ class TestChainCache:
 
 
 # ---------------------------------------------------------------------------
-# batching equivalence (backend × sampler matrix)
+# batching equivalence (backend × sampler-option matrix)
 
 
 class TestBatchingEquivalence:
     K = 5
 
-    @pytest.mark.parametrize("sampler", ["alias", "bisect"])
+    @pytest.mark.parametrize("sampler", [None, "alias"])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_batched_bit_identical_to_direct_solve_many(
             self, backend, sampler):
-        # n > min_vertices so the build actually walks (the sampler and
-        # backend matter); chunk_columns=2 so the blocked solve fans
+        # n > min_vertices so the build actually walks (the backend
+        # matters); chunk_columns=2 so the blocked solve fans
         # out column chunks through the chosen backend too.
         g = G.grid2d(12, 12)
         opts = practical_options(seed=0).with_(
