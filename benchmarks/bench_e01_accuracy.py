@@ -2,8 +2,10 @@
 
 Paper claim: the solver returns an ε-approximate solution (whp) for any
 requested 0 < ε < 1/2.  We sweep workloads × ε and assert the measured
-relative L-norm error is below target on every cell; the benchmark
-timing is the per-solve latency given a prebuilt factorization.
+relative L-norm error is below target on every cell, for single
+solves and for blocked ``solve_many`` calls with the solver's default
+method; the benchmark timing is the per-solve latency given a
+prebuilt factorization.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from conftest import record, workload
 
 from repro import LaplacianSolver, practical_options
+from repro.core.solver import DEFAULT_METHOD
 from repro.graphs.laplacian import laplacian
 from repro.linalg.ops import relative_lnorm_error
 from repro.linalg.pinv import exact_solution
@@ -33,6 +36,29 @@ def test_e01_accuracy(benchmark, name, eps, balanced_rhs):
            measured_error=err,
            iterations=solver.solve_report(b, eps=eps).iterations)
     assert err <= eps
+
+
+@pytest.mark.parametrize("name", ["grid", "expander", "er",
+                                  "weighted_grid"])
+@pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-8])
+def test_e01_solve_many_default_method(benchmark, name, eps):
+    """Theorem 1.1 through what users run: a blocked ``solve_many``
+    with the solver's default outer loop, every column within ε."""
+    g = workload(name, 400, seed=1)
+    B = np.random.default_rng(2).standard_normal((g.n, 4))
+    B -= B.mean(axis=0)
+    solver = LaplacianSolver(g, options=practical_options(), seed=0)
+    L = laplacian(g)
+
+    rep = benchmark(lambda: solver.solve_many_report(B, eps=eps))
+    errs = [relative_lnorm_error(L, rep.x[:, j],
+                                 exact_solution(g, B[:, j]))
+            for j in range(B.shape[1])]
+    record(benchmark, workload=name, n=g.n, m=g.m, eps=eps,
+           method=rep.method, measured_error=max(errs),
+           iterations=[int(i) for i in rep.per_column_iterations])
+    assert rep.method == DEFAULT_METHOD
+    assert max(errs) <= eps
 
 
 def test_e01_error_vs_iterations_decay(benchmark, balanced_rhs):

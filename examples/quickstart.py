@@ -2,7 +2,9 @@
 
 Paper: Theorems 1.1/1.2 end to end — α-bounded splitting (Lemma 3.2)
 → ``BlockCholesky`` (§3, Algorithm 1) → ``ApplyCholesky`` (§3,
-Algorithm 2) → preconditioned Richardson (§3, Algorithm 5), with the
+Algorithm 2) → an outer loop under Theorem 3.8's budget (by default
+conjugate gradient preconditioned by the chain; preconditioned
+Richardson, §3 Algorithm 5, with ``method="richardson"``), with the
 error measured in the L-norm the theorems promise.
 
 Run:  python examples/quickstart.py

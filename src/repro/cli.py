@@ -229,6 +229,7 @@ def _cmd_client(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
+    from repro.core.solver import DEFAULT_METHOD, METHODS
     from repro.pram.executor import BACKENDS
 
     parser = argparse.ArgumentParser(
@@ -253,8 +254,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--sink", type=int, default=-1)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--method", choices=["richardson", "pcg"],
-                   default="richardson")
+    p.add_argument("--method", choices=list(METHODS),
+                   default=DEFAULT_METHOD,
+                   help="outer loop around the Cholesky chain; both stop "
+                        "on the chain's own error certificate (default: "
+                        f"{DEFAULT_METHOD}; richardson is Algorithm 5, "
+                        "the Theorem 3.8 reference)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for the parallel phases "
@@ -346,8 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--sink", type=int, default=-1)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--method", choices=["richardson", "pcg"],
-                   default="richardson")
+    p.add_argument("--method", choices=list(METHODS),
+                   default=DEFAULT_METHOD,
+                   help=f"outer loop (default: {DEFAULT_METHOD})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="save x as .npy")
     p.set_defaults(fn=_cmd_client)

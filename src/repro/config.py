@@ -62,7 +62,8 @@ class SolverOptions:
         uses the paper's ``1/(2d)`` where ``d`` is the chain depth.
     richardson_delta:
         δ such that the preconditioner satisfies ``B ≈_δ A⁺``
-        (Theorem 3.10 gives δ = 1).
+        (Theorem 3.10 gives δ = 1).  Sets the outer loop's budget and
+        certificate for both methods (DESIGN.md §15).
     max_walk_steps:
         Safety cap on a single terminal walk.  Lemma 5.4 gives
         ``O(log m)`` whp; the cap is generous and a
@@ -294,8 +295,8 @@ def practical_options(seed: int | None = None) -> SolverOptions:
     """Fast settings for interactive use: minimal splitting.
 
     With ``alpha_scale`` small the multigraph blow-up is tiny; matrix
-    concentration degrades gracefully and preconditioned Richardson
-    (with its divergence guard + PCG fallback) absorbs the slack in a
-    few extra iterations.
+    concentration degrades gracefully and the certified outer loop
+    (with its Ritz check, escalation and fallback) absorbs the slack
+    in a few extra iterations.
     """
     return SolverOptions(splitting="naive", alpha_scale=0.1, seed=seed)

@@ -12,7 +12,7 @@ terminal_walks    ``TerminalWalks`` (Algorithm 4, Lemmas 5.1-5.4)
 chain             the ``(G^(k); F_k)`` chain, ``D^(k)``/``U^(k)``
 block_cholesky    ``BlockCholesky`` (Algorithm 1, Theorem 3.9)
 apply_cholesky    ``ApplyCholesky`` (Algorithm 2, Theorem 3.10)
-richardson        ``PreconRichardson`` (Algorithm 5, Theorem 3.8)
+richardson        ``PreconRichardson`` (Algorithm 5, Theorem 3.8), certified PCG
 solver            Theorems 1.1 / 1.2 end-to-end solver
 schur             ``ApproxSchur`` (Algorithm 6, Theorem 7.1)
 ================  =============================================

@@ -1,4 +1,4 @@
-"""``PreconRichardson`` — Algorithm 5 (Theorem 3.8).
+"""``PreconRichardson`` — Algorithm 5 (Theorem 3.8) — and certified PCG.
 
 Given ``B ≈_δ A⁺``, the iteration
 
@@ -21,14 +21,34 @@ With ``r = A x − b``, ``B ≈_δ A⁺`` gives
     ``‖x − A⁺b‖_A² = rᵀA⁺r ≤ e^{δ} rᵀBr``,  ``‖A⁺b‖_A² ≥ e^{-δ} bᵀBb``,
 
 so ``rᵀBr ≤ e^{-2δ} ε_j² bᵀBb`` proves ``‖x − A⁺b‖_A ≤ ε_j ‖A⁺b‖_A``
-under the same assumption as the budget.  ``Br = B(Ax) − x^(0)`` is
-the correction the iteration computes anyway, so the certificate costs
-one column-wise dot product and no extra apply.  Certified columns are
-compacted out of the active block (mirroring the walker compaction of
-the sampling engine), so every ``A``/``B`` apply works on the
-still-active columns only — as sparse×dense-matrix (BLAS-3-style)
-products.  A column that reaches its budget uncertified is reported in
+— for *any* iterate ``x``; the exact condition is ``κ(BA) ≤ e^{2δ}``
+on ``1⊥``, since the certificate is a ratio and so blind to the scale
+of ``B``.  Certified columns are compacted out of the active block
+(mirroring the walker compaction of the sampling engine), so every
+``A``/``B`` apply works on the still-active columns only — as
+sparse×dense-matrix (BLAS-3-style) products.  A column that reaches
+its budget uncertified is reported in
 ``RichardsonResult.uncertified_columns`` for the caller to escalate.
+
+The kernel has two update rules (``update=``), sharing the budget, the
+certificate, compaction, quarantine, fault injection and column
+chunking:
+
+* ``"richardson"`` — Algorithm 5 as above.  ``B r = B(A x) − x^(0)``
+  is the correction the iteration computes anyway, so the certificate
+  costs one column-wise dot product and no extra apply.
+* ``"pcg"`` — conjugate gradient preconditioned by ``B``, from
+  ``x = 0``.  Its iterate ``t + 1`` is ``A``-norm optimal over the
+  Krylov space ``K_{t+1}(BA, Bb)``, which holds Richardson's iterate
+  ``t`` (same number of ``B`` applies), so the Theorem 3.8 budget,
+  plus that one step, caps it too.  The certificate is evaluated on
+  the true residual ``b − A x`` every step (one extra ``A`` apply);
+  ``B r`` and ``rᵀBr`` are the step's own search-direction inputs.
+  PCG converges whatever the scale of ``B``, so divergence no longer
+  exposes a chain worse than δ; the Ritz values of the Lanczos
+  tridiagonal built from each column's step lengths lie inside
+  ``spec(BA)``, and a column whose Ritz spread exceeds ``e^{2δ}``
+  when it certifies is reported uncertified instead.
 """
 
 from __future__ import annotations
@@ -42,7 +62,10 @@ import numpy as np
 from repro.linalg.ops import project_out_ones
 
 __all__ = ["preconditioned_richardson", "richardson_iterations",
-           "RichardsonResult"]
+           "RichardsonResult", "UPDATES"]
+
+#: The kernel's update rules: Algorithm 5 and certified PCG.
+UPDATES = ("richardson", "pcg")
 
 
 def richardson_iterations(delta: float, eps: float) -> int:
@@ -60,6 +83,8 @@ class RichardsonResult:
 
     x: np.ndarray
     iterations: int
+    #: Richardson's step ``2 / (e^{-δ} + e^{δ})`` (the ``"pcg"`` rule
+    #: computes its own per-column steps).
     alpha: float
     #: ``track_errors`` samples, one per iteration: a float for 1-D
     #: solves, a per-column ``(k,)`` array for blocked solves.
@@ -72,8 +97,9 @@ class RichardsonResult:
     #: them — see DESIGN.md §9).  ``None`` when no column broke.
     broken_columns: np.ndarray | None = None
     #: Global column indices that reached their a-priori budget without
-    #: passing the certificate (finite, but not proven ε-accurate; the
-    #: caller escalates them — DESIGN.md §15).  ``None`` when every
+    #: passing the certificate, or (``"pcg"``) passed it with a Ritz
+    #: spread that disproves δ — finite, but not proven ε-accurate; the
+    #: caller escalates them (DESIGN.md §15).  ``None`` when every
     #: column certified, or when ``freeze=False`` tested no certificate.
     uncertified_columns: np.ndarray | None = None
 
@@ -91,7 +117,9 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
                               freeze: bool = True,
                               ctx=None,
                               col_ids: np.ndarray | None = None,
-                              ship=None) -> RichardsonResult:
+                              ship=None,
+                              update: str = "richardson"
+                              ) -> RichardsonResult:
     """Solve ``A x = b`` given a δ-quality preconditioner ``B ≈_δ A⁺``.
 
     Parameters
@@ -106,7 +134,8 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
     delta:
         The preconditioner quality δ (Theorem 3.10 gives δ = 1 for the
         block Cholesky chain).  Both the budget and the certificate
-        assume it.
+        assume it (``"pcg"`` only its scale-free part,
+        ``κ(BA) ≤ e^{2δ}``).
     eps:
         Target relative accuracy in the ``A``-norm.  For blocked ``b``
         this may be a scalar (shared) or a length-``k`` array
@@ -115,7 +144,9 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         Project iterates onto ``1⊥`` (Laplacian kernel handling).
     iterations:
         Override the a-priori budget (benchmarks sweep this); caps
-        every column uniformly.
+        every column uniformly.  ``"pcg"`` gets the budget plus one
+        step either way: its first step rescales Richardson's
+        ``x^(0) = Bb``.
     track_errors:
         Optional callback evaluated on the full iterate every iteration
         and stored in ``error_history`` (used by benchmark E10 to
@@ -133,7 +164,9 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         ``rᵀBr`` and raises :class:`repro.errors.ConvergenceError` once
         it exceeds ``100·bᵀBb`` (the value at ``x = 0``), so callers
         can fall back (the solver falls back to PCG, which converges
-        for *any* SPD preconditioner).
+        for *any* SPD preconditioner).  Under ``"pcg"``, ``rᵀBr`` stays
+        below ``κ(BA)·bᵀBb``, so the guard fires only when
+        ``κ(BA) > 100``.
     freeze:
         Stop each column once its certificate holds.  ``False`` tests
         no certificate and runs every column to its full a-priori
@@ -162,7 +195,12 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         layout is one chunk) the call falls through to the
         closure-chunked ``ctx`` path.  ``ship`` implies ``apply_A`` /
         ``apply_B`` are the owning solver's operators.
+    update:
+        ``"richardson"`` (Algorithm 5) or ``"pcg"`` (certified
+        conjugate gradient; see the module docstring).
     """
+    if update not in UPDATES:
+        raise ValueError(f"update must be one of {UPDATES}, got {update!r}")
     b = np.asarray(b, dtype=np.float64)
     if b.ndim == 1:
         track = None if track_errors is None \
@@ -171,7 +209,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
             apply_A, apply_B, b[:, None], delta=delta, eps=eps,
             project=project, iterations=iterations, track_errors=track,
             divergence_guard=divergence_guard, freeze=freeze, ctx=ctx,
-            col_ids=col_ids, ship=ship)
+            col_ids=col_ids, ship=ship, update=update)
         res.x = res.x[:, 0]
         return res
     # Resolve the ambient fault plan / log here, in the calling thread:
@@ -196,7 +234,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
                 params={"delta": delta, "project": project,
                         "iterations": iterations,
                         "divergence_guard": divergence_guard,
-                        "freeze": freeze})
+                        "freeze": freeze, "update": update})
         if results is None and ctx is not None:
             from repro.pram.executor import run_column_chunks
 
@@ -206,7 +244,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
                     apply_A, apply_B, bc, delta=delta, eps=ec,
                     project=project, iterations=iterations,
                     divergence_guard=divergence_guard, freeze=freeze,
-                    col_ids=ids, plan=plan, flog=flog),
+                    update=update, col_ids=ids, plan=plan, flog=flog),
                 cols=(eps,), col_ids=col_ids)
         if results is not None:
             def merged(attr):
@@ -224,8 +262,11 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
     return _blocked_richardson(apply_A, apply_B, b, delta=delta, eps=eps,
                                project=project, iterations=iterations,
                                divergence_guard=divergence_guard,
-                               freeze=freeze, track_errors=track_errors,
+                               freeze=freeze, update=update,
+                               track_errors=track_errors,
                                col_ids=col_ids, plan=plan, flog=flog)
+
+
 
 
 def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
@@ -233,17 +274,20 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
                         iterations: int | None,
                         divergence_guard: bool,
                         freeze: bool = True,
+                        update: str = "richardson",
                         track_errors=None,
                         col_ids: np.ndarray | None = None,
                         plan=None, flog=None) -> RichardsonResult:
-    """Algorithm 5 on an ``(n, k)`` block with certified column stops.
+    """Algorithm 5 or certified PCG on an ``(n, k)`` block with
+    certified column stops.
 
-    Each iteration applies ``A``, then ``B``, then evaluates every
-    active column's certificate ``rᵀBr`` against
-    ``e^{-2δ} ε_j² bᵀBb``, then updates.  A certified column leaves the
-    block with the iterate the certificate was computed on; a column at
-    its budget leaves with the budget's iterate and is reported as
-    uncertified.
+    Each iteration applies ``A`` to the iterate and ``B`` to its
+    residual, evaluates every active column's certificate ``rᵀBr``
+    against ``e^{-2δ} ε_j² bᵀBb``, then updates.  A certified column
+    leaves the block with the iterate the certificate was computed on;
+    a column at its budget leaves with the budget's iterate and is
+    reported as uncertified.  Under ``"pcg"`` a certified column whose
+    Ritz spread exceeds ``e^{2δ}`` is reported as uncertified too.
 
     Breakdown containment: a column whose certificate goes non-finite
     is *quarantined* — frozen out of the active set immediately (its
@@ -256,6 +300,7 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
     are the fault plan and log resolved by the caller's thread.
     """
     from repro.errors import ConvergenceError
+    pcg = update == "pcg"
     n, k = b.shape
     ids = np.arange(k, dtype=np.int64) if col_ids is None \
         else np.asarray(col_ids, dtype=np.int64)
@@ -272,13 +317,31 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
         b = project_out_ones(b)
     alpha = 2.0 / (math.exp(-delta) + math.exp(delta))
 
-    X0 = apply_B(b)
-    if project:
-        X0 = project_out_ones(X0)
-    X = X0.copy()
-    bWb = np.einsum("ij,ij->j", b, X0)
-    certify_at = math.exp(-2.0 * delta) * eps_col ** 2 * bWb if freeze \
-        else np.full(k, -np.inf)
+    def threshold(bWb):
+        """Per-column certificate bound ``e^{-2δ} ε_j² bᵀBb`` (none
+        passes it under ``freeze=False``)."""
+        if not freeze:
+            return np.full(k, -np.inf)
+        return math.exp(-2.0 * delta) * eps_col ** 2 * bWb
+
+    if pcg:
+        # From x = 0 the first residual is b itself, so iteration 0's
+        # B r is B b and yields bᵀBb: no separate x^(0) apply.
+        caps = caps + 1
+        X = np.zeros((n, k))
+        X0 = bWb = certify_at = None
+        ritz_cap = math.exp(2.0 * delta)
+        #: Per-iteration step lengths and β's of every column, for the
+        #: Lanczos tridiagonal behind the Ritz check.
+        steps = np.zeros((int(caps.max(initial=1)), k))
+        betas = np.zeros_like(steps)
+    else:
+        X0 = apply_B(b)
+        if project:
+            X0 = project_out_ones(X0)
+        X = X0.copy()
+        bWb = np.einsum("ij,ij->j", b, X0)
+        certify_at = threshold(bWb)
 
     out = np.empty((n, k), dtype=np.float64)
     used = np.zeros(k, dtype=np.int64)
@@ -288,26 +351,38 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
         history.append(track_errors(X))
     b_act, X0_act, X_act = b, X0, X
     caps_act, bWb_act, certify_act = caps, bWb, certify_at
+    P_act = rz_act = None
     max_iters = int(caps.max(initial=1))
     for it in range(max_iters):
         if plan is not None:
             from repro.pram.faults import inject_nan_columns
 
-            inject_nan_columns(plan, X_act, ids[active], it,
-                               "richardson", flog)
+            inject_nan_columns(plan, X_act, ids[active], it, update, flog)
         AX = apply_A(X_act)
-        corr = apply_B(AX)
-        if project:
-            corr = project_out_ones(corr)
-        # B r = B(A x) − B b = corr − x^(0): the certificate for free.
-        rWr = np.einsum("ij,ij->j", AX - b_act, corr - X0_act)
+        if pcg:
+            # The certificate runs on the true residual, not on CG's
+            # recurrence; its B r is also the next search direction's.
+            R = b_act - AX
+            Z = apply_B(R)
+            if project:
+                Z = project_out_ones(Z)
+            rWr = np.einsum("ij,ij->j", R, Z)
+            if it == 0:
+                bWb_act = rWr
+                certify_act = threshold(rWr)
+        else:
+            corr = apply_B(AX)
+            if project:
+                corr = project_out_ones(corr)
+            # B r = B(A x) − B b = corr − x^(0): the certificate for free.
+            rWr = np.einsum("ij,ij->j", AX - b_act, corr - X0_act)
         nonfin = ~np.isfinite(rWr)
         if divergence_guard:
             bad = (bWb_act > 0) & ~nonfin & (rWr > 100.0 * bWb_act)
             if bad.any():
                 j = int(np.flatnonzero(bad)[0])
                 raise ConvergenceError(
-                    "preconditioned Richardson diverged on column "
+                    f"preconditioned {update} diverged on column "
                     f"{int(ids[active[j]])}: the preconditioner is worse "
                     f"than the assumed delta={delta} (rᵀBr {rWr[j]:.2e} "
                     f"vs bᵀBb {bWb_act[j]:.2e} at iteration {it})",
@@ -322,13 +397,32 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
                 flog.record(
                     "quarantine", kind="nan",
                     columns=tuple(int(c) for c in ids[active[nonfin]]),
-                    detail=f"stage=richardson iteration={it}")
+                    detail=f"stage={update} iteration={it}")
         certified = ~nonfin & (rWr <= certify_act)
+        if pcg and it and certified.any():
+            cols = active[certified]
+            falsified = _ritz_spread(steps[:it, cols],
+                                     betas[:it, cols]) > ritz_cap
+            uncertified[cols[falsified]] = True
         stop = nonfin | certified
         if stop.any():
             out[:, active[stop]] = X_act[:, stop]
             used[active[stop]] = it
-        X_act = X_act - alpha * corr + alpha * X0_act
+        if pcg:
+            beta = np.zeros_like(rWr)
+            if it:
+                np.divide(rWr, rz_act, out=beta, where=rz_act > 0)
+            P_act = Z if it == 0 else Z + beta * P_act
+            AP = apply_A(P_act)
+            pAp = np.einsum("ij,ij->j", P_act, AP)
+            step = np.zeros_like(rWr)
+            np.divide(rWr, pAp, out=step, where=pAp > 0)
+            X_act = X_act + step * P_act
+            rz_act = rWr
+            steps[it, active] = step
+            betas[it, active] = beta
+        else:
+            X_act = X_act - alpha * corr + alpha * X0_act
         at_cap = ~stop & (caps_act <= it + 1)
         if at_cap.any():
             out[:, active[at_cap]] = X_act[:, at_cap]
@@ -340,11 +434,15 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
             keep = ~done
             active = active[keep]
             b_act = b_act[:, keep]
-            X0_act = X0_act[:, keep]
             X_act = X_act[:, keep]
             caps_act = caps_act[keep]
             bWb_act = bWb_act[keep]
             certify_act = certify_act[keep]
+            if pcg:
+                P_act = P_act[:, keep]
+                rz_act = rz_act[keep]
+            else:
+                X0_act = X0_act[:, keep]
         if track_errors is not None and (active.size or at_cap.any()):
             # The full-width iterate x^(it+1) (finished columns at
             # their final values); a step on which every remaining
@@ -364,3 +462,35 @@ def _blocked_richardson(apply_A, apply_B, b: np.ndarray,
                             uncertified_columns=ids[
                                 np.flatnonzero(uncertified)]
                             if uncertified.any() else None)
+
+
+def _ritz_spread(steps: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Per-column ``θ_max / θ_min`` of the Lanczos tridiagonal that
+    ``t`` CG steps built (``steps``/``betas`` are ``(t, c)``; row ``j``
+    holds step ``j``'s length and the β that formed its direction).
+
+    The Ritz values lie inside the spectrum of the preconditioned
+    operator, so a spread above ``e^{2δ}`` disproves ``κ(BA) ≤
+    e^{2δ}`` — the certificate's exact condition.  A non-positive step
+    or β means the operators are not positive definite on ``1⊥``:
+    infinite spread.
+    """
+    t, c = steps.shape
+    spread = np.full(c, np.inf)
+    sound = (steps > 0).all(axis=0) & (betas >= 0).all(axis=0)
+    if not sound.any():
+        return spread
+    steps, betas = steps[:, sound], betas[:, sound]
+    diag = 1.0 / steps
+    diag[1:] += betas[1:] / steps[:-1]
+    off = np.sqrt(betas[1:]) / steps[:-1]
+    idx = np.arange(t)
+    T = np.zeros((steps.shape[1], t, t))
+    T[:, idx, idx] = diag.T
+    T[:, idx[:-1], idx[1:]] = off.T
+    T[:, idx[1:], idx[:-1]] = off.T
+    theta = np.linalg.eigvalsh(T)
+    lo = theta[:, 0]
+    spread[sound] = np.where(lo > 0, theta[:, -1] / np.where(lo > 0, lo, 1.0),
+                             np.inf)
+    return spread

@@ -6,7 +6,8 @@ Pipeline::
       └─ α-bounded splitting          Lemma 3.2 (naive) / 3.3 (leverage)
           └─ BlockCholesky            Algorithm 1 / Theorem 3.9
               └─ ApplyCholesky = W    Algorithm 2 / Theorem 3.10, W ≈₁ L⁺
-                  └─ PreconRichardson Algorithm 5 / Theorem 3.8
+                  └─ certified PCG    Theorem 3.8 budget / §15 certificate
+                     (PreconRichardson, Algorithm 5, with method="richardson")
                       └─ x̃ with ‖x̃ − L⁺b‖_L ≤ ε ‖L⁺b‖_L
 
 :class:`LaplacianSolver` separates the (randomised, one-off)
@@ -27,7 +28,7 @@ from repro.config import SolverOptions, default_options
 from repro.core.apply_cholesky import ApplyCholeskyOperator
 from repro.core.block_cholesky import block_cholesky
 from repro.core.boundedness import naive_split
-from repro.core.richardson import preconditioned_richardson
+from repro.core.richardson import UPDATES, preconditioned_richardson
 from repro.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -44,9 +45,15 @@ from repro.pram.faults import FaultLog, use_fault_log
 from repro.rng import as_generator
 
 __all__ = ["LaplacianSolver", "solve_laplacian", "SolveReport",
-           "BlockSolveReport", "check_solve_inputs"]
+           "BlockSolveReport", "check_solve_inputs", "METHODS",
+           "DEFAULT_METHOD"]
 
 Method = Literal["richardson", "pcg"]
+#: Outer loops of every solve: each is an update rule of the certified
+#: kernel in :mod:`repro.core.richardson` (DESIGN.md §15).
+METHODS: tuple[str, ...] = UPDATES
+#: The outer loop the solver, the service, HTTP and the CLI default to.
+DEFAULT_METHOD: Method = "pcg"
 
 
 def check_solve_inputs(B: np.ndarray, eps) -> None:
@@ -98,12 +105,12 @@ class BlockSolveReport:
     residual_2norms: np.ndarray
     chain_depth: int
     multiedges: int
-    #: Per-column solve path (``(k,)`` object array): ``"richardson"``
-    #: / ``"pcg"`` for columns served by the primary method or the
-    #: whole-block fallback, ``"pcg"`` / ``"dense"`` for columns that
-    #: were quarantined after a numerical breakdown (DESIGN.md §9) or
-    #: reached their Richardson budget uncertified (§15) and were
-    #: escalated individually.
+    #: Per-column solve path (``(k,)`` object array): the method
+    #: (``"pcg"`` / ``"richardson"``) for columns it certified,
+    #: ``"pcg"`` for columns of the whole-block fallback and for columns
+    #: escalated individually to the residual-stopped PCG after a
+    #: numerical breakdown (DESIGN.md §9) or an uncertified finish
+    #: (§15), ``"dense"`` where that broke down too.
     column_status: np.ndarray | None = None
     #: Structured :class:`repro.pram.faults.FaultLog` of every
     #: injection and recovery action during this solve (retries, pool
@@ -284,12 +291,12 @@ class LaplacianSolver:
         return apply_laplacian(self.graph, x)
 
     def solve(self, b: np.ndarray, eps: float = 1e-6,
-              method: Method = "richardson") -> np.ndarray:
+              method: Method = DEFAULT_METHOD) -> np.ndarray:
         """ε-approximate ``L⁺ b`` (in the L-norm, Theorems 1.1/1.2)."""
         return self.solve_report(b, eps=eps, method=method).x
 
     def solve_report(self, b: np.ndarray, eps: float = 1e-6,
-                     method: Method = "richardson") -> SolveReport:
+                     method: Method = DEFAULT_METHOD) -> SolveReport:
         """Like :meth:`solve` but with iteration diagnostics.
 
         A single-column view of :meth:`solve_many_report` (one code
@@ -309,7 +316,7 @@ class LaplacianSolver:
     # -- blocked multi-RHS solving ------------------------------------------
 
     def solve_many(self, B: np.ndarray, eps: float | np.ndarray = 1e-6,
-                   method: Method = "richardson") -> np.ndarray:
+                   method: Method = DEFAULT_METHOD) -> np.ndarray:
         """ε-approximate ``L⁺ B`` for ``k`` right-hand sides at once.
 
         The "factor once, solve many" path: one blocked outer iteration
@@ -321,12 +328,18 @@ class LaplacianSolver:
 
         ``B`` of shape ``(n,)`` is accepted and round-trips as ``(n,)``;
         ``(n, k)`` returns ``(n, k)`` with columns aligned to inputs.
+
+        ``method`` picks the outer loop (:data:`METHODS`): ``"pcg"``
+        (the default) or ``"richardson"`` (Algorithm 5).  Both run the
+        certified kernel of :mod:`repro.core.richardson` under Theorem
+        3.8's budget; columns it cannot certify escalate to the
+        residual-stopped PCG (DESIGN.md §15).
         """
         return self.solve_many_report(B, eps=eps, method=method).x
 
     def solve_many_report(self, B: np.ndarray,
                           eps: float | np.ndarray = 1e-6,
-                          method: Method = "richardson"
+                          method: Method = DEFAULT_METHOD
                           ) -> BlockSolveReport:
         """Like :meth:`solve_many` but with per-column diagnostics."""
         B = np.asarray(B, dtype=np.float64)
@@ -335,6 +348,9 @@ class LaplacianSolver:
                 f"B must have shape ({self.n},) or ({self.n}, k), "
                 f"got {B.shape}")
         check_solve_inputs(B, eps)
+        if method not in METHODS:
+            raise ReproError(f"unknown method {method!r}; expected one "
+                             f"of {METHODS}")
         # Every path below is blocked: a 1-D ``b`` runs as one column
         # and is squeezed back on return.
         squeeze = B.ndim == 1
@@ -350,81 +366,64 @@ class LaplacianSolver:
         eps_col = np.broadcast_to(np.asarray(eps, dtype=np.float64),
                                   (k,)).copy()
         B = project_out_ones(B)
-        per_col = None
         fault_log = FaultLog()
-        status = np.full(k, "pcg" if method == "pcg" else "richardson",
-                         dtype=object)
-        broken = None
-        # Shipped blocked solves (DESIGN.md §10): the whole-block paths
-        # ship; the per-column escalation CG stays in-process.  run()
-        # itself no-ops unless the knob + backend + chunking line up.
+        status = np.full(k, method, dtype=object)
+        # Shipped blocked solves (DESIGN.md §10): the certified kernel
+        # and the whole-block fallback ship; the per-column escalation
+        # CG stays in-process.  run() itself no-ops unless the knob +
+        # backend + chunking line up.
         ship = self.shipment
         with use_fault_log(fault_log):
-            if method == "richardson":
-                try:
-                    res = preconditioned_richardson(
-                        self.apply_L, self.preconditioner.apply, B,
-                        delta=self.options.richardson_delta, eps=eps_col,
-                        ctx=self.ctx, ship=ship)
-                    x, iters, per_col = res.x, res.iterations, \
-                        res.per_column_iterations
-                    broken = res.broken_columns
-                    escalate = []
-                    # Quarantined columns (non-finite iterates,
-                    # DESIGN.md §9) and columns that hit their budget
-                    # without certifying (§15) escalate individually
-                    # through PCG; the certified columns keep their
-                    # Richardson solutions.
-                    for cols, kind in ((broken, "nan"),
-                                       (res.uncertified_columns,
-                                        "uncertified")):
-                        if cols is not None and cols.size:
-                            fault_log.record(
-                                "escalate", kind=kind,
-                                columns=tuple(int(c) for c in cols),
-                                detail="richardson -> per-column pcg")
-                            escalate.append(cols)
-                    if escalate:
-                        esc = np.sort(np.concatenate(escalate))
-                        method = "richardson+pcg"
-                        status[esc] = "pcg"
-                        sub = conjugate_gradient(
-                            self.apply_L, B[:, esc],
-                            tol=eps_col[esc] / 10.0,
-                            preconditioner=self.preconditioner.apply,
-                            matvec_edges=self.graph.m, col_ids=esc)
-                        x[:, esc] = sub.x
-                        iters = max(iters, sub.iterations)
-                        per_col[esc] = sub.per_column_iterations
-                        broken = sub.broken_columns
-                except ConvergenceError:
-                    # The chain came out worse than δ = 1 (possible at
-                    # aggressively small splitting factors).  PCG
-                    # converges for any SPD preconditioner, just more
-                    # slowly, so fall back rather than return garbage.
-                    # CG's tolerance is a 2-norm residual; aim an order
-                    # of magnitude below the requested L-norm target.
-                    method = "richardson->pcg"
-                    status[:] = "pcg"
-                    res = conjugate_gradient(
-                        self.apply_L, B, tol=eps_col / 10.0,
-                        preconditioner=self.preconditioner.apply,
-                        matvec_edges=self.graph.m, ctx=self.ctx,
-                        ship=ship)
-                    x, iters, per_col = res.x, res.iterations, \
-                        res.per_column_iterations
-                    broken = res.broken_columns
-            elif method == "pcg":
-                res = conjugate_gradient(
-                    self.apply_L, B, tol=eps_col,
-                    preconditioner=self.preconditioner.apply,
-                    matvec_edges=self.graph.m, ctx=self.ctx,
-                    ship=ship)
+            try:
+                res = preconditioned_richardson(
+                    self.apply_L, self.preconditioner.apply, B,
+                    delta=self.options.richardson_delta, eps=eps_col,
+                    ctx=self.ctx, ship=ship, update=method)
                 x, iters, per_col = res.x, res.iterations, \
                     res.per_column_iterations
                 broken = res.broken_columns
-            else:
-                raise ReproError(f"unknown method {method!r}")
+                escalate = []
+                # Quarantined columns (non-finite iterates, DESIGN.md
+                # §9) and columns the certificate did not cover (§15)
+                # escalate individually through the residual-stopped
+                # PCG; the certified columns keep their solutions.
+                for cols, kind in ((broken, "nan"),
+                                   (res.uncertified_columns,
+                                    "uncertified")):
+                    if cols is not None and cols.size:
+                        fault_log.record(
+                            "escalate", kind=kind,
+                            columns=tuple(int(c) for c in cols),
+                            detail=f"{method} -> per-column pcg")
+                        escalate.append(cols)
+                if escalate:
+                    esc = np.sort(np.concatenate(escalate))
+                    method += "+pcg"
+                    status[esc] = "pcg"
+                    sub = conjugate_gradient(
+                        self.apply_L, B[:, esc], tol=eps_col[esc] / 10.0,
+                        preconditioner=self.preconditioner.apply,
+                        matvec_edges=self.graph.m, col_ids=esc)
+                    x[:, esc] = sub.x
+                    iters = max(iters, sub.iterations)
+                    per_col[esc] = sub.per_column_iterations
+                    broken = sub.broken_columns
+            except ConvergenceError:
+                # The chain came out far worse than δ = 1 (possible at
+                # aggressively small splitting factors).  Residual-
+                # stopped PCG converges for any SPD preconditioner,
+                # just more slowly, so fall back rather than return
+                # garbage.  CG's tolerance is a 2-norm residual; aim an
+                # order of magnitude below the requested L-norm target.
+                method += "->pcg"
+                status[:] = "pcg"
+                res = conjugate_gradient(
+                    self.apply_L, B, tol=eps_col / 10.0,
+                    preconditioner=self.preconditioner.apply,
+                    matvec_edges=self.graph.m, ctx=self.ctx, ship=ship)
+                x, iters, per_col = res.x, res.iterations, \
+                    res.per_column_iterations
+                broken = res.broken_columns
             # Last line of containment: any column that is still
             # non-finite (PCG escalation broke down too, or an
             # unpreconditioned path went bad) gets an exact dense
@@ -462,7 +461,7 @@ class LaplacianSolver:
 
 def solve_laplacian(L_or_graph, b: np.ndarray, eps: float = 1e-6,
                     options: SolverOptions | None = None,
-                    seed=None, method: Method = "richardson"
+                    seed=None, method: Method = DEFAULT_METHOD
                     ) -> np.ndarray:
     """One-shot convenience wrapper.
 

@@ -1,13 +1,19 @@
 """Conjugate gradient with optional preconditioning.
 
-Used in three roles:
+Stops on the 2-norm residual.  Used in three roles:
 
 * unpreconditioned CG — the classic iterative baseline (benchmark E12);
 * PCG with the KS16 approximate Cholesky — the sequential
   state-of-practice the paper's introduction positions itself against;
-* PCG with *our* ``ApplyCholesky`` operator — an alternative outer loop
-  to preconditioned Richardson (same preconditioner, often fewer
-  iterations in practice; offered as an extension).
+* PCG with *our* ``ApplyCholesky`` operator as the solver's escalation
+  and fallback — for columns the certified kernel could not certify or
+  quarantined, and for whole blocks on which δ is disproven (DESIGN.md
+  §9, §15).
+
+The solver's default outer loop is a different PCG: the certified
+kernel in :mod:`repro.core.richardson` (``update="pcg"``), which stops
+each column on the chain's own L-norm error certificate under the
+Theorem 3.8 budget.
 
 For singular Laplacian systems, CG is run on the image of ``L``: the
 right-hand side is projected onto ``1⊥`` and iterates are re-centred,

@@ -29,7 +29,8 @@ exercised), ``backend=serial|thread|process`` (only fire under that
 backend), ``phase=walk|columns|solve|serve|transport`` (only fire in
 that dispatch scope), ``seconds=F`` (hang/delay duration, default 30),
 ``col=N`` (required for nan), ``iter=N`` (default 0),
-``stage=richardson|cg|chebyshev|solve|serve|transport``.  For
+``stage=richardson|pcg|cg|chebyshev|solve|serve|transport`` (``pcg`` is
+the solver's certified PCG, ``cg`` the residual-stopped one).  For
 kill/hang directives ``stage=`` is an alias for ``phase=``
 (``stage=solve`` pins a kill to the shipped-solve dispatches); for nan
 directives ``stage=solve`` matches every blocked solve kernel, where a
@@ -239,7 +240,8 @@ PHASES = ("walk", "columns", "solve", "serve", "transport")
 
 #: Stages a ``stage=`` selector can name: the blocked kernels plus the
 #: scopes ``stage=`` aliases for kill/hang.
-STAGES = ("richardson", "cg", "chebyshev", "solve", "serve", "transport")
+STAGES = ("richardson", "pcg", "cg", "chebyshev", "solve", "serve",
+          "transport")
 
 
 def _selector_values(key: str) -> tuple[str, ...]:
@@ -632,7 +634,7 @@ def inject_nan_columns(plan: FaultPlan, block: np.ndarray,
         if d.iteration != iteration:
             continue
         # ``stage=solve`` is a wildcard over the blocked solve kernels
-        # (richardson/cg/chebyshev) — the coordinate shipped-solve
+        # (richardson/pcg/cg/chebyshev) — the coordinate shipped-solve
         # fault tests are written in.
         if d.stage is not None and d.stage != stage \
                 and d.stage != "solve":

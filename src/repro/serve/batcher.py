@@ -87,14 +87,16 @@ class ServeResult:
     #: The solution column (owned copy, ``(n,)``).
     x: np.ndarray
     #: This request's ``BlockSolveReport.column_status`` entry —
-    #: ``richardson``/``pcg``/``dense`` (DESIGN.md §9 ladder).
+    #: the method's name, ``pcg`` (escalated) or ``dense`` (DESIGN.md §9
+    #: ladder).
     status: str
     #: Iterations this column took (batch total when the solver did not
     #: report per-column counts).
     iterations: int
     #: 2-norm of ``L x - b`` for this column.
     residual_2norm: float
-    #: The batch-level method string (e.g. ``richardson+pcg``).
+    #: The batch-level method string (e.g. ``pcg``, or ``pcg+pcg`` when a
+    #: column escalated).
     method: str
     #: How many requests shared the batch.
     batched_k: int

@@ -33,6 +33,7 @@ import json
 
 import numpy as np
 
+from repro.core.solver import DEFAULT_METHOD, METHODS
 from repro.errors import ReproError, ServiceError, ServiceOverloadedError
 from repro.pram.executor import _env_cached
 
@@ -242,8 +243,8 @@ async def _post_solve(service, obj: dict) -> tuple[int, dict]:
         eps = float(obj.get("eps", 1e-6))
     except (TypeError, ValueError):
         raise _HttpError(400, "'eps' must be a number")
-    method = obj.get("method", "richardson")
-    if method not in ("richardson", "pcg"):
+    method = obj.get("method", DEFAULT_METHOD)
+    if method not in METHODS:
         raise _HttpError(400, f"unknown method {method!r}")
     try:
         result = await service._submit(key, b, eps, method, plan=None)

@@ -34,7 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SolverOptions, default_options, reset_env_caches
-from repro.core.solver import LaplacianSolver, check_solve_inputs
+from repro.core.solver import (
+    DEFAULT_METHOD,
+    LaplacianSolver,
+    check_solve_inputs,
+)
 from repro.errors import (
     DimensionMismatchError,
     ServiceError,
@@ -423,7 +427,7 @@ class SolverService:
     # -- request path --------------------------------------------------------
 
     def submit(self, key: str, b: np.ndarray, eps: float = 1e-6,
-               method: str = "richardson") -> "Future[ServeResult]":
+               method: str = DEFAULT_METHOD) -> "Future[ServeResult]":
         """Queue one single-RHS request; thread-safe.
 
         Returns a ``concurrent.futures.Future`` resolving to this
@@ -441,7 +445,7 @@ class SolverService:
             self._submit(key, b, float(eps), method, plan), self._loop)
 
     def solve(self, key: str, b: np.ndarray, eps: float = 1e-6,
-              method: str = "richardson",
+              method: str = DEFAULT_METHOD,
               timeout: float | None = 120.0) -> ServeResult:
         """Blocking convenience wrapper over :meth:`submit`."""
         return self.submit(key, b, eps=eps, method=method).result(

@@ -1,18 +1,24 @@
-"""Certified stopping for preconditioned Richardson (DESIGN.md §15).
+"""Certified stopping for preconditioned Richardson and PCG (DESIGN.md §15).
 
-A column stops once ``rᵀWr ≤ e^{-2δ} ε² bᵀWb``; under ``W ≈_δ L⁺``
-that proves ``‖x − L⁺b‖_L ≤ ε ‖L⁺b‖_L``.  Columns that reach their
-a-priori budget uncertified are escalated by the solver.
+A column stops once ``rᵀWr ≤ e^{-2δ} ε² bᵀWb``; when ``κ(WL) ≤
+e^{2δ}`` (implied by ``W ≈_δ L⁺``) that proves ``‖x − L⁺b‖_L ≤ ε
+‖L⁺b‖_L``.  Columns that reach their a-priori budget uncertified, or
+whose PCG Ritz values disprove the condition, are escalated by the
+solver.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro import LaplacianSolver, practical_options
 from repro.core.richardson import (
+    _ritz_spread,
     preconditioned_richardson,
     richardson_iterations,
 )
+from repro.core.solver import DEFAULT_METHOD, METHODS
 from repro.errors import ConvergenceError
 from repro.graphs import generators as G
 from repro.graphs.laplacian import apply_laplacian, laplacian
@@ -31,6 +37,24 @@ FAMILIES = {
 }
 
 
+def _both_methods(cases, default):
+    """Parametrize ``cases`` (tuples) over both methods; ``default``'s
+    cases keep their bare ids, the other method's are prefixed."""
+    return [pytest.param(*case, method,
+                         id="-".join(([] if method == default
+                                      else [method]) + [str(c) for c
+                                                        in case]))
+            for method in METHODS for case in cases]
+
+
+def _kappa(L, apply_W):
+    """``κ(WL)`` on ``1⊥`` from dense operators."""
+    W = apply_W(np.eye(L.shape[0]))
+    lam = np.sort(np.linalg.eigvals(W @ L).real)
+    lam = lam[lam > 1e-9 * lam[-1]]
+    return lam[-1] / lam[0]
+
+
 def _lnorm_errors(L, X, Xstar):
     E = X - Xstar
     return np.sqrt(np.einsum("ij,ij->j", E, L @ E)
@@ -38,8 +62,10 @@ def _lnorm_errors(L, X, Xstar):
 
 
 class TestSoundness:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_certified_columns_meet_eps(self, family):
+    @pytest.mark.parametrize(
+        "family,method",
+        _both_methods([(f,) for f in sorted(FAMILIES)], "richardson"))
+    def test_certified_columns_meet_eps(self, family, method):
         g = FAMILIES[family]()
         L = laplacian(g).toarray()
         P = dense_laplacian_pinv(L)
@@ -54,7 +80,8 @@ class TestSoundness:
                 try:
                     res = preconditioned_richardson(
                         solver.apply_L, solver.preconditioner.apply, B,
-                        delta=solver.options.richardson_delta, eps=eps)
+                        delta=solver.options.richardson_delta, eps=eps,
+                        update=method)
                 except ConvergenceError:
                     # A chain worse than δ diverges: nothing certified
                     # (the solver falls back to PCG for the block).
@@ -63,6 +90,13 @@ class TestSoundness:
                 if res.uncertified_columns is not None:
                     certified[res.uncertified_columns] = False
                 assert res.broken_columns is None
+                if method == "pcg" and res.uncertified_columns is not None:
+                    # PCG certifies within budget whenever the chain
+                    # allows it: the Ritz check only fires on a chain
+                    # whose κ(WL) really exceeds e^{2δ}.
+                    assert _kappa(L, solver.preconditioner.apply) > \
+                        math.exp(2.0 * solver.options.richardson_delta), \
+                        (seed, eps)
                 errs = _lnorm_errors(L, res.x, Xstar)
                 assert np.all(errs[certified] <= eps), (seed, eps, errs)
                 certified_any |= bool(certified.any())
@@ -102,10 +136,21 @@ class TestOnePath:
 
     def test_solve_stops_before_the_budget(self, solver):
         b = np.random.default_rng(4).standard_normal(solver.n)
-        rep = solver.solve_report(b, eps=1e-6)
-        assert rep.method == "richardson"
-        assert rep.iterations < richardson_iterations(
-            solver.options.richardson_delta, 1e-6)
+        for method in METHODS:
+            rep = solver.solve_report(b, eps=1e-6, method=method)
+            assert rep.method == method
+            assert rep.iterations < richardson_iterations(
+                solver.options.richardson_delta, 1e-6)
+
+    def test_pcg_beats_richardson_per_column(self, solver):
+        # PCG's iterate t + 1 is L-optimal over a Krylov space holding
+        # Richardson's iterate t; on a δ = 1 chain it certifies sooner.
+        B = np.random.default_rng(9).standard_normal((solver.n, 4))
+        rich = solver.solve_many_report(B, eps=1e-6, method="richardson")
+        pcg = solver.solve_many_report(B, eps=1e-6, method="pcg")
+        assert pcg.method == "pcg" and rich.method == "richardson"
+        assert np.all(pcg.per_column_iterations
+                      < rich.per_column_iterations)
 
     def test_scalar_track_errors_for_1d(self, solver):
         b = np.random.default_rng(5).standard_normal(solver.n)
@@ -137,6 +182,23 @@ class TestOnePath:
         assert res.broken_columns is None
         assert list(res.per_column_iterations) == [2, 2, 2]
 
+    def test_pcg_budget_is_one_step_longer(self, solver):
+        # PCG's first step only rescales Richardson's x^(0) = W b, so
+        # its cap is the budget plus one (same count of W applies).
+        B = np.random.default_rng(7).standard_normal((solver.n, 3))
+        res = preconditioned_richardson(
+            solver.apply_L, solver.preconditioner.apply, B, eps=1e-9,
+            iterations=2, col_ids=np.array([5, 6, 7]), update="pcg")
+        assert list(res.uncertified_columns) == [5, 6, 7]
+        assert res.broken_columns is None
+        assert list(res.per_column_iterations) == [3, 3, 3]
+
+    def test_unknown_update_rule(self, solver):
+        with pytest.raises(ValueError):
+            preconditioned_richardson(
+                solver.apply_L, solver.preconditioner.apply,
+                np.zeros(solver.n), update="chebyshev")
+
 
 class TestWeakChainEscalation:
     """A chain worse than δ = 1 must not return answers outside ε."""
@@ -147,18 +209,20 @@ class TestWeakChainEscalation:
                                   log_uniform=True)
         return g, LaplacianSolver(g, options=practical_options(0), seed=0)
 
-    @pytest.mark.parametrize("k,eps", [(8, 0.1), (4, 0.01)])
-    def test_every_column_meets_eps(self, weak, k, eps):
+    @pytest.mark.parametrize("k,eps,method",
+                             _both_methods([(8, 0.1), (4, 0.01)],
+                                           DEFAULT_METHOD))
+    def test_every_column_meets_eps(self, weak, k, eps, method):
         g, solver = weak
         L = laplacian(g)
         B = np.random.default_rng(1).standard_normal((g.n, k))
         B -= B.mean(axis=0)
-        rep = solver.solve_many_report(B, eps=eps)
+        rep = solver.solve_many_report(B, eps=eps, method=method)
         for j in range(k):
             err = relative_lnorm_error(L, rep.x[:, j],
                                        exact_solution(g, B[:, j]))
             assert err <= eps, (j, err)
-        one = solver.solve_report(B[:, 0], eps=eps)
+        one = solver.solve_report(B[:, 0], eps=eps, method=method)
         assert relative_lnorm_error(
             L, one.x, exact_solution(g, B[:, 0])) <= eps
 
@@ -175,7 +239,7 @@ class TestUncertifiedEscalation:
                             lambda X: 0.2 * apply(X))
         B = np.random.default_rng(8).standard_normal((g.n, 3))
         B -= B.mean(axis=0)
-        rep = solver.solve_many_report(B, eps=1e-3)
+        rep = solver.solve_many_report(B, eps=1e-3, method="richardson")
         assert rep.method == "richardson+pcg"
         assert list(rep.column_status) == ["pcg"] * 3
         events = [e for e in rep.fault_log.events
@@ -186,3 +250,89 @@ class TestUncertifiedEscalation:
         for j in range(3):
             assert relative_lnorm_error(
                 L, rep.x[:, j], exact_solution(g, B[:, j])) <= 1e-3
+
+    @pytest.mark.parametrize("scale", [0.2, 25.0])
+    def test_scaled_chain_certifies_under_pcg(self, monkeypatch, scale):
+        # The certificate and PCG are both blind to the scale of W:
+        # the 0.2× chain that Richardson cannot certify, and the 25×
+        # chain that makes it diverge, certify under PCG as is.
+        g = G.grid2d(16, 16)
+        solver = LaplacianSolver(g, options=practical_options(), seed=0)
+        B = np.random.default_rng(8).standard_normal((g.n, 3))
+        B -= B.mean(axis=0)
+        plain = solver.solve_many_report(B, eps=1e-3, method="pcg")
+        apply = solver.preconditioner.apply
+        monkeypatch.setattr(solver.preconditioner, "apply",
+                            lambda X: scale * apply(X))
+        rep = solver.solve_many_report(B, eps=1e-3, method="pcg")
+        assert rep.method == "pcg"
+        assert list(rep.column_status) == ["pcg"] * 3
+        assert len(rep.fault_log) == 0
+        np.testing.assert_array_equal(rep.per_column_iterations,
+                                      plain.per_column_iterations)
+        L = laplacian(g)
+        for j in range(3):
+            assert relative_lnorm_error(
+                L, rep.x[:, j], exact_solution(g, B[:, j])) <= 1e-3
+
+
+class TestRitzFalsifier:
+    """PCG converges on a chain worse than δ, so divergence no longer
+    exposes it; the Ritz spread of each column's CG must."""
+
+    def test_spread_of_a_full_run_is_the_condition_number(self):
+        # n steps of CG on an n×n SPD system: the Lanczos tridiagonal
+        # is similar to the matrix, so its spread is exactly κ.
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        lam = np.array([1.0, 1.5, 2.0, 3.0, 5.0, 9.0])
+        A = (Q * lam) @ Q.T
+        r = rng.standard_normal(6)
+        p, rz = r.copy(), r @ r
+        steps, betas = [], [0.0]
+        for _ in range(6):
+            Ap = A @ p
+            step = rz / (p @ Ap)
+            r = r - step * Ap
+            steps.append(step)
+            betas.append((r @ r) / rz)
+            rz = r @ r
+            p = r + betas[-1] * p
+        spread = _ritz_spread(np.array(steps)[:, None],
+                              np.array(betas[:6])[:, None])
+        np.testing.assert_allclose(spread, [9.0], rtol=1e-8)
+        # Non-positive steps mean the operator is not SPD.
+        assert _ritz_spread(np.array([[1.0], [-1.0]]),
+                            np.array([[0.0], [0.5]]))[0] == np.inf
+
+    def test_weak_outlier_escalates_and_meets_eps(self):
+        # W' = W + c·vvᵀ (v ⟂ 1) certifies nothing sound: κ(W'L) > e²,
+        # so the certificate alone could pass too early.  The Ritz
+        # values expose the outlier and every column escalates.
+        g = G.grid2d(12, 12)
+        solver = LaplacianSolver(g, options=practical_options(0), seed=0)
+        n = g.n
+        W = solver.preconditioner.apply(np.eye(n))
+        v = np.random.default_rng(5).standard_normal(n)
+        v -= v.mean()
+        v /= np.linalg.norm(v)
+        c = 0.1 * np.linalg.norm(W, 2)
+        Wp = W + c * np.outer(v, v)
+        L = laplacian(g).toarray()
+        spec = np.linalg.eigvals(Wp @ L).real
+        spec = np.sort(spec[spec > 1e-9])
+        assert spec[-1] / spec[0] > math.exp(2.0)
+        solver.preconditioner.apply = lambda X: Wp @ X
+        B = np.random.default_rng(6).standard_normal((n, 3))
+        B -= B.mean(axis=0)
+        eps = 1e-4
+        rep = solver.solve_many_report(B, eps=eps, method="pcg")
+        assert rep.method == "pcg+pcg"
+        events = [e for e in rep.fault_log.events
+                  if e.action == "escalate"]
+        assert [(e.kind, e.columns) for e in events] == \
+            [("uncertified", (0, 1, 2))]
+        for j in range(3):
+            assert relative_lnorm_error(
+                laplacian(g), rep.x[:, j],
+                exact_solution(g, B[:, j])) <= eps

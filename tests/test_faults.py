@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_options, practical_options
-from repro.core.solver import LaplacianSolver
+from repro.core.solver import DEFAULT_METHOD, LaplacianSolver
 from repro.errors import (
     ConvergenceError,
     ExecutionError,
@@ -558,15 +558,16 @@ class TestNumericalContainment:
     def test_clean_report_surface(self):
         solver, B = self._solver()
         rep = solver.solve_many_report(B, eps=1e-8)
-        assert list(rep.column_status) == ["richardson"] * 6
+        assert list(rep.column_status) == [DEFAULT_METHOD] * 6
         assert len(rep.fault_log) == 0
         assert len(solver.build_fault_log) == 0
 
     def test_richardson_breakdown_escalates_to_pcg(self):
         solver, B = self._solver()
-        clean = solver.solve_many_report(B, eps=1e-8)
+        clean = solver.solve_many_report(B, eps=1e-8, method="richardson")
         with use_faults("nan:col=3:stage=richardson"):
-            rep = solver.solve_many_report(B, eps=1e-8)
+            rep = solver.solve_many_report(B, eps=1e-8,
+                                           method="richardson")
         assert rep.method == "richardson+pcg"
         assert list(rep.column_status) == \
             ["richardson"] * 3 + ["pcg"] + ["richardson"] * 2
@@ -579,6 +580,24 @@ class TestNumericalContainment:
         assert np.isfinite(rep.x).all()
         assert rep.residual_2norms[3] <= 1e-6
 
+    def test_pcg_breakdown_escalates(self):
+        # The default method's analogue: the certified PCG kernel
+        # quarantines column 3 and the residual-stopped PCG re-solves it.
+        solver, B = self._solver()
+        clean = solver.solve_many_report(B, eps=1e-8, method="pcg")
+        with use_faults("nan:col=3:stage=pcg"):
+            rep = solver.solve_many_report(B, eps=1e-8, method="pcg")
+        assert rep.method == "pcg+pcg"
+        assert list(rep.column_status) == ["pcg"] * 6
+        assert rep.fault_log.summary()["quarantine"] == 1
+        events = [e for e in rep.fault_log.events
+                  if e.action == "escalate"]
+        assert [(e.kind, e.columns) for e in events] == [("nan", (3,))]
+        keep = [0, 1, 2, 4, 5]
+        np.testing.assert_array_equal(rep.x[:, keep], clean.x[:, keep])
+        assert np.isfinite(rep.x).all()
+        assert rep.residual_2norms[3] <= 1e-6
+
     def test_double_breakdown_escalates_to_dense(self):
         solver, B = self._solver()
         clean = solver.solve_many_report(B, eps=1e-8)
@@ -586,7 +605,7 @@ class TestNumericalContainment:
         # escalation too, forcing the dense pseudo-inverse last line.
         with use_faults("nan:col=3"):
             rep = solver.solve_many_report(B, eps=1e-8)
-        assert rep.method == "richardson+pcg+dense"
+        assert rep.method == f"{DEFAULT_METHOD}+pcg+dense"
         assert rep.column_status[3] == "dense"
         assert np.isfinite(rep.x).all()
         assert rep.residual_2norms[3] <= 1e-8
@@ -656,7 +675,8 @@ class TestNumericalContainment:
         # global col_ids must reach the blocked kernels for the
         # directive to find its target.
         solver, B = self._solver()
-        with use_faults("nan:col=5:stage=richardson"):
+        with use_faults(f"nan:col=5:stage={DEFAULT_METHOD}"):
             rep = solver.solve_many_report(B, eps=1e-8)
         assert rep.column_status[5] == "pcg"
+        assert rep.fault_log.summary()["quarantine"] == 1
         assert np.isfinite(rep.x).all()

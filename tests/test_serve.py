@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_options, practical_options, reset_env_caches
-from repro.core.solver import LaplacianSolver
+from repro.core.solver import DEFAULT_METHOD, LaplacianSolver
 from repro.errors import DimensionMismatchError, InvalidInputError, \
     ServiceError, ServiceOverloadedError
 from repro.graphs import generators as G
@@ -494,7 +494,7 @@ class TestServeFaults:
             futures = [svc.submit(key, B[:, i]) for i in range(6)]
             clean = [f.result(timeout=60) for f in futures]
             assert all(r.batched_k == 6 for r in clean)
-            assert all(r.status == "richardson" for r in clean)
+            assert all(r.status == DEFAULT_METHOD for r in clean)
             with use_faults("nan:col=3:stage=serve"):
                 futures = [svc.submit(key, B[:, i]) for i in range(6)]
             faulted = [f.result(timeout=60) for f in futures]
@@ -506,7 +506,7 @@ class TestServeFaults:
         assert np.isfinite(faulted[3].x).all()
         assert faulted[3].residual_2norm < 1e-6
         for i in (0, 1, 2, 4, 5):
-            assert faulted[i].status == "richardson"
+            assert faulted[i].status == DEFAULT_METHOD
             np.testing.assert_array_equal(faulted[i].x, clean[i].x)
         assert summary.get("quarantine", 0) >= 1
         assert summary.get("escalate", 0) >= 1
@@ -527,7 +527,7 @@ class TestServeFaults:
                 futures[1].result(timeout=60)
             for f in (futures[0], futures[2]):
                 r = f.result(timeout=60)
-                assert r.status == "richardson" and r.batched_k == 2
+                assert r.status == DEFAULT_METHOD and r.batched_k == 2
                 assert np.isfinite(r.x).all()
             with pytest.raises(InvalidInputError):
                 svc.solve(key, B[:, 0], eps=2.0)
@@ -661,7 +661,7 @@ class TestServeHTTP:
             code, sol = self._request(
                 base, "/solve", method="POST",
                 payload={"key": key, "source": 0, "sink": -1})
-            assert code == 200 and sol["status"] == "richardson"
+            assert code == 200 and sol["status"] == DEFAULT_METHOD
             # JSON floats round-trip exactly (repr-based), so the HTTP
             # answer is bit-identical to the direct blocked solve.
             b = np.zeros(g.n)
@@ -692,7 +692,7 @@ class TestServeHTTP:
             # The service is still healthy afterwards.
             code, sol = self._request(base, "/solve", method="POST",
                                       payload={"key": key, "b": b})
-            assert code == 200 and sol["status"] == "richardson"
+            assert code == 200 and sol["status"] == DEFAULT_METHOD
 
     def test_concurrent_http_requests_share_a_batch(self):
         g = G.grid2d(6, 6)

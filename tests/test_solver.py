@@ -11,6 +11,7 @@ from repro import (
     theorem_1_1_options,
     theorem_1_2_options,
 )
+from repro.core.solver import DEFAULT_METHOD
 from repro.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -93,7 +94,7 @@ class TestSolveVariants:
         b = np.zeros(g.n)
         b[0], b[-1] = 1, -1
         rep = solver.solve_report(b, eps=1e-4)
-        assert rep.method == "richardson"
+        assert rep.method == DEFAULT_METHOD
         assert rep.target_eps == 1e-4
         assert rep.iterations >= 1
         assert rep.chain_depth == solver.chain.d
