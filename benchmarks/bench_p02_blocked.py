@@ -18,11 +18,17 @@ Reported:
 * wall-clock seconds per mode (best of ``--repeats``) and speedup,
 * max relative deviation between blocked and looped ``τ̂``,
 * chain graph bytes retained + allocation peak for
-  ``keep_graphs=True`` vs ``False``.
+  ``keep_graphs=True`` vs ``False``,
+* the preconditioner apply ``W`` per block width k ∈ {1, 2, 4, 8, 16,
+  64} under both of its kernels — SuperLU solves and the level-by-level
+  wavefronts — on ``grid2d(32, 32)`` (and ``grid2d(100, 100)`` in the
+  full run), with the first width where the wavefronts win.  This is
+  the measurement ``K_WAVE`` rests on.
 
 Acceptance targets (ISSUE 2): ≥ 3× JL-phase speedup at n≈2000 with
 agreement ≤ ``AGREE_RTOL``.  The smoke run gates only the
-deterministic checks (agreement, streaming-mode memory); single-repeat
+deterministic checks (agreement, streaming-mode memory, bitwise
+agreement of the two ``W`` kernels at every width); single-repeat
 wall-clock on a shared CI runner is reported but not enforced.
 Results land in ``BENCH_blocked.json`` at the repo root.
 
@@ -46,9 +52,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import practical_options
+from repro.core.apply_cholesky import K_WAVE
 from repro.core.block_cholesky import block_cholesky
 from repro.core.boundedness import naive_split
 from repro.core.lev_est import leverage_overestimates
+from repro.core.solver import LaplacianSolver
 from repro.graphs import generators as G
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +64,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FULL_SPEEDUP = 3.0
 SMOKE_SPEEDUP = 1.3          # informational in smoke mode
 AGREE_RTOL = 0.1             # blocked vs looped tau_hat agreement
+W_APPLY_WIDTHS = (1, 2, 4, 8, 16, 64)
 
 
 def make_workload(n_target: int):
@@ -105,6 +114,40 @@ def measure_keep_graphs(g, opts, seed):
     return out
 
 
+def measure_w_apply(side: int, seed: int, repeats: int) -> dict:
+    """Both kernels of ``W`` at every width on ``grid2d(side, side)``:
+    best-of-``repeats`` milliseconds per kernel, and whether the two
+    results agree bitwise."""
+    solver = LaplacianSolver(G.grid2d(side, side), seed=seed)
+    W = solver.preconditioner
+    N = W.chain.A.shape[0]
+    rng = np.random.default_rng(seed)
+    widths, agree = {}, True
+    for k in W_APPLY_WIDTHS:
+        r = np.zeros((N, k))
+        r[W.chain.u_slot] = rng.standard_normal((W.n, k))
+        out, ms = {}, {}
+        for name, kernel in (("superlu", W._superlu),
+                             ("wavefront", W._wavefronts)):
+            ms[name] = math.inf
+            for _ in range(repeats):
+                buf = r.copy()      # the wavefronts work in place
+                t0 = time.perf_counter()
+                out[name] = kernel(buf)
+                ms[name] = min(ms[name],
+                               1e3 * (time.perf_counter() - t0))
+        agree &= bool(np.array_equal(out["superlu"], out["wavefront"]))
+        widths[str(k)] = {"superlu_ms": ms["superlu"],
+                          "wavefront_ms": ms["wavefront"]}
+    solver.close()
+    wins = [k for k, w in zip(W_APPLY_WIDTHS, widths.values())
+            if w["wavefront_ms"] < w["superlu_ms"]]
+    return {"n": W.n, "levels": W.chain.d, "slots": N,
+            "repeats": repeats, "widths": widths,
+            "first_wavefront_win_k": wins[0] if wins else None,
+            "bitwise_agree": agree}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=2000,
@@ -144,11 +187,16 @@ def main(argv=None) -> int:
     mem = measure_keep_graphs(g, opts, args.seed)
     streamed_ok = (mem["streaming"]["retained_graph_bytes"] == 0
                    and mem["keep_graphs"]["retained_graph_bytes"] > 0)
+    w_apply = {f"grid{side}": measure_w_apply(side, args.seed,
+                                              3 if args.smoke else 20)
+               for side in ((32,) if args.smoke else (32, 100))}
+    kernels_agree = all(v["bitwise_agree"] for v in w_apply.values())
 
-    # Smoke (CI) gates only the deterministic checks: tau agreement and
-    # the streaming-mode memory drop.  The full run also enforces the
-    # >= 3x JL-phase speedup target.
-    ok = agree <= AGREE_RTOL and streamed_ok \
+    # Smoke (CI) gates only the deterministic checks: tau agreement,
+    # the streaming-mode memory drop and the W kernels' bitwise
+    # agreement.  The full run also enforces the >= 3x JL-phase speedup
+    # target.
+    ok = agree <= AGREE_RTOL and streamed_ok and kernels_agree \
         and (args.smoke or speedup >= speed_target)
 
     result = {
@@ -161,6 +209,7 @@ def main(argv=None) -> int:
         "speedup": speedup,
         "tau_max_rel_deviation": agree,
         "keep_graphs_memory": mem,
+        "w_apply": {"k_wave": K_WAVE, **w_apply},
         "targets": {"speedup": speed_target, "agree_rtol": AGREE_RTOL},
         "pass": ok,
         "platform": {"python": platform.python_version(),
@@ -179,6 +228,15 @@ def main(argv=None) -> int:
           f"peak {kg['tracemalloc_peak_bytes'] / 1e6:.2f} MB")
     print(f"keep_graphs=False: retained {st['retained_graph_bytes'] / 1e6:.2f} MB  "
           f"peak {st['tracemalloc_peak_bytes'] / 1e6:.2f} MB")
+    for name, v in w_apply.items():
+        row = "  ".join(
+            f"k={k}: {w['superlu_ms']:.2f}/{w['wavefront_ms']:.2f}"
+            for k, w in v["widths"].items())
+        print(f"W apply {name} (d={v['levels']}) SuperLU/wavefront ms: "
+              f"{row}")
+        print(f"  first wavefront win at k={v['first_wavefront_win_k']} "
+              f"(K_WAVE={K_WAVE}); kernels agree bitwise: "
+              f"{v['bitwise_agree']}")
     print(f"{'PASS' if ok else 'FAIL'} -> {args.output}")
     return 0 if ok else 1
 

@@ -8,12 +8,17 @@ backward substitution up the chain.
 
 Both sweeps are triangular solves with the chain's flat form ``A``
 (:meth:`repro.core.chain.CholeskyChain.flatten`, DESIGN.md §14), so one
-application is two compiled sparse kernels plus the base product, for
-any number of right-hand sides.  The ledger is charged the paper's
-cost, level by level: per application ``O(m log n loglog n)`` work and
-``O(log m log n loglog n)`` depth — each of the ``d = O(log n)`` levels
-does one Jacobi apply (``O(m loglog n)`` work for ε = 1/(2d), Lemma 3.5)
-plus one coupling-block matvec (``O(m)``).
+application is two compiled sparse kernels plus the base product.
+Narrow blocks run them as SuperLU solves; blocks of at least
+:data:`K_WAVE` columns run them over the chain's ``2d + 1``
+wavefronts, two sparse products per level and sweep.  Both kernels do
+the same multiply-adds in the same order for every column, so a
+column's result does not depend on which kernel ran it.  The ledger is
+charged the paper's cost, level by level: per application
+``O(m log n loglog n)`` work and ``O(log m log n loglog n)`` depth —
+each of the ``d = O(log n)`` levels does one Jacobi apply
+(``O(m loglog n)`` work for ε = 1/(2d), Lemma 3.5) plus one
+coupling-block matvec (``O(m)``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from repro.core.chain import CholeskyChain
 from repro.errors import DimensionMismatchError, FactorizationError
@@ -28,7 +34,14 @@ from repro.linalg.jacobi import jacobi_terms
 from repro.pram import charge, ledger_active
 from repro.pram import primitives as P
 
-__all__ = ["ApplyCholeskyOperator"]
+__all__ = ["ApplyCholeskyOperator", "K_WAVE"]
+
+#: Blocks with at least this many columns run the wavefront kernel;
+#: narrower ones run SuperLU.  The measured crossover
+#: (``BENCH_blocked.json``, ``w_apply``): SuperLU's cost grows linearly
+#: in ``k``, the wavefronts' ``4d`` kernel calls cost a fixed ~0.5 ms,
+#: and the two meet between k = 4 and k = 8.
+K_WAVE = 8
 
 
 class ApplyCholeskyOperator:
@@ -46,15 +59,36 @@ class ApplyCholeskyOperator:
                 "block_cholesky()")
         self.chain = chain
         self.n = chain.n
+        A = chain.A
+        _check_unit_lower(A)
         # A is unit lower triangular, so with the natural order and
         # diagonal pivots SuperLU's factor is L = A, U = I: its solves
-        # are exactly the two sweeps.
-        self._lu = spla.splu(chain.A, permc_spec="NATURAL",
-                             diag_pivot_thresh=0)
-        N = chain.A.shape[0]
+        # are exactly the two sweeps.  relax=1 stops SuperLU from
+        # forming relaxed supernodes, which reorder L's rows and so the
+        # rounding of its updates (DESIGN.md §14).
+        self._lu = spla.splu(A, permc_spec="NATURAL",
+                             diag_pivot_thresh=0, relax=1)
+        N = A.shape[0]
+        L = self._lu.L
         if not (np.array_equal(self._lu.perm_r, np.arange(N))
-                and np.array_equal(self._lu.perm_c, np.arange(N))):
-            raise FactorizationError("sweep matrix was pivoted")
+                and np.array_equal(self._lu.perm_c, np.arange(N))
+                and np.array_equal(L.indptr, A.indptr)
+                and np.array_equal(L.indices, A.indices)
+                and np.array_equal(L.data, A.data)):
+            raise FactorizationError("SuperLU's factor of the sweep "
+                                     "matrix is not the matrix itself")
+        # E = I − A, the wavefronts' operand: A's strictly lower part,
+        # negated (the diagonal heads every column).
+        off = np.ones(A.nnz, dtype=bool)
+        off[A.indptr[:-1]] = False
+        self._E = sp.csc_matrix(
+            (-A.data[off], A.indices[off], A.indptr - np.arange(N + 1)),
+            shape=(N, N))
+        # Level k's slots: u_{F_k} = [a, m), y_k = [m, e).
+        f = chain.level_shapes[:, 0]
+        a = 2 * (np.cumsum(f) - f)
+        self._fronts = list(zip(a.tolist(), (a + f).tolist(),
+                                (a + 2 * f).tolist()))
         # Between the sweeps: y_k moves to u_{F_k}, the y slots clear
         # and u_base becomes final_pinv @ u_base.  Both are one sparse
         # product, so each column's arithmetic is independent of how
@@ -76,7 +110,7 @@ class ApplyCholeskyOperator:
 
         ``b`` may be one right-hand side ``(n,)`` or a block ``(n, k)``;
         column ``j`` of a block apply equals the 1-D apply of
-        ``b[:, j]`` bitwise.
+        ``b[:, j]`` bitwise, whichever kernel the block's width picks.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
@@ -90,8 +124,42 @@ class ApplyCholeskyOperator:
         r[u] = b
         # Forward sweep (lines 3-5), base case (line 6), backward sweep
         # (lines 7-8).
-        s = self._lu.solve(r)
-        return self._lu.solve(self._mid @ s, trans="T")[u]
+        if b.ndim == 2 and b.shape[1] >= K_WAVE:
+            return self._wavefronts(r)[u]
+        return self._superlu(r)[u]
+
+    def _superlu(self, r: np.ndarray) -> np.ndarray:
+        """Both sweeps as SuperLU triangular solves, which walk ``A``
+        one column and one right-hand side at a time."""
+        return self._lu.solve(self._mid @ self._lu.solve(r), trans="T")
+
+    def _wavefronts(self, r: np.ndarray) -> np.ndarray:
+        """Both sweeps level by level, in place on C-ordered ``(N, k)``
+        buffers: ``s = r + E s`` forward, ``x = t + Eᵀ x`` backward.
+
+        Each call is the compiled kernel behind ``E @ dense``, run on a
+        range of ``E``'s columns (forward) or of ``Eᵀ``'s rows
+        (backward) by slicing only ``indptr``; ``X``/``Y`` are flat
+        views of the one buffer.  Per entry it adds ``E[i, j]·x`` where
+        SuperLU subtracts ``A[i, j]·x``, in the same column order, so
+        the results agree bitwise.
+        """
+        E, N, k = self._E, r.shape[0], r.shape[1]
+        ptr, ind, dat = E.indptr, E.indices, E.data
+        flat = r.reshape(-1)
+        for a, m, e in self._fronts:
+            _sparsetools.csc_matvecs(N, m - a, k, ptr[a:m + 1], ind, dat,
+                                     flat[a * k:m * k], flat)
+            _sparsetools.csc_matvecs(N, e - m, k, ptr[m:e + 1], ind, dat,
+                                     flat[m * k:e * k], flat)
+        t = self._mid @ r
+        flat = t.reshape(-1)
+        for a, m, e in reversed(self._fronts):
+            _sparsetools.csr_matvecs(e - m, N, k, ptr[m:e + 1], ind, dat,
+                                     flat, flat[m * k:e * k])
+            _sparsetools.csr_matvecs(m - a, N, k, ptr[a:m + 1], ind, dat,
+                                     flat, flat[a * k:m * k])
+        return t
 
     __call__ = apply
 
@@ -126,3 +194,25 @@ class ApplyCholeskyOperator:
         """Materialise ``W`` via one blocked apply (small-n test oracle)."""
         W = self.apply(np.eye(self.n))
         return 0.5 * (W + W.T)
+
+
+def _check_unit_lower(A: sp.csc_matrix) -> None:
+    """Raise unless ``A`` is a canonical CSC whose every column starts
+    with a unit diagonal and continues strictly below it — the structure
+    both sweep kernels assume without checking."""
+    N = A.shape[0]
+    ptr, idx = A.indptr, A.indices
+    heads = ptr[:-1]
+    ok = (ptr[0] == 0 and ptr[-1] == idx.size
+          and bool(np.all(np.diff(ptr) >= 1)))
+    if ok:
+        # Strictly increasing rows within each column, starting at j.
+        inner = np.ones(idx.size - 1, dtype=bool)
+        inner[heads[1:] - 1] = False
+        ok = (np.array_equal(idx[heads], np.arange(N))
+              and bool(np.all(A.data[heads] == 1.0))
+              and bool(np.all(np.diff(idx)[inner] > 0))
+              and bool(np.all(idx < N)))
+    if not ok:
+        raise FactorizationError(
+            "sweep matrix is not a canonical unit-lower-triangular CSC")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SolverOptions
-from repro.core.apply_cholesky import ApplyCholeskyOperator
+from repro.core.apply_cholesky import K_WAVE, ApplyCholeskyOperator
 from repro.core.block_cholesky import block_cholesky
 from repro.core.boundedness import naive_split
 from repro.core.chain import CholeskyChain
@@ -198,24 +198,159 @@ class TestFlatMatchesAlgorithm2:
 
     def test_concurrent_applies_share_one_factor(self):
         # Column chunks of a blocked solve apply one operator (one
-        # SuperLU factor) from several pool threads at once.
+        # SuperLU factor, one E) from several pool threads at once;
+        # every fourth task is a block wide enough for the wavefronts.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
         W = _operator(G.grid2d(10, 10), seed=7)
-        B = _rhs(W.n, 8)
-        expect = [W.apply(B[:, j]) for j in range(8)]
+        B = _rhs(W.n, 16)
+        expect = np.column_stack([W.apply(B[:, j]) for j in range(16)])
+
+        def task(j):
+            if j % 4:
+                return slice(j % 16, j % 16 + 1), W.apply(B[:, j % 16])
+            cols = slice(j % 8, j % 8 + K_WAVE + j % 3)
+            return cols, W.apply(B[:, cols])
+
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(W.apply, B[:, j % 8])
-                           for j in range(200)]
+                futures = [pool.submit(task, j) for j in range(200)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(old)
-        for j, x in enumerate(got):
-            assert np.array_equal(x, expect[j % 8])
+        for cols, x in got:
+            assert np.array_equal(x.reshape(W.n, -1), expect[:, cols])
+
+
+def _solver_operator(graph):
+    """``W`` exactly as :class:`LaplacianSolver` builds it."""
+    from repro.core.solver import LaplacianSolver
+
+    return LaplacianSolver(graph, seed=0).preconditioner
+
+
+_KERNEL_GRAPHS = {
+    "grid": lambda: _operator(G.grid2d(16, 16), seed=1),
+    "weighted_grid": lambda: _operator(
+        G.with_random_weights(G.grid2d(12, 12), 0.01, 100.0, seed=3,
+                              log_uniform=True), seed=1),
+    "random_regular": lambda: _operator(G.random_regular(200, 4, seed=5),
+                                        seed=1),
+    "torus": lambda: _operator(G.torus2d(12, 12), seed=1),
+    # The default relax would let SuperLU form relaxed supernodes here
+    # and reorder rows, so its rounding would leave the wavefronts'.
+    "watts_strogatz": lambda: _solver_operator(
+        G.watts_strogatz(1024, 6, 0.1, seed=0)),
+    "preferential_attachment": lambda: _operator(
+        G.preferential_attachment(300, 2, seed=7), seed=1),
+    "no_levels": lambda: ApplyCholeskyOperator(block_cholesky(
+        G.grid2d(4, 4), SolverOptions(min_vertices=100), seed=0)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_KERNEL_GRAPHS))
+def kernel_operator(request):
+    return _KERNEL_GRAPHS[request.param]()
+
+
+class TestKernelEquivalence:
+    """SuperLU (narrow) and wavefronts (``k ≥ K_WAVE``) agree bitwise."""
+
+    @pytest.mark.parametrize("k", [1, K_WAVE - 1, K_WAVE, 16, 64])
+    def test_every_column_equals_the_vector_apply(self, kernel_operator,
+                                                  k):
+        W = kernel_operator
+        B = _rhs(W.n, k, seed=k)
+        X = W.apply(B)
+        for j in range(k):
+            assert np.array_equal(W.apply(B[:, j]), X[:, j]), j
+
+    def test_wide_blocks_run_the_wavefronts(self, monkeypatch):
+        W = _operator(G.grid2d(8, 8), seed=1)
+        widths = []
+        real = ApplyCholeskyOperator._wavefronts
+
+        def spy(self, r):
+            widths.append(r.shape[1])
+            return real(self, r)
+
+        monkeypatch.setattr(ApplyCholeskyOperator, "_wavefronts", spy)
+        for k in (1, K_WAVE - 1, K_WAVE, 16):
+            W.apply(_rhs(W.n, k))
+        W.apply(_rhs(W.n, 1)[:, 0])
+        assert widths == [K_WAVE, 16]
+
+
+def _tampered(W, edit):
+    arrays, meta = W.chain.payload_arrays()
+    arrays = {name: arr.copy() for name, arr in arrays.items()}
+    edit(arrays)
+    return CholeskyChain.from_payload(arrays, meta)
+
+
+def _long_column(arrays):
+    """Start of the first column of ``A`` with at least three entries."""
+    ptr = arrays["A_indptr"]
+    return int(ptr[np.flatnonzero(np.diff(ptr) >= 3)[0]])
+
+
+class TestSweepFormCheck:
+    """Construction refuses an ``A`` the sweep kernels would misread."""
+
+    def test_rejects_non_unit_diagonal(self):
+        W = _operator(G.grid2d(9, 9), seed=3)
+
+        def edit(arrays):
+            p = _long_column(arrays)
+            arrays["A_data"][p] = 2.0
+
+        with pytest.raises(FactorizationError, match="unit-lower"):
+            ApplyCholeskyOperator(_tampered(W, edit))
+
+    def test_rejects_unsorted_column(self):
+        W = _operator(G.grid2d(9, 9), seed=3)
+
+        def edit(arrays):
+            p = _long_column(arrays)
+            idx = arrays["A_indices"]
+            idx[p + 1], idx[p + 2] = idx[p + 2], idx[p + 1]
+
+        with pytest.raises(FactorizationError, match="unit-lower"):
+            ApplyCholeskyOperator(_tampered(W, edit))
+
+    def test_rejects_entry_above_diagonal(self):
+        W = _operator(G.grid2d(9, 9), seed=3)
+
+        def edit(arrays):
+            # Column j = [j, i, …] becomes [j - 1, j, …]: still sorted,
+            # but its first entry sits above the diagonal.
+            ptr = arrays["A_indptr"]
+            j = int(np.flatnonzero(np.diff(ptr) >= 2)[1])
+            p = int(ptr[j])
+            arrays["A_indices"][p:p + 2] = [j - 1, j]
+            arrays["A_data"][p:p + 2] = [arrays["A_data"][p + 1], 1.0]
+
+        with pytest.raises(FactorizationError, match="unit-lower"):
+            ApplyCholeskyOperator(_tampered(W, edit))
+
+    def test_rejects_a_factor_that_is_not_A(self, monkeypatch):
+        # SuperLU with its default relax reorders the rows of this
+        # chain's factor; the check must catch that, not the kernels.
+        import repro.core.apply_cholesky as mod
+
+        W = _solver_operator(G.watts_strogatz(1024, 6, 0.1, seed=0))
+        real = mod.spla.splu
+
+        def splu(A, **kw):
+            kw.pop("relax")
+            return real(A, **kw)
+
+        monkeypatch.setattr(mod.spla, "splu", splu)
+        with pytest.raises(FactorizationError, match="factor"):
+            ApplyCholeskyOperator(W.chain)
 
 
 class TestLedgerReplay:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_options, practical_options
+from repro.core.apply_cholesky import K_WAVE, ApplyCholeskyOperator
 from repro.core.solver import DEFAULT_METHOD, LaplacianSolver
 from repro.errors import (
     ConvergenceError,
@@ -548,11 +549,12 @@ class TestShippedSolveFaults:
 class TestNumericalContainment:
     """NaN/Inf guards: quarantine broken columns, escalate, contain."""
 
-    def _solver(self, **with_):
+    def _solver(self, k=6, chunk_columns=4, **with_):
         g = G.grid2d(8, 8)
-        opts = default_options().with_(chunk_columns=4, **with_)
+        opts = default_options().with_(chunk_columns=chunk_columns,
+                                       **with_)
         solver = LaplacianSolver(g, options=opts, seed=0)
-        B = np.random.default_rng(1).normal(size=(g.n, 6))
+        B = np.random.default_rng(1).normal(size=(g.n, k))
         return solver, B
 
     def test_clean_report_surface(self):
@@ -611,6 +613,37 @@ class TestNumericalContainment:
         assert rep.residual_2norms[3] <= 1e-8
         keep = [0, 1, 2, 4, 5]
         np.testing.assert_array_equal(rep.x[:, keep], clean.x[:, keep])
+
+    @pytest.mark.parametrize("method, directive, escalated", [
+        ("richardson", "nan:col=3:stage=richardson", "richardson+pcg"),
+        ("pcg", "nan:col=3:stage=pcg", "pcg+pcg"),
+        (DEFAULT_METHOD, "nan:col=3", f"{DEFAULT_METHOD}+pcg+dense"),
+    ])
+    def test_wide_chunk_healthy_columns_bit_identical(
+            self, monkeypatch, method, directive, escalated):
+        # K_WAVE + 1 columns in one chunk: the block starts on the
+        # wavefront kernel and falls back to SuperLU once quarantine and
+        # certification shrink it below K_WAVE.
+        k = K_WAVE + 1
+        widths = []
+        real = ApplyCholeskyOperator._wavefronts
+
+        def spy(self, r):
+            widths.append(r.shape[1])
+            return real(self, r)
+
+        monkeypatch.setattr(ApplyCholeskyOperator, "_wavefronts", spy)
+        solver, B = self._solver(k=k, chunk_columns=k)
+        clean = solver.solve_many_report(B, eps=1e-8, method=method)
+        assert k in widths
+        with use_faults(directive):
+            rep = solver.solve_many_report(B, eps=1e-8, method=method)
+        assert rep.method == escalated
+        assert rep.fault_log.summary()["quarantine"] >= 1
+        keep = [j for j in range(k) if j != 3]
+        np.testing.assert_array_equal(rep.x[:, keep], clean.x[:, keep])
+        assert np.isfinite(rep.x).all()
+        assert rep.residual_2norms[3] <= 1e-6
 
     def test_blocked_cg_quarantines_and_reports(self):
         from repro.linalg.cg import conjugate_gradient
