@@ -1,11 +1,12 @@
 """``BlockCholesky`` — Algorithm 1 (Theorem 3.9).
 
 Repeatedly: find a 5-DD subset ``F_k`` of the current vertices
-(Algorithm 3), eliminate it by replacing the graph with the sampled
-C-terminal-walk approximation of the Schur complement onto
-``C_k = C_{k-1} ∖ F_k`` (Algorithm 4), until at most ``min_vertices``
-(paper: 100) vertices remain.  The output chain satisfies, whp
-(Theorem 3.9):
+(Algorithm 3, extended by a maximal independent set of the vertices
+with no edge to it — DESIGN.md §16), eliminate it by replacing the
+graph with the sampled C-terminal-walk approximation of the Schur
+complement onto ``C_k = C_{k-1} ∖ F_k`` (Algorithm 4), until at most
+``min_vertices`` (paper: 100) vertices remain.  The output chain
+satisfies, whp (Theorem 3.9):
 
 1. every ``G^(k)`` has at most ``m`` multi-edges,
 2. every ``F_k`` is 5-DD in ``L_{G^(k-1)}``,
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.config import SolverOptions, default_options
 from repro.core.chain import CholeskyChain, Level
-from repro.core.dd_subset import five_dd_subset
+from repro.core.dd_subset import extend_independent, five_dd_subset
 from repro.core.terminal_walks import TerminalWalkStats, terminal_walks
 from repro.errors import FactorizationError
 from repro.graphs.laplacian import laplacian, laplacian_blocks
@@ -158,6 +159,7 @@ def block_cholesky(graph: MultiGraph,
             # Nothing (or everything) would be eliminated; the remaining
             # matrix is already 5-DD-trivial — stop and solve densely.
             break
+        F = extend_independent(current, active, F, seed=rng)
         C = np.setdiff1d(active, F)
         idxF = np.searchsorted(active, F)
         idxC = np.searchsorted(active, C)

@@ -12,6 +12,11 @@ The procedure: repeatedly sample a uniform candidate set ``F'`` of size
 at most ``1/5`` of their total weighted degree.  Lemma 3.4 shows each
 round succeeds with probability ≥ 1/2, so the expected number of rounds
 is O(1), giving O(m) expected work and O(log m) expected depth.
+
+:func:`extend_independent` then fattens ``F`` with a maximal
+independent set of the vertices that have no edge to ``F``: each such
+vertex has zero weight inside the extended set, so ``L_FF`` stays 5-DD
+and the Jacobi/walk guarantees are unchanged (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from repro.pram import charge, ledger_active
 from repro.pram import primitives as P
 from repro.rng import as_generator
 
-__all__ = ["five_dd_subset", "verify_five_dd", "DDSubsetStats"]
+__all__ = ["five_dd_subset", "extend_independent", "verify_five_dd",
+           "DDSubsetStats"]
 
 
 class DDSubsetStats:
@@ -136,6 +142,61 @@ def five_dd_subset(graph,
     if best is not None:
         return np.sort(best)
     return eligible[:1].copy()
+
+
+def extend_independent(graph: MultiGraph, active: np.ndarray,
+                       F: np.ndarray, seed=None,
+                       stats: DDSubsetStats | None = None) -> np.ndarray:
+    """Return ``sorted(F ∪ S)``, ``S`` a maximal independent set of the
+    vertices free of ``F``.
+
+    A vertex is *free* if it is in ``active``, has positive weighted
+    degree, is not in ``F`` and has no edge to ``F``.  Luby rounds pick
+    ``S``: each round draws ``rng.random(graph.n)`` priorities, bars the
+    larger-priority endpoint of every edge between two free vertices
+    (the ``u`` endpoint on a tie), and moves the unbarred free vertices
+    into ``S``; they and their neighbours stop being free.  Every ``S``
+    vertex therefore has zero weight inside ``F ∪ S``: ``L_FF`` stays
+    5-DD, ``Y = L_FF``'s off-diagonal part is unchanged, and terminal
+    walks from ``S`` take one step into ``C``.  ``C`` keeps every
+    neighbour of ``S`` and the ≥ 4/5 of each ``F`` vertex's weight that
+    leaves ``F``, so it is never emptied while ``0 < |F|``.
+
+    Rounds touch only edges whose endpoints are both still free, with
+    boolean gathers and scatters; each is charged one map over
+    ``graph.m`` (label ``dd_extend_round``).  ``stats`` records the
+    vertices each round adds.
+    """
+    rng = as_generator(seed)
+    n = graph.n
+    u, v = graph.u, graph.v
+    chosen = np.zeros(n, dtype=bool)
+    chosen[F] = True
+    free = np.zeros(n, dtype=bool)
+    free[active] = True
+    free &= (graph.weighted_degrees() > 0) & ~chosen
+    touch = chosen[u] | chosen[v]
+    free[u[touch]] = False
+    free[v[touch]] = False
+    while free.any():
+        pri = rng.random(n)
+        both = free[u] & free[v]
+        u, v = u[both], v[both]
+        bar_u = pri[u] >= pri[v]
+        barred = np.zeros(n, dtype=bool)
+        barred[u[bar_u]] = True
+        barred[v[~bar_u]] = True
+        join = free & ~barred
+        chosen |= join
+        free &= ~join
+        hit = join[u] | join[v]
+        free[u[hit]] = False
+        free[v[hit]] = False
+        if ledger_active():
+            charge(*P.map_cost(graph.m), label="dd_extend_round")
+        if stats is not None:
+            stats.record(int(np.count_nonzero(join)))
+    return np.flatnonzero(chosen)
 
 
 def verify_five_dd(graph: MultiGraph, F: np.ndarray,

@@ -61,6 +61,53 @@ class TestTheorem39Invariants:
         assert eps <= 0.5
 
 
+    def test_factorization_success_rate_over_40_chains(self):
+        # Theorem 3.9-(5) holds whp: count the chains that reach ε = 0.5.
+        g = G.grid2d(6, 6)
+        H = naive_split(g, 0.1)
+        L = laplacian(g).toarray()
+        opts = SolverOptions(min_vertices=12)
+        eps = np.array([
+            approximation_factor(
+                block_cholesky(H, opts, seed=seed).dense_factorization(), L)
+            for seed in range(40)])
+        assert np.count_nonzero(eps <= 0.5) >= 36
+        assert np.median(eps) <= 0.4
+
+
+FAMILIES = {
+    "grid": lambda: G.grid2d(12, 12),
+    "weighted_grid": lambda: G.with_random_weights(
+        G.grid2d(11, 11), 0.1, 10.0, seed=3, log_uniform=True),
+    "random_regular": lambda: G.random_regular(150, 4, seed=1),
+    "torus": lambda: G.torus2d(11, 12),
+    "watts_strogatz": lambda: G.watts_strogatz(150, 6, 0.2, seed=2),
+    "preferential_attachment": lambda: G.preferential_attachment(
+        150, 3, seed=4),
+    "barbell": lambda: G.barbell(30, 4),
+    "star": lambda: G.star(120),
+}
+
+
+class TestExtendedLevels:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_F_is_5dd_and_large(self, family):
+        # Theorem 3.9-(2) and Lemma 3.4 on every level, with each F
+        # extended by its independent set.
+        H, chain = _chain(FAMILIES[family](), seed=5)
+        assert chain.levels
+        for k, (level, n_k) in enumerate(zip(chain.levels,
+                                             chain.active_counts)):
+            assert verify_five_dd(chain.graphs[k], level.F)
+            assert level.F.size > n_k / 40
+
+    def test_grid_needs_fewer_levels(self):
+        # The extension eliminates far more than Algorithm 3's ~n/20
+        # sample: the first level of a grid takes about a third.
+        H, chain = _chain(G.grid2d(20, 20), seed=6)
+        assert chain.levels[0].F.size > H.n / 5
+
+
 class TestChainStructure:
     def test_levels_partition_actives(self):
         H, chain = _chain(G.grid2d(8, 8))
