@@ -17,8 +17,9 @@ Reported per mode:
 * rounds, walkers launched, logical/stored edge counts.
 
 Acceptance targets (PR 1): ≥ 5× peak-memory reduction and ≥ 2×
-speedup at n≈2000, ε=0.5.  Results land in ``BENCH_hotpath.json`` at
-the repo root (override with ``--output``).
+speedup at n≈2000, ε=0.5.  Full runs write ``BENCH_hotpath.json`` at
+the repo root (override with ``--output``); ``--smoke`` runs write a
+record only when ``--output`` is given.
 
 Usage::
 
@@ -95,9 +96,12 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="CI-sized run: n=400, one repeat, relaxed "
                          "thresholds")
-    ap.add_argument("--output", type=Path,
-                    default=REPO_ROOT / "BENCH_hotpath.json")
+    ap.add_argument("--output", type=Path, default=None,
+                    help="JSON record path (default: BENCH_hotpath.json for "
+                         "full runs; smoke runs write only when given)")
     args = ap.parse_args(argv)
+    if args.output is None and not args.smoke:
+        args.output = REPO_ROOT / "BENCH_hotpath.json"
 
     args.repeats = max(1, args.repeats)
     if args.smoke:
@@ -140,7 +144,8 @@ def main(argv=None) -> int:
                      "numpy": np.__version__,
                      "machine": platform.machine()},
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    if args.output is not None:
+        args.output.write_text(json.dumps(result, indent=2) + "\n")
 
     print(f"implicit: {implicit['seconds']:.3f}s  "
           f"peak {implicit['peak_edge_bytes'] / 1e6:.1f} MB  "
@@ -155,7 +160,8 @@ def main(argv=None) -> int:
     print(f"speedup: {speedup:.2f}x ({speed_note})   "
           f"peak-memory reduction: {mem_ratio:.2f}x "
           f"(target >= {mem_target}x)")
-    print(f"{'PASS' if ok else 'FAIL'} -> {args.output}")
+    print(f"{'PASS' if ok else 'FAIL'} -> "
+          f"{args.output or 'no record (smoke run without --output)'}")
     return 0 if ok else 1
 
 

@@ -30,7 +30,8 @@ agreement ≤ ``AGREE_RTOL``.  The smoke run gates only the
 deterministic checks (agreement, streaming-mode memory, bitwise
 agreement of the two ``W`` kernels at every width); single-repeat
 wall-clock on a shared CI runner is reported but not enforced.
-Results land in ``BENCH_blocked.json`` at the repo root.
+Full runs write ``BENCH_blocked.json`` at the repo root; ``--smoke``
+runs write a record only when ``--output`` is given.
 
 Usage::
 
@@ -139,7 +140,6 @@ def measure_w_apply(side: int, seed: int, repeats: int) -> dict:
         agree &= bool(np.array_equal(out["superlu"], out["wavefront"]))
         widths[str(k)] = {"superlu_ms": ms["superlu"],
                           "wavefront_ms": ms["wavefront"]}
-    solver.close()
     wins = [k for k, w in zip(W_APPLY_WIDTHS, widths.values())
             if w["wavefront_ms"] < w["superlu_ms"]]
     return {"n": W.n, "levels": W.chain.d, "slots": N,
@@ -160,9 +160,12 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="CI-sized run: n=400, one repeat, wall-clock "
                          "informational")
-    ap.add_argument("--output", type=Path,
-                    default=REPO_ROOT / "BENCH_blocked.json")
+    ap.add_argument("--output", type=Path, default=None,
+                    help="JSON record path (default: BENCH_blocked.json for "
+                         "full runs; smoke runs write only when given)")
     args = ap.parse_args(argv)
+    if args.output is None and not args.smoke:
+        args.output = REPO_ROOT / "BENCH_blocked.json"
 
     args.repeats = max(1, args.repeats)
     if args.smoke:
@@ -216,7 +219,8 @@ def main(argv=None) -> int:
                      "numpy": np.__version__,
                      "machine": platform.machine()},
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    if args.output is not None:
+        args.output.write_text(json.dumps(result, indent=2) + "\n")
 
     print(f"blocked: {blocked_s:.3f}s   looped: {looped_s:.3f}s   "
           f"speedup: {speedup:.2f}x "
@@ -237,7 +241,8 @@ def main(argv=None) -> int:
         print(f"  first wavefront win at k={v['first_wavefront_win_k']} "
               f"(K_WAVE={K_WAVE}); kernels agree bitwise: "
               f"{v['bitwise_agree']}")
-    print(f"{'PASS' if ok else 'FAIL'} -> {args.output}")
+    print(f"{'PASS' if ok else 'FAIL'} -> "
+          f"{args.output or 'no record (smoke run without --output)'}")
     return 0 if ok else 1
 
 

@@ -21,8 +21,8 @@ machine — the gate is enforced in the full run only when the host has
 ≥ 4 CPUs; on smaller hosts (including this container's 1-CPU cgroup)
 the measured ratios are recorded with ``"gate": "skipped (cpus < 4)"``
 so CI on multi-core runners still enforces it.  The determinism gates
-always run.  Results land in
-``BENCH_parallel.json`` at the repo root.
+always run.  Full runs write ``BENCH_parallel.json`` at the repo root;
+``--smoke`` runs write a record only when ``--output`` is given.
 
 Usage::
 
@@ -82,7 +82,13 @@ def main() -> int:
                          "reports timing without enforcing speedups")
     ap.add_argument("--n", type=int, default=None)
     ap.add_argument("--repeats", type=int, default=None)
+    ap.add_argument("--output", type=Path, default=None,
+                    help="JSON record path (default: BENCH_parallel.json "
+                         "for full runs; smoke runs write only when "
+                         "given)")
     args = ap.parse_args()
+    if args.output is None and not args.smoke:
+        args.output = REPO_ROOT / "BENCH_parallel.json"
 
     n_target = args.n if args.n is not None else (400 if args.smoke
                                                   else 2025)
@@ -193,9 +199,9 @@ def main() -> int:
         "solve_many_invariant": solve_equal,
         "speedup_gate": gate,
     }
-    out_path = REPO_ROOT / "BENCH_parallel.json"
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {out_path}")
+    if args.output is not None:
+        args.output.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"wrote {args.output}")
     return 0 if ok else 1
 
 

@@ -1,37 +1,29 @@
 """P6 — fault-tolerant execution: recovery is invisible in the results.
 
-Measures the PR-6 tentpole on an n≈1024 grid.  The determinism
-contract (DESIGN.md §6–§8) makes recovery cheap: chunk layout and
-per-chunk RNG streams are functions of problem size only, so a lost
-chunk re-dispatched with its original ``(lo, hi, seed_key)`` is
+Measures fault recovery on an n≈1024 grid.  The determinism contract
+(DESIGN.md §6–§8) makes recovery cheap: chunk layout and per-chunk RNG
+streams are functions of problem size only, so a lost chunk
+re-dispatched with its original ``(lo, hi, seed_key)`` is
 bit-identical to what the lost attempt would have produced.  This
 benchmark *gates* that claim end-to-end:
 
 * **Fault invariance (always gated)** — a full build+solve with an
   injected fault must produce **bit-identical** solutions and ledger
   work/depth totals vs the fault-free baseline, for every
-  ``REPRO_BACKEND ∈ {serial, thread, process}`` at
-  ``REPRO_WORKERS ∈ {1, 2, 4}`` and each fault scenario:
+  ``REPRO_BACKEND ∈ {serial, thread}`` at ``REPRO_WORKERS ∈ {1, 2, 4}``
+  and each fault scenario:
 
-  - ``kill`` — a worker process dies hard mid-chunk (in-process
-    backends: the chunk raises); recovered by bounded re-dispatch;
-  - ``hang`` — a worker stalls; recovered by the lease timeout
-    expiring the chunk and replacing that worker in place, then
-    re-dispatching (process backend);
-  - ``degrade`` — retries exhausted on the process backend; recovered
-    by falling down the backend ladder (process → thread), which
-    replays the identical chunks.
+  - ``kill`` — chunk 1 of every dispatch raises on its first attempt;
+    recovered by bounded re-dispatch;
+  - ``hang`` — chunk 0 of every dispatch stalls (bounded in-process)
+    and then fails; recovered the same way.
 
 * **Recovery actually happened (always gated)** — each faulted run's
-  :class:`~repro.pram.faults.FaultLog` must show the expected actions
-  (``retry``; ``timeout`` for hang; ``degrade`` for the ladder), so a
+  :class:`~repro.pram.faults.FaultLog` must show ``retry``, so a
   silently-not-firing fault cannot fake a pass.
-* **Shared-memory hygiene (always gated)** — after every scenario the
-  segment registry must be empty and ``/dev/shm`` must hold nothing
-  with this process's payload prefix, even though workers were killed
-  mid-dispatch.
 
-Results land in ``BENCH_faults.json`` at the repo root.
+Full runs write ``BENCH_faults.json`` at the repo root; ``--smoke``
+runs write a record only when ``--output`` is given.
 
 Usage::
 
@@ -56,7 +48,7 @@ from repro.config import practical_options
 from repro.core.solver import LaplacianSolver
 from repro.graphs import generators as G
 from repro.pram import use_ledger
-from repro.pram.executor import BACKENDS, live_segment_names
+from repro.pram.executor import BACKENDS
 from repro.pram.faults import use_fault_log, use_faults
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -66,24 +58,12 @@ WORKERS = (1, 2, 4)
 CHUNK_ITEMS = 512      # several walker chunks even at smoke sizes
 N_RHS = 5
 
-#: scenario name -> (fault plan, backends it applies to, required
-#: FaultLog actions).  ``kill``/``hang`` strike attempt 0 and recover
-#: via plain re-dispatch; ``degrade`` pins an every-attempt kill to the
-#: process backend so retries exhaust there and the backend ladder
-#: (process -> thread) must finish the chunks.
+#: scenario name -> (fault plan, required FaultLog actions).  Both
+#: strike attempt 0 and recover via plain re-dispatch.
 SCENARIOS = {
-    "kill": ("kill:chunk=1", BACKENDS, ("retry",)),
-    "hang": ("hang:chunk=0:seconds=30", ("process",),
-             ("timeout", "retry")),
-    "degrade": ("kill:chunk=1:attempt=*:backend=process", ("process",),
-                ("exhausted", "degrade")),
+    "kill": ("kill:chunk=1", ("retry",)),
+    "hang": ("hang:chunk=0:seconds=30", ("retry",)),
 }
-
-#: The hang directive stalls chunk 0's first attempt of *every*
-#: dispatch (a build has dozens), each costing one lease timeout — so
-#: the hang scenario runs with a tight timeout and at one worker count
-#: only.  The timeout path itself is identical at every worker count.
-HANG_TIMEOUT = 1.0
 
 
 def make_workload(n_target: int):
@@ -115,22 +95,19 @@ def run_once(g, B, opts, plan):
     return X, (ledger.work, ledger.depth), actions, elapsed
 
 
-def shm_leaks() -> list[str]:
-    leaked = list(live_segment_names())
-    prefix = f"repro-{os.getpid()}-"
-    if os.path.isdir("/dev/shm"):
-        leaked += [name for name in os.listdir("/dev/shm")
-                   if name.startswith(prefix)]
-    return leaked
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--smoke", action="store_true",
                     help="CI-sized run: smaller workload and worker "
                          "set; every gate still enforced")
     ap.add_argument("--n", type=int, default=None)
+    ap.add_argument("--output", type=Path, default=None,
+                    help="JSON record path (default: BENCH_faults.json "
+                         "for full runs; smoke runs write only when "
+                         "given)")
     args = ap.parse_args()
+    if args.output is None and not args.smoke:
+        args.output = REPO_ROOT / "BENCH_faults.json"
 
     n_target = args.n if args.n is not None else (400 if args.smoke
                                                   else 1024)
@@ -138,13 +115,8 @@ def main() -> int:
     cpus = os.cpu_count() or 1
 
     g, B = make_workload(n_target)
-    # retries=2 covers every scenario's recovery; the lease timeout
-    # arms the hang scenario (and is harmless elsewhere — it only
-    # fires when one chunk stays leased that long).  degrade is on, as
-    # the CLI would have it; the fault-free baseline never consults
-    # it.
-    opts = practical_options().with_(chunk_items=CHUNK_ITEMS, retries=2,
-                                     chunk_timeout=5.0, degrade=True)
+    # retries=2 covers every scenario's recovery.
+    opts = practical_options().with_(chunk_items=CHUNK_ITEMS, retries=2)
     print(f"workload: grid n={g.n} m={g.m} k={N_RHS} cpus={cpus} "
           f"chunk_items={CHUNK_ITEMS} workers={workers}")
 
@@ -162,27 +134,20 @@ def main() -> int:
             Xc, ledgerc, _, tc = run_once(g, B, opts, None)
             if not np.array_equal(Xc, X0) or ledgerc != ledger0:
                 failures.append(f"clean run differs: {backend}@{w}")
-            for name, (plan, applies, wanted) in SCENARIOS.items():
-                if backend not in applies:
-                    continue
-                if name == "hang" and w != workers[0]:
-                    continue
-                run_opts = opts if name != "hang" \
-                    else opts.with_(chunk_timeout=HANG_TIMEOUT)
-                Xf, ledgerf, actions, tf = run_once(g, B, run_opts, plan)
+            for name, (plan, wanted) in SCENARIOS.items():
+                Xf, ledgerf, actions, tf = run_once(g, B, opts, plan)
                 key = f"{name}:{backend}@{w}"
                 bit_identical = bool(np.array_equal(Xf, X0))
                 ledger_ok = ledgerf == ledger0
                 fired = all(actions.get(a, 0) >= 1 for a in wanted)
-                leaks = shm_leaks()
                 runs[key] = {
                     "seconds": tf, "clean_seconds": tc,
                     "bit_identical": bit_identical,
                     "ledger_invariant": ledger_ok,
-                    "fault_log": actions, "shm_leaks": leaks,
+                    "fault_log": actions,
                 }
-                status = "ok" if (bit_identical and ledger_ok and fired
-                                  and not leaks) else "FAIL"
+                status = "ok" if (bit_identical and ledger_ok
+                                  and fired) else "FAIL"
                 print(f"{key}: {tf:.3f}s (clean {tc:.3f}s) "
                       f"log={actions} -> {status}")
                 if not bit_identical:
@@ -193,8 +158,6 @@ def main() -> int:
                 if not fired:
                     failures.append(
                         f"{key}: expected {wanted}, log={actions}")
-                if leaks:
-                    failures.append(f"{key}: leaked shm {leaks}")
 
     ok = not failures
     for msg in failures:
@@ -213,9 +176,9 @@ def main() -> int:
         "all_gates_passed": ok,
         "failures": failures,
     }
-    out_path = REPO_ROOT / "BENCH_faults.json"
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {out_path}")
+    if args.output is not None:
+        args.output.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"wrote {args.output}")
     return 0 if ok else 1
 
 

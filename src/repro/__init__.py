@@ -33,10 +33,9 @@ DESIGN.md §1-§2 for the invariants.
 Parallel execution
 ------------------
 The embarrassingly parallel phases (walker stepping, column-blocked
-solves) dispatch through :class:`repro.pram.ExecutionContext` on a
-pluggable backend: ``serial``, ``thread`` (default; numpy kernels
-release the GIL), or ``process`` (walker chunks ship to a persistent
-pool of worker processes over shared memory).  Pick with
+solves) dispatch through :class:`repro.pram.ExecutionContext`, which
+runs their chunks ``serial`` or on a ``thread`` pool (default; numpy
+kernels release the GIL).  Pick with
 ``SolverOptions(workers=…, backend=…)`` or the ``REPRO_WORKERS`` /
 ``REPRO_BACKEND`` env vars.  **Determinism contract:** a fixed seed
 produces bit-identical graphs, solutions, and cost-ledger totals for

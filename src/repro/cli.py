@@ -20,7 +20,6 @@ suite drives it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -81,11 +80,6 @@ def _cmd_solve(args) -> int:
     else:
         b = np.zeros(g.n)
         b[args.source], b[args.sink] = 1.0, -1.0
-    if getattr(args, "transport", None) is not None:
-        from repro.config import reset_env_caches
-
-        os.environ["REPRO_TRANSPORT"] = args.transport
-        reset_env_caches()
     t0 = time.time()
     options = default_options()
     if args.workers is not None:
@@ -94,14 +88,6 @@ def _cmd_solve(args) -> int:
         options = options.with_(backend=args.backend)
     if args.retries is not None:
         options = options.with_(retries=args.retries)
-    if args.chunk_timeout is not None:
-        options = options.with_(chunk_timeout=args.chunk_timeout)
-    # The CLI prefers finishing over crashing: backend degradation
-    # (process -> thread -> serial) is ON here, unlike the library
-    # default (tests want failures loud).
-    options = options.with_(degrade=args.degrade)
-    if args.ship_solves is not None:
-        options = options.with_(ship_solves=args.ship_solves)
     if args.coalesce is not None:
         options = options.with_(coalesce_emitted=args.coalesce)
     solver = LaplacianSolver(g, options=options, seed=args.seed)
@@ -157,8 +143,8 @@ def _cmd_serve(args) -> int:
                             cache_bytes=args.cache_bytes,
                             max_pending=args.max_pending)
     service.start()
-    # SIGTERM should tear down like Ctrl-C: unlink shm segments and
-    # close the cache instead of dying mid-batch.
+    # SIGTERM should tear down like Ctrl-C: close the service instead
+    # of dying mid-batch.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         key = service.register(g, seed=args.seed)
@@ -267,29 +253,11 @@ def main(argv: list[str] | None = None) -> int:
                         "results are worker-count independent)")
     p.add_argument("--backend", choices=list(BACKENDS), default=None,
                    help="execution backend (default: REPRO_BACKEND env "
-                        "var / thread); process ships walker chunks to "
-                        "a lease-scheduled worker-process pool — "
-                        "results are backend independent")
+                        "var / thread); results are backend independent")
     p.add_argument("--retries", type=int, default=None,
-                   help="extra attempts per lost/hung chunk (default: "
+                   help="extra attempts per faulted chunk (default: "
                         "REPRO_RETRIES env var / 2); re-dispatch is "
                         "bit-identical to an undisturbed run")
-    p.add_argument("--chunk-timeout", type=float, default=None,
-                   help="seconds a chunk may stay leased to one "
-                        "process worker before the lease expires and "
-                        "the worker is replaced (default: "
-                        "REPRO_CHUNK_TIMEOUT env var / off)")
-    p.add_argument("--degrade", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="degrade the backend (process -> thread -> "
-                        "serial) when a chunk exhausts its retries "
-                        "(default on for the CLI)")
-    p.add_argument("--ship-solves", default=None,
-                   action=argparse.BooleanOptionalAction,
-                   help="ship blocked-solve column chunks to the "
-                        "process pool over a once-published chain "
-                        "payload (default: REPRO_SHIP_SOLVES env var / "
-                        "off); results are bit-identical either way")
     p.add_argument("--coalesce", default=None,
                    action=argparse.BooleanOptionalAction,
                    help="coalesce each elimination level's emitted "
@@ -297,12 +265,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: REPRO_COALESCE env var / off); same "
                         "Laplacians and smaller levels — results are "
                         "deterministic per (seed, coalesce) pair")
-    p.add_argument("--transport", choices=["shm", "tcp"], default=None,
-                   help="process-backend payload mode (default: "
-                        "REPRO_TRANSPORT env var / shm); shm publishes "
-                        "arrays via /dev/shm, tcp ships them in-band as "
-                        "chunked frames — results are bit-identical "
-                        "either way")
     p.add_argument("--output", help="save x as .npy")
     p.set_defaults(fn=_cmd_solve)
 

@@ -86,16 +86,14 @@ class SolverOptions:
         regardless of this value — see
         :class:`repro.pram.ExecutionContext`'s determinism contract.
     backend:
-        Execution backend for those phases: ``"serial"``, ``"thread"``
-        (numpy kernels release the GIL), or ``"process"`` (walker
-        chunks ship to a lease-scheduled worker-process pool, payloads
-        over shared memory or in-band frames per ``REPRO_TRANSPORT`` —
-        true multi-core scaling for the Python-bound stepping
-        bookkeeping).
-        ``None`` (default) consults the ``REPRO_BACKEND`` env var
-        lazily (default ``"thread"``).  Like ``workers``, the backend
-        never changes results — fixed seed ⇒ bit-identical graphs,
-        solutions, and ledger totals across all three.
+        Scheduler for those phases: ``"serial"`` (the calling thread)
+        or ``"thread"`` (a pool of ``workers`` threads; numpy kernels
+        release the GIL).  ``None`` (default) consults the
+        ``REPRO_BACKEND`` env var lazily (default ``"thread"``); any
+        other value raises :class:`repro.errors.InvalidInputError` at
+        construction.  Like ``workers``, the backend never changes
+        results — fixed seed ⇒ bit-identical graphs, solutions, and
+        ledger totals on both.
     sampler:
         Row sampler for walker stepping.  The only one is ``"alias"``
         (CSR-aligned per-row alias planes on the incremental walk
@@ -113,30 +111,17 @@ class SolverOptions:
         is part of the *result* for a fixed seed (it decides the
         per-chunk RNG streams), so these are solver options, not
         runtime knobs.
-    retries / chunk_timeout:
+    retries:
         Fault-tolerance policy for dispatched chunks (DESIGN.md §9):
-        ``retries`` extra attempts per lost chunk (``None`` = the
-        ``REPRO_RETRIES`` env var, default 2), ``chunk_timeout``
-        seconds a chunk may stay leased to one process-backend worker
-        before the lease expires and that worker is replaced in place
-        (``None`` = ``REPRO_CHUNK_TIMEOUT``, default off).  Re-dispatch
+        extra attempts per chunk lost to an injected fault (``None`` =
+        the ``REPRO_RETRIES`` env var, default 2).  Re-dispatch
         replays the same ``(lo, hi, seed)`` chunk, so recovered runs
         are bit-identical to undisturbed ones.
-    degrade:
-        Permit backend degradation (process → thread → serial) for
-        chunks whose retries are exhausted (``None`` = the
-        ``REPRO_DEGRADE`` env var, default off — tests want crashes
-        loud; the CLI turns it on).  Degraded re-dispatch replays the
-        identical chunks, so results stay bit-identical.
-    ship_solves:
-        Ship blocked-solve column chunks as self-contained tasks
-        through the execution context's ``run_shipped``, against a
-        once-published copy of the Cholesky chain (DESIGN.md §10) —
-        across the process boundary under the ``process`` backend.
-        ``None`` (default) consults the ``REPRO_SHIP_SOLVES`` env var
-        lazily (default off).  Engages only with >1 column chunk;
-        fixed seed ⇒ bit-identical solutions and ledger totals with or
-        without shipping.
+    ship_solves / degrade:
+        Retired with the process backend; only ``None`` and ``False``
+        are accepted (anything else raises
+        :class:`repro.errors.InvalidInputError`), and nothing reads
+        them.
     coalesce_emitted:
         Coalesce each elimination round's emitted parallel edges in
         the incremental walk store: same-``{u, v}`` duplicates merge
@@ -172,7 +157,6 @@ class SolverOptions:
     chunk_items: int | None = None
     chunk_columns: int | None = None
     retries: int | None = None
-    chunk_timeout: float | None = None
     degrade: bool | None = None
     ship_solves: bool | None = None
     coalesce_emitted: bool | None = None
@@ -180,11 +164,21 @@ class SolverOptions:
     track_costs: bool = True
 
     def __post_init__(self) -> None:
-        if self.sampler not in (None, "alias"):
-            from repro.errors import InvalidInputError
+        from repro.errors import InvalidInputError
 
+        if self.sampler not in (None, "alias"):
             raise InvalidInputError(
                 f"sampler must be None or 'alias', got {self.sampler!r}")
+        if self.backend not in (None, "serial", "thread"):
+            raise InvalidInputError(
+                f"backend must be None, 'serial' or 'thread', "
+                f"got {self.backend!r}")
+        for name in ("ship_solves", "degrade"):
+            if getattr(self, name) not in (None, False):
+                raise InvalidInputError(
+                    f"{name} must be None or False (the process "
+                    f"backend it served is gone), got "
+                    f"{getattr(self, name)!r}")
 
     def alpha_inverse(self, n: int) -> int:
         """α⁻¹ = Θ(log² n) rounded to an integer ≥ 1 (see Theorem 3.9)."""
@@ -208,14 +202,6 @@ class SolverOptions:
         """Functional update (``dataclasses.replace`` wrapper)."""
         return replace(self, **kwargs)
 
-    def resolve_ship_solves(self) -> bool:
-        """Whether blocked solves ship *right now* (lazy env lookup)."""
-        if self.ship_solves is not None:
-            return self.ship_solves
-        from repro.pram.executor import default_ship_solves
-
-        return default_ship_solves()
-
     def resolve_coalesce(self) -> bool:
         """Whether emitted edges coalesce *right now* (lazy env
         lookup)."""
@@ -227,28 +213,15 @@ class SolverOptions:
 
     def execution(self) -> "ExecutionContext":
         """The :class:`repro.pram.ExecutionContext` these options imply."""
-        from repro.pram.executor import (
-            ExecutionContext,
-            RetryPolicy,
-            default_chunk_timeout,
-            default_retries,
-        )
+        from repro.pram.executor import ExecutionContext, RetryPolicy
 
         kwargs = {}
         if self.chunk_items is not None:
             kwargs["chunk_items"] = self.chunk_items
         if self.chunk_columns is not None:
             kwargs["chunk_columns"] = self.chunk_columns
-        if self.retries is not None or self.chunk_timeout is not None:
-            retries = self.retries if self.retries is not None \
-                else default_retries()
-            timeout = self.chunk_timeout \
-                if self.chunk_timeout is not None \
-                else default_chunk_timeout()
-            kwargs["retry"] = RetryPolicy(max_attempts=1 + retries,
-                                          timeout=timeout)
-        if self.degrade is not None:
-            kwargs["degrade"] = self.degrade
+        if self.retries is not None:
+            kwargs["retry"] = RetryPolicy(max_attempts=1 + self.retries)
         if not kwargs and self.workers is None and self.backend is None:
             return ExecutionContext.DEFAULT
         return ExecutionContext(workers=self.workers,

@@ -112,9 +112,9 @@ def block_cholesky(graph: MultiGraph,
     automatically).
 
     Walker batches inside each level step through ``options``'
-    execution context (serial / thread / shared-memory process
-    backend); for a fixed seed the chain is bit-identical across
-    backends and worker counts (DESIGN.md §6–§7).  Every level walks
+    execution context (serial or thread backend); for a fixed seed
+    the chain is bit-identical across backends and worker counts
+    (DESIGN.md §6–§7).  Every level walks
     through one incremental edge store
     (:class:`repro.sampling.IncrementalWalkCSR`).  With
     ``options.coalesce_emitted`` (or ``REPRO_COALESCE``) each level's

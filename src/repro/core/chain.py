@@ -221,15 +221,15 @@ class CholeskyChain:
         uF = np.arange(first[-1]) + np.repeat(first[:-1], f)
         return uF, uF + np.repeat(f, f), 2 * int(first[-1])
 
-    # -- flat-array payload (shipped solves, DESIGN.md §10) ----------------
+    # -- flat-array payload (the solve-time state) ------------------------
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the solve-time chain payload: ``A``'s CSC triple,
-        the slot map, the level shapes and the dense base-case
-        pseudoinverse.  This is exactly what :meth:`payload_arrays`
-        ships through shared memory, so it is the observable cost of
-        `ship_solves`."""
+        """Bytes of the solve-time chain state: ``A``'s CSC triple, the
+        slot map, the level shapes and the dense base-case
+        pseudoinverse — exactly the arrays :meth:`payload_arrays`
+        returns, so it is what a resident chain costs to keep (the
+        serving cache's byte budget counts it)."""
         return sum(int(a.nbytes) for a in self.payload_arrays()[0].values())
 
     def level_nbytes(self) -> list[int]:
@@ -250,11 +250,9 @@ class CholeskyChain:
         (``A_data``/``A_indices``/``A_indptr``), ``u_slot``,
         ``level_shapes`` and ``final_pinv`` — everything
         :class:`repro.core.apply_cholesky.ApplyCholeskyOperator` reads
-        during an apply, nothing else; ``meta`` holds the picklable
-        scalars (``n``, ``jacobi_eps``).  :meth:`from_payload` inverts
-        this mapping with pure view-wiring (no float is recomputed), so
-        a reconstructed chain's applies are bit-identical to the
-        original's.
+        during an apply, nothing else; ``meta`` holds the scalars
+        (``n``, ``jacobi_eps``).  :attr:`nbytes` and
+        :meth:`payload_fingerprint` are computed over this mapping.
         """
         if self.A is None:
             from repro.errors import FactorizationError
@@ -288,31 +286,6 @@ class CholeskyChain:
             h.update(repr(arr.shape).encode())
             h.update(arr.tobytes())
         return h.hexdigest()
-
-    @classmethod
-    def from_payload(cls, arrays: dict, meta: dict) -> "CholeskyChain":
-        """Rebuild a view-only solve chain from :meth:`payload_arrays`.
-
-        ``A`` wraps the given arrays (typically read-only shared-memory
-        views) with a zero-copy ``csc_matrix``.  The result supports
-        :class:`ApplyCholeskyOperator` construction and application
-        only: levels, graphs and global vertex ids are not shipped
-        (``levels`` is empty; :attr:`d` reads ``level_shapes``).
-        """
-        indptr = arrays["A_indptr"]
-        N = indptr.size - 1
-        final_pinv = arrays["final_pinv"]
-        chain = cls(n=int(meta["n"]), graphs=None, levels=[],
-                    final_active=np.arange(final_pinv.shape[0]),
-                    final_pinv=final_pinv,
-                    jacobi_eps=float(meta["jacobi_eps"]),
-                    logical_edges=[], stored_edges=[])
-        chain.A = sp.csc_matrix(
-            (arrays["A_data"], arrays["A_indices"], indptr),
-            shape=(N, N), copy=False)
-        chain.u_slot = arrays["u_slot"]
-        chain.level_shapes = arrays["level_shapes"]
-        return chain
 
     # -- dense reconstruction (test oracle) --------------------------------
 

@@ -117,7 +117,6 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
                               freeze: bool = True,
                               ctx=None,
                               col_ids: np.ndarray | None = None,
-                              ship=None,
                               update: str = "richardson"
                               ) -> RichardsonResult:
     """Solve ``A x = b`` given a δ-quality preconditioner ``B ≈_δ A⁺``.
@@ -175,8 +174,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         Optional :class:`repro.pram.ExecutionContext`.  Blocked solves
         split their columns into the context's (size-determined, hence
         worker-independent) column chunks and iterate each chunk on
-        the context's pool (these chunks are numpy-bound closures, so
-        the process backend schedules them on threads — see
+        the context's pool (see
         :meth:`repro.pram.ExecutionContext.run_chunks`).  Columns are
         independent, so results are identical across worker counts and
         backends.
@@ -186,15 +184,6 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         uncertified columns and ``nan:col=N`` fault directives are
         expressed in, kept stable under column chunking and escalation
         re-solves.
-    ship:
-        Optional :class:`repro.pram.executor.SolveShipment` (the
-        solver's picklable chain payload).  When shipping is enabled
-        the column chunks run as pure tasks through ``run_shipped`` —
-        crossing the process boundary under the process backend —
-        with bit-identical results; when disabled (or the
-        layout is one chunk) the call falls through to the
-        closure-chunked ``ctx`` path.  ``ship`` implies ``apply_A`` /
-        ``apply_B`` are the owning solver's operators.
     update:
         ``"richardson"`` (Algorithm 5) or ``"pcg"`` (certified
         conjugate gradient; see the module docstring).
@@ -209,7 +198,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
             apply_A, apply_B, b[:, None], delta=delta, eps=eps,
             project=project, iterations=iterations, track_errors=track,
             divergence_guard=divergence_guard, freeze=freeze, ctx=ctx,
-            col_ids=col_ids, ship=ship, update=update)
+            col_ids=col_ids, update=update)
         res.x = res.x[:, 0]
         return res
     # Resolve the ambient fault plan / log here, in the calling thread:
@@ -219,33 +208,23 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
 
     plan = _faults.active_plan()
     flog = _faults.current_fault_log()
-    if (ctx is not None or ship is not None) and track_errors is None:
-        # Column chunks iterate independently — shipped as pure tasks
-        # when a SolveShipment is enabled, as closures on the context's
-        # pool otherwise; the layout is a function of the column count
-        # only, so results do not depend on the worker count, backend,
-        # or transport.  A diverging chunk raises ConvergenceError
-        # exactly as the unchunked block would (the caller's fallback
-        # covers the whole block).
-        results = None
-        if ship is not None:
-            results = ship.run(
-                "richardson", b, cols=(eps,), col_ids=col_ids,
-                params={"delta": delta, "project": project,
-                        "iterations": iterations,
-                        "divergence_guard": divergence_guard,
-                        "freeze": freeze, "update": update})
-        if results is None and ctx is not None:
-            from repro.pram.executor import run_column_chunks
+    if ctx is not None and track_errors is None:
+        # Column chunks iterate independently on the context's pool;
+        # the layout is a function of the column count only, so
+        # results do not depend on the worker count or backend.  A
+        # diverging chunk raises ConvergenceError exactly as the
+        # unchunked block would (the caller's fallback covers the
+        # whole block).
+        from repro.pram.executor import run_column_chunks
 
-            results = run_column_chunks(
-                ctx, b,
-                lambda bc, ec, ids: _blocked_richardson(
-                    apply_A, apply_B, bc, delta=delta, eps=ec,
-                    project=project, iterations=iterations,
-                    divergence_guard=divergence_guard, freeze=freeze,
-                    update=update, col_ids=ids, plan=plan, flog=flog),
-                cols=(eps,), col_ids=col_ids)
+        results = run_column_chunks(
+            ctx, b,
+            lambda bc, ec, ids: _blocked_richardson(
+                apply_A, apply_B, bc, delta=delta, eps=ec,
+                project=project, iterations=iterations,
+                divergence_guard=divergence_guard, freeze=freeze,
+                update=update, col_ids=ids, plan=plan, flog=flog),
+            cols=(eps,), col_ids=col_ids)
         if results is not None:
             def merged(attr):
                 parts = [getattr(r, attr) for r in results

@@ -113,13 +113,12 @@ class BlockSolveReport:
     #: (§15), ``"dense"`` where that broke down too.
     column_status: np.ndarray | None = None
     #: Structured :class:`repro.pram.faults.FaultLog` of every
-    #: injection and recovery action during this solve (retries, pool
-    #: rebuilds, quarantines, escalations).  Empty when nothing
+    #: injection and recovery action during this solve (retries,
+    #: quarantines, escalations).  Empty when nothing
     #: happened.
     fault_log: object | None = None
-    #: Resident size of the preconditioner chain's array payload in
-    #: bytes (the exact footprint one shipped-solve shared segment
-    #: holds; DESIGN.md §10).
+    #: Resident size of the preconditioner chain's solve-time arrays in
+    #: bytes (:attr:`repro.core.chain.CholeskyChain.nbytes`).
     chain_nbytes: int = 0
     #: Per-level share of :attr:`chain_nbytes` — one entry per chain
     #: level (its columns of the flat sweep matrix).
@@ -153,7 +152,7 @@ class LaplacianSolver:
     through ``options``' execution context
     (:class:`repro.pram.ExecutionContext`): ``workers`` /
     ``REPRO_WORKERS`` and ``backend`` / ``REPRO_BACKEND`` pick the
-    machinery (serial, thread pool, worker processes) but
+    machinery (serial or a thread pool) but
     never the result — fixed seed ⇒ bit-identical factorizations and
     solutions (DESIGN.md §6–§7).  ``coalesce_emitted`` /
     ``REPRO_COALESCE`` additionally merges each elimination level's
@@ -180,7 +179,7 @@ class LaplacianSolver:
         self.options = options
 
         #: Recovery actions taken while *building* the factorization
-        #: (chunk retries, worker replacements, backend degradation); solve
+        #: (chunk retries after injected faults); solve
         #: calls get their own per-call log on the report.
         self.build_fault_log = FaultLog()
         with use_fault_log(self.build_fault_log):
@@ -204,51 +203,6 @@ class LaplacianSolver:
         #: stepping inside ``block_cholesky`` already went through it).
         self.ctx = options.execution()
         self._L_csr = None
-        self._shipment = None
-
-    # -- shipped blocked solves (DESIGN.md §10) ------------------------------
-
-    @property
-    def shipment(self):
-        """Lazy :class:`repro.pram.executor.SolveShipment` for this chain.
-
-        Built on first use: serialises the factorization (plus the CSR
-        Laplacian) into a host-side payload that the process backend
-        publishes once as a shared-memory segment (or ships in-band
-        under ``REPRO_TRANSPORT=tcp``).  Owned by the solver —
-        :meth:`close` unlinks it.
-        """
-        if self._shipment is None:
-            from repro.pram.executor import SolveShipment
-            if self._L_csr is None:
-                from repro.graphs.laplacian import laplacian
-                self._L_csr = laplacian(self.graph)
-            arrays, chain_meta = self.chain.payload_arrays()
-            arrays["L_data"] = self._L_csr.data
-            arrays["L_indices"] = self._L_csr.indices
-            arrays["L_indptr"] = self._L_csr.indptr
-            meta = {"n": int(self.n), "m_edges": int(self.graph.m),
-                    "chain": chain_meta}
-            self._shipment = SolveShipment(
-                self.ctx, arrays, meta,
-                ship=self.options.ship_solves)
-        return self._shipment
-
-    def close(self) -> None:
-        """Release the shipped-solve shared-memory segment, if any.
-
-        Idempotent; the solver stays usable (a later shipped solve
-        re-publishes the payload).  Also invoked on garbage collection,
-        so ``live_segment_names()`` is empty once solvers go away.
-        """
-        if self._shipment is not None:
-            self._shipment.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def cache_key(self) -> str:
         """Canonical serving-cache key for ``(graph, options, seed)``.
@@ -368,17 +322,12 @@ class LaplacianSolver:
         B = project_out_ones(B)
         fault_log = FaultLog()
         status = np.full(k, method, dtype=object)
-        # Shipped blocked solves (DESIGN.md §10): the certified kernel
-        # and the whole-block fallback ship; the per-column escalation
-        # CG stays in-process.  run() itself no-ops unless the knob +
-        # backend + chunking line up.
-        ship = self.shipment
         with use_fault_log(fault_log):
             try:
                 res = preconditioned_richardson(
                     self.apply_L, self.preconditioner.apply, B,
                     delta=self.options.richardson_delta, eps=eps_col,
-                    ctx=self.ctx, ship=ship, update=method)
+                    ctx=self.ctx, update=method)
                 x, iters, per_col = res.x, res.iterations, \
                     res.per_column_iterations
                 broken = res.broken_columns
@@ -420,7 +369,7 @@ class LaplacianSolver:
                 res = conjugate_gradient(
                     self.apply_L, B, tol=eps_col / 10.0,
                     preconditioner=self.preconditioner.apply,
-                    matvec_edges=self.graph.m, ctx=self.ctx, ship=ship)
+                    matvec_edges=self.graph.m, ctx=self.ctx)
                 x, iters, per_col = res.x, res.iterations, \
                     res.per_column_iterations
                 broken = res.broken_columns

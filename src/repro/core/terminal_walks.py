@@ -111,8 +111,8 @@ def terminal_walks(graph: MultiGraph,
     ctx:
         Optional :class:`repro.pram.ExecutionContext`.  When given, the
         walkers step in deterministic disjoint chunks (one spawned RNG
-        stream per chunk) on the context's backend — serial, thread
-        pool, or worker processes — and results are
+        stream per chunk) on the context's backend — serial or thread
+        pool — and results are
         bit-identical for a fixed seed regardless of backend and
         worker count.  ``None`` keeps the single-stream serial
         stepping.

@@ -73,7 +73,7 @@ class ServiceOverloadedError(ServiceError):
 
     Raised when the pending-request count is at the
     ``REPRO_SERVE_MAX_PENDING`` budget or the circuit breaker is open
-    (DESIGN.md §13).  **Retriable**: nothing about the request was
+    (DESIGN.md §12).  **Retriable**: nothing about the request was
     wrong — resubmit after ``retry_after`` seconds.  The HTTP front
     end maps it to ``503`` with a ``Retry-After`` header.
     """
@@ -83,26 +83,12 @@ class ServiceOverloadedError(ServiceError):
         self.retry_after = float(retry_after)
 
 
-class TransportError(ReproError):
-    """The process-backend transport lost a peer or exhausted recovery.
-
-    Raised by :mod:`repro.pram.transport` for handshake refusals,
-    peers that vanish mid-message (EOF/reset), frames that stay
-    corrupt past the bounded retransmit budget, and unacknowledged
-    messages.  Classified as *transient* by the execution layer: a
-    chunk lost to a transport failure is re-dispatched (to a
-    replacement worker) under the ambient
-    :class:`repro.pram.executor.RetryPolicy`.
-    """
-
-
 class ExecutionError(ReproError):
     """A dispatched chunk failed after exhausting its retry budget.
 
     Raised by the execution layer when a chunk could not be completed
     even after the :class:`repro.pram.executor.RetryPolicy`'s bounded
-    re-dispatches (worker crashes, per-chunk timeouts, injected
-    faults).  ``chunk`` identifies the failing chunk, ``attempts`` how
+    re-dispatches (injected faults).  ``chunk`` identifies the failing chunk, ``attempts`` how
     many dispatch attempts were made, and the last transient cause is
     chained as ``__cause__``.
     """

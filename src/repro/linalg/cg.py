@@ -69,8 +69,7 @@ def conjugate_gradient(L,
                        matvec_edges: int | None = None,
                        raise_on_fail: bool = False,
                        ctx=None,
-                       col_ids: np.ndarray | None = None,
-                       ship=None) -> CGResult:
+                       col_ids: np.ndarray | None = None) -> CGResult:
     """Solve ``L x = b`` by (preconditioned) conjugate gradient.
 
     Parameters
@@ -96,15 +95,7 @@ def conjugate_gradient(L,
         Optional :class:`repro.pram.ExecutionContext`: blocked solves
         split their columns into the context's size-determined chunks
         and run the chunks on its pool (column results are worker- and
-        backend-independent; these chunks are numpy-bound closures, so
-        the process backend schedules them on threads).
-    ship:
-        Optional :class:`repro.pram.executor.SolveShipment`.  When
-        enabled, the column chunks ship as pure tasks through
-        ``run_shipped`` (true process parallelism) with
-        bit-identical results; otherwise the ``ctx`` closure path
-        runs.  ``ship`` implies ``L``/``preconditioner`` are the
-        owning solver's operators.
+        backend-independent).
     """
     apply_L = as_apply(L)
     b = np.asarray(b, dtype=np.float64)
@@ -115,27 +106,18 @@ def conjugate_gradient(L,
 
         plan = _faults.active_plan()
         flog = _faults.current_fault_log()
-        if ctx is not None or ship is not None:
-            results = None
-            if ship is not None:
-                results = ship.run(
-                    "cg", b, cols=(tol,), col_ids=col_ids,
-                    params={"max_iter": max_iter, "singular": singular,
-                            "matvec_edges": matvec_edges,
-                            "raise_on_fail": raise_on_fail,
-                            "preconditioned": preconditioner is not None})
-            if results is None and ctx is not None:
-                from repro.pram.executor import run_column_chunks
+        if ctx is not None:
+            from repro.pram.executor import run_column_chunks
 
-                results = run_column_chunks(
-                    ctx, b,
-                    lambda bc, tc, ids: _blocked_cg(
-                        apply_L, bc, tol=tc, max_iter=max_iter,
-                        preconditioner=preconditioner, singular=singular,
-                        matvec_edges=matvec_edges,
-                        raise_on_fail=raise_on_fail,
-                        col_ids=ids, plan=plan, flog=flog),
-                    cols=(tol,), col_ids=col_ids)
+            results = run_column_chunks(
+                ctx, b,
+                lambda bc, tc, ids: _blocked_cg(
+                    apply_L, bc, tol=tc, max_iter=max_iter,
+                    preconditioner=preconditioner, singular=singular,
+                    matvec_edges=matvec_edges,
+                    raise_on_fail=raise_on_fail,
+                    col_ids=ids, plan=plan, flog=flog),
+                cols=(tol,), col_ids=col_ids)
             if results is not None:
                 # Per-iteration residual_norms merge as the max over
                 # the chunks still running at that iteration, matching

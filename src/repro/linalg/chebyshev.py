@@ -53,8 +53,7 @@ def chebyshev_iteration(L,
                         tol: float | np.ndarray | None = None,
                         stop_rule: StopRule = "preconditioned",
                         ctx=None,
-                        col_ids: np.ndarray | None = None,
-                        ship=None) -> np.ndarray:
+                        col_ids: np.ndarray | None = None) -> np.ndarray:
     """Approximate ``L⁺ b`` by Chebyshev-accelerated iteration on ``BA``.
 
     Parameters
@@ -79,13 +78,6 @@ def chebyshev_iteration(L,
         split their columns into the context's size-determined chunks
         and iterate the chunks on its pool (worker- and
         backend-independent results).
-    ship:
-        Optional :class:`repro.pram.executor.SolveShipment`.  When
-        enabled, the column chunks ship as pure tasks through
-        ``run_shipped`` (true process parallelism) with
-        bit-identical results; otherwise the ``ctx`` closure path
-        runs.  ``ship`` implies ``L``/``B`` are the owning solver's
-        operators.
     """
     if not (0 < lam_min <= lam_max):
         raise ValueError("need 0 < lam_min <= lam_max")
@@ -102,25 +94,16 @@ def chebyshev_iteration(L,
 
         plan = _faults.active_plan()
         flog = _faults.current_fault_log()
-        if ctx is not None or ship is not None:
-            results = None
-            if ship is not None:
-                results = ship.run(
-                    "chebyshev", b, cols=(tol,), col_ids=col_ids,
-                    params={"lam_min": lam_min, "lam_max": lam_max,
-                            "iterations": iterations,
-                            "singular": singular,
-                            "stop_rule": stop_rule})
-            if results is None and ctx is not None:
-                from repro.pram.executor import run_column_chunks
+        if ctx is not None:
+            from repro.pram.executor import run_column_chunks
 
-                results = run_column_chunks(
-                    ctx, b,
-                    lambda bc, tc, ids: _blocked_chebyshev(
-                        apply_L, B, bc, lam_min, lam_max, iterations,
-                        singular, tc, stop_rule,
-                        col_ids=ids, plan=plan, flog=flog),
-                    cols=(tol,), col_ids=col_ids)
+            results = run_column_chunks(
+                ctx, b,
+                lambda bc, tc, ids: _blocked_chebyshev(
+                    apply_L, B, bc, lam_min, lam_max, iterations,
+                    singular, tc, stop_rule,
+                    col_ids=ids, plan=plan, flog=flog),
+                cols=(tol,), col_ids=col_ids)
             if results is not None:
                 return np.hstack(results)
         return _blocked_chebyshev(apply_L, B, b, lam_min, lam_max,

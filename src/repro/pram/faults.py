@@ -2,8 +2,8 @@
 
 The determinism contract (DESIGN.md §6–§8) makes fault tolerance cheap:
 chunk layout and per-chunk RNG streams are functions of problem size
-only, so a lost chunk re-executed anywhere — same ``(lo, hi, seed_key)``
-— produces bit-identical results.  This module provides the harness
+only, so a lost chunk re-executed — same ``(lo, hi, seed_key)`` —
+produces bit-identical results.  This module provides the harness
 that *proves* it: a declarative :class:`FaultPlan` describing where
 faults should strike, applied at well-defined points inside the
 dispatch and iteration machinery, plus a structured :class:`FaultLog`
@@ -13,47 +13,25 @@ A plan is a comma-separated list of directives, each
 ``kind:sel=value:sel=value...``::
 
     kill:chunk=2:attempt=1       # chunk 2's second dispatch attempt dies
-    hang:chunk=0:seconds=30      # chunk 0 stalls (process: real sleep,
-                                 # its lease expires, worker replaced)
+    hang:chunk=0:seconds=30      # chunk 0 stalls (bounded in-process)
     nan:col=3:stage=richardson   # column 3's iterate goes NaN at iter 0
-    drop:frame=0                 # first payload frame per connection lost
-    corrupt:frame=2              # frame 2's bytes flip (CRC catches it)
-    disconnect:worker=1          # worker 1 severs its connection mid-job
-    delay:seconds=0.01           # every outbound frame is slowed
 
 Selectors
 ---------
 ``chunk=N`` (required for kill/hang), ``attempt=N`` (default ``0``;
-``*`` = every attempt — how the exhaustion/degradation paths are
-exercised), ``backend=serial|thread|process`` (only fire under that
-backend), ``phase=walk|columns|solve|serve|transport`` (only fire in
-that dispatch scope), ``seconds=F`` (hang/delay duration, default 30),
-``col=N`` (required for nan), ``iter=N`` (default 0),
-``stage=richardson|pcg|cg|chebyshev|solve|serve|transport`` (``pcg`` is
-the solver's certified PCG, ``cg`` the residual-stopped one).  For
-kill/hang directives ``stage=`` is an alias for ``phase=``
-(``stage=solve`` pins a kill to the shipped-solve dispatches); for nan
-directives ``stage=solve`` matches every blocked solve kernel, where a
-specific stage name matches only that kernel.  A ``backend=``,
-``phase=`` or ``stage=`` value outside these lists raises
-:class:`ValueError` at parse time — a typo'd directive would otherwise
-parse and never fire.
-
-The ``transport`` scope (DESIGN.md §13) targets the process backend's
-wire.
-``drop``/``corrupt``/``delay`` fire on the coordinator's outbound
-payload frames: ``frame=N`` (required for drop/corrupt, optional for
-delay) matches the ``N``-th *first-transmission* data frame on a
-connection, ``worker=N`` optionally pins to one worker's connection,
-and the ``attempt=`` coordinate counts retransmissions — so default
-(``attempt=0``) directives never refire on the recovery path.
-``disconnect:worker=N`` (``worker=`` required; ``chunk=``/``attempt=``
-optional extra filters) ships with the job and severs the connection
-worker-side; ``kill``/``hang`` pinned ``stage=transport`` also ship
-with the job, with ``hang`` suspending the worker's heartbeats first —
-the frozen-machine case only heartbeat monitoring can detect.  Worker
-ids are monotone (replacements get fresh ids), so ``worker=N``
-directives cannot refire on a replacement.
+``*`` = every attempt — how the exhaustion path is exercised),
+``backend=serial|thread`` (only fire under that backend),
+``phase=walk|columns|serve`` (only fire in that dispatch scope),
+``seconds=F`` (hang duration, default 30), ``col=N`` (required for
+nan), ``iter=N`` (default 0),
+``stage=richardson|pcg|cg|chebyshev|solve|serve`` (``pcg`` is the
+solver's certified PCG, ``cg`` the residual-stopped one).  For
+kill/hang directives ``stage=`` is an alias for ``phase=`` and must
+name a dispatch scope; for nan directives ``stage=solve`` matches
+every blocked solve kernel, where a specific stage name matches only
+that kernel.  A ``backend=``, ``phase=`` or ``stage=`` value outside
+these lists raises :class:`ValueError` at parse time — a typo'd
+directive would otherwise parse and never fire.
 
 The ``serve`` scope targets the micro-batch dispatch point of
 :class:`repro.serve.SolverService`: a serve-pinned kill/hang uses the
@@ -74,18 +52,16 @@ deterministic and therefore comparable bit-for-bit to fault-free runs.
 Plans activate either through the ``REPRO_FAULTS`` env var (read
 lazily, like every other ``REPRO_*`` knob) or through the
 :func:`use_faults` context manager, which overrides the environment
-for its dynamic extent.  Because worker threads and processes do not
-inherit the caller's context, the dispatch sites resolve
-:func:`active_plan` / :func:`current_fault_log` **in the calling
-thread** and pass both down explicitly (process workers receive the
-pre-filtered directives as pickled call arguments).
+for its dynamic extent.  Because pool threads do not inherit the
+caller's context, the dispatch sites resolve :func:`active_plan` /
+:func:`current_fault_log` **in the calling thread** and pass both
+down explicitly.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import time
 from dataclasses import dataclass
 
@@ -96,16 +72,15 @@ from repro.errors import ReproError
 __all__ = ["FAULT_KINDS", "PHASES", "STAGES", "FaultDirective",
            "FaultPlan", "FaultEvent", "FaultLog", "InjectedFault",
            "use_faults", "active_plan", "faults_active", "use_fault_log",
-           "current_fault_log", "apply_chunk_faults", "apply_worker_faults",
+           "current_fault_log", "apply_chunk_faults",
            "inject_nan_columns", "split_serve_plan",
            "apply_serve_faults"]
 
 #: Recognised fault kinds.
-FAULT_KINDS = ("kill", "hang", "nan", "drop", "corrupt", "disconnect",
-               "delay")
+FAULT_KINDS = ("kill", "hang", "nan")
 
-#: In-process hangs cannot be interrupted from outside (no process to
-#: kill), so they degenerate to a bounded stall before failing.
+#: A hung thread cannot be interrupted from outside, so an injected
+#: hang degenerates to a bounded stall before failing.
 _INPROCESS_HANG_CAP = 0.05
 
 
@@ -114,8 +89,7 @@ class InjectedFault(ReproError):
 
     Classified as *transient* by the execution layer: a chunk failing
     with :class:`InjectedFault` is re-dispatched under the ambient
-    :class:`repro.pram.executor.RetryPolicy`, exactly like a crashed
-    worker or a timed-out chunk.
+    :class:`repro.pram.executor.RetryPolicy`.
     """
 
 
@@ -123,10 +97,9 @@ class InjectedFault(ReproError):
 class FaultDirective:
     """One declarative fault: a kind plus match selectors.
 
-    Frozen and module-level so instances pickle cleanly into worker
-    processes.  ``attempt=None`` means *every* attempt (the ``*``
-    spelling); every other ``None`` selector means "don't filter on
-    this coordinate".
+    Frozen, so plans can be shared across threads.  ``attempt=None``
+    means *every* attempt (the ``*`` spelling); every other ``None``
+    selector means "don't filter on this coordinate".
     """
 
     kind: str
@@ -138,8 +111,6 @@ class FaultDirective:
     phase: str | None = None
     backend: str | None = None
     seconds: float = 30.0
-    frame: int | None = None
-    worker: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -150,10 +121,13 @@ class FaultDirective:
             raise ValueError(f"{self.kind} directives require chunk=N")
         if self.kind == "nan" and self.col is None:
             raise ValueError("nan directives require col=N")
-        if self.kind in ("drop", "corrupt") and self.frame is None:
-            raise ValueError(f"{self.kind} directives require frame=N")
-        if self.kind == "disconnect" and self.worker is None:
-            raise ValueError("disconnect directives require worker=N")
+        if self.kind in ("kill", "hang") and self.stage is not None \
+                and self.stage not in PHASES:
+            # stage= aliases phase= here; a kernel stage names no
+            # dispatch scope, so the directive could never fire.
+            raise ValueError(
+                f"{self.kind} directives take stage= as a dispatch "
+                f"scope, one of {PHASES}; got {self.stage!r}")
         if self.seconds <= 0:
             raise ValueError("seconds must be positive")
 
@@ -177,32 +151,9 @@ class FaultDirective:
         if self.phase is not None and phase is not None \
                 and self.phase != phase:
             return False
-        # For kill/hang, stage= is a phase alias: ``stage=solve`` pins
-        # the directive to the shipped-solve dispatch scope.
+        # For kill/hang, stage= is a phase alias.
         if self.stage is not None and phase is not None \
                 and self.stage != phase:
-            return False
-        return True
-
-    def matches_frame(self, *, frame: int, attempt: int,
-                      worker: int | None = None) -> bool:
-        """Does this drop/corrupt/delay directive fire on this frame?
-
-        ``frame`` is the per-connection first-transmission ordinal of
-        the outbound data frame; ``attempt`` counts retransmissions
-        (``0`` = the original send), so default directives never
-        refire on the recovery path.  ``frame=None`` on the directive
-        (the ``delay`` case) matches every frame; a ``worker=``
-        selector pins to one connection.
-        """
-        if self.kind not in ("drop", "corrupt", "delay"):
-            return False
-        if self.frame is not None and self.frame != frame:
-            return False
-        if self.attempt is not None and self.attempt != attempt:
-            return False
-        if self.worker is not None and worker is not None \
-                and self.worker != worker:
             return False
         return True
 
@@ -212,12 +163,11 @@ class FaultDirective:
         defaults = FaultDirective("kill", chunk=0) if self.kind != "nan" \
             else FaultDirective("nan", col=0)
         for name, key in (("chunk", "chunk"), ("attempt", "attempt"),
-                          ("col", "col"), ("frame", "frame"),
-                          ("worker", "worker"), ("iteration", "iter"),
+                          ("col", "col"), ("iteration", "iter"),
                           ("stage", "stage"), ("phase", "phase"),
                           ("backend", "backend"), ("seconds", "seconds")):
             value = getattr(self, name)
-            if name in ("chunk", "col", "frame", "worker"):
+            if name in ("chunk", "col"):
                 if value is not None:
                     parts.append(f"{key}={value}")
                 continue
@@ -236,12 +186,11 @@ class FaultDirective:
 
 
 #: Dispatch scopes a ``phase=`` selector can name.
-PHASES = ("walk", "columns", "solve", "serve", "transport")
+PHASES = ("walk", "columns", "serve")
 
 #: Stages a ``stage=`` selector can name: the blocked kernels plus the
 #: scopes ``stage=`` aliases for kill/hang.
-STAGES = ("richardson", "pcg", "cg", "chebyshev", "solve", "serve",
-          "transport")
+STAGES = ("richardson", "pcg", "cg", "chebyshev", "solve", "serve")
 
 
 def _selector_values(key: str) -> tuple[str, ...]:
@@ -267,8 +216,7 @@ def _parse_directive(token: str) -> FaultDirective:
         raw = raw.strip()
         if key == "iter":
             key = "iteration"
-        if key in ("chunk", "attempt", "col", "iteration", "frame",
-                   "worker"):
+        if key in ("chunk", "attempt", "col", "iteration"):
             if key == "attempt" and raw == "*":
                 kwargs[key] = None
                 continue
@@ -312,51 +260,6 @@ class FaultPlan:
         if not directives:
             raise ValueError(f"no fault directives in {text!r}")
         return cls(directives)
-
-    def chunk_directives(self, *, backend: str | None = None,
-                         phase: str | None = None
-                         ) -> tuple[FaultDirective, ...]:
-        """The kill/hang directives that could fire under ``backend``
-        in dispatch scope ``phase`` (used to pre-filter what ships to
-        worker processes)."""
-        out = []
-        for d in self.directives:
-            if d.kind not in ("kill", "hang"):
-                continue
-            # Transport-scope kill/hang ship with the job over the
-            # wire (see transport_directives), never to pool workers.
-            if "transport" in (d.stage, d.phase) and phase != "transport":
-                continue
-            if d.backend is not None and backend is not None \
-                    and d.backend != backend:
-                continue
-            if d.phase is not None and phase is not None \
-                    and d.phase != phase:
-                continue
-            if d.stage is not None and phase is not None \
-                    and d.stage != phase:
-                continue
-            out.append(d)
-        return tuple(out)
-
-    def frame_directives(self) -> tuple[FaultDirective, ...]:
-        """The drop/corrupt/delay directives — applied by the
-        coordinator to its outbound transport frames (DESIGN.md §13)."""
-        return tuple(d for d in self.directives
-                     if d.kind in ("drop", "corrupt", "delay"))
-
-    def transport_directives(self) -> tuple[FaultDirective, ...]:
-        """The directives that ship *with* process-backend jobs and fire
-        worker-side on the wire: ``disconnect`` plus kill/hang pinned
-        to the ``transport`` scope."""
-        out = []
-        for d in self.directives:
-            if d.kind == "disconnect":
-                out.append(d)
-            elif d.kind in ("kill", "hang") \
-                    and "transport" in (d.stage, d.phase):
-                out.append(d)
-        return tuple(out)
 
     def __bool__(self) -> bool:
         return bool(self.directives)
@@ -406,7 +309,7 @@ def use_faults(plan: "FaultPlan | str | None"):
     Accepts a :class:`FaultPlan`, a directive string (parsed), or
     ``None`` (masks any ``REPRO_FAULTS`` env plan).  The override is
     visible in the installing thread — dispatch sites resolve the plan
-    there and hand it to worker threads/processes explicitly.
+    there and hand it to pool threads explicitly.
     """
     if isinstance(plan, str):
         plan = FaultPlan.parse(plan)
@@ -425,17 +328,11 @@ class FaultEvent:
     """One injection or recovery action.
 
     ``action`` is the event type: ``inject`` (a directive fired),
-    ``retry`` (a chunk was re-dispatched), ``timeout`` (a chunk's
-    lease expired), ``exhausted`` (a chunk ran out of attempts),
-    ``degrade`` (failed chunks fell back to a weaker backend),
-    ``quarantine`` (broken columns were frozen out of an iteration),
-    ``escalate`` (quarantined columns, or Richardson columns that
-    reached their budget uncertified, moved to a stronger solver).
-    The transport layer adds ``retransmit`` (a message went unACKed
-    and was resent), ``nak`` (a corrupt frame was rejected),
-    ``worker_dead`` / ``worker_replace`` (a lease-holding worker died
-    and was replaced in place), ``auth_refused`` (a connection failed
-    the handshake); the serving layer adds ``shed`` (a request was
+    ``retry`` (a chunk was re-dispatched), ``exhausted`` (a chunk ran
+    out of attempts), ``quarantine`` (broken columns were frozen out
+    of an iteration), ``escalate`` (quarantined columns, or Richardson
+    columns that reached their budget uncertified, moved to a stronger
+    solver); the serving layer adds ``shed`` (a request was
     refused under admission control) and ``breaker_open`` /
     ``breaker_close`` (circuit-breaker transitions).
     """
@@ -521,10 +418,9 @@ def apply_chunk_faults(plan: FaultPlan, *, chunk: int, attempt: int,
                        log: FaultLog | None = None) -> None:
     """Fire any matching kill/hang directive for an in-process chunk.
 
-    In-process there is no worker to kill and no way to interrupt a
-    hung thread from outside, so both kinds degenerate to raising
-    :class:`InjectedFault` (hang after a bounded stall) — which the
-    retry machinery treats exactly like the process-side originals.
+    There is no worker to kill and no way to interrupt a hung thread
+    from outside, so both kinds raise :class:`InjectedFault` (hang
+    after a bounded stall), which the retry machinery re-dispatches.
     """
     for d in plan.directives:
         if not d.matches_chunk(chunk=chunk, attempt=attempt,
@@ -537,28 +433,6 @@ def apply_chunk_faults(plan: FaultPlan, *, chunk: int, attempt: int,
             time.sleep(min(d.seconds, _INPROCESS_HANG_CAP))
         raise InjectedFault(
             f"injected {d.kind}: chunk={chunk} attempt={attempt}")
-
-
-def apply_worker_faults(directives: tuple[FaultDirective, ...], *,
-                        chunk: int, attempt: int) -> None:
-    """Fire any matching directive inside a worker **process**.
-
-    ``kill`` exits the process hard (``os._exit``), a genuine worker
-    death the parent's lease scheduler detects; ``hang`` sleeps for
-    the directive's ``seconds`` — long enough for the parent's lease
-    timeout to expire the chunk and replace the worker — then raises
-    :class:`InjectedFault` as a bounded fallback when no timeout is
-    armed.  Directives arrive pre-filtered by backend/phase (see
-    :meth:`FaultPlan.chunk_directives`).
-    """
-    for d in directives:
-        if not d.matches_chunk(chunk=chunk, attempt=attempt):
-            continue
-        if d.kind == "kill":
-            os._exit(77)
-        time.sleep(d.seconds)
-        raise InjectedFault(
-            f"injected hang expired: chunk={chunk} attempt={attempt}")
 
 
 def split_serve_plan(plan: FaultPlan | None
@@ -634,8 +508,7 @@ def inject_nan_columns(plan: FaultPlan, block: np.ndarray,
         if d.iteration != iteration:
             continue
         # ``stage=solve`` is a wildcard over the blocked solve kernels
-        # (richardson/pcg/cg/chebyshev) — the coordinate shipped-solve
-        # fault tests are written in.
+        # (richardson/pcg/cg/chebyshev).
         if d.stage is not None and d.stage != stage \
                 and d.stage != "solve":
             continue

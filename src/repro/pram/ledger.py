@@ -41,7 +41,6 @@ __all__ = [
     "current_ledger",
     "ledger_active",
     "use_ledger",
-    "detach_ledger",
     "charge",
     "parallel_region",
 ]
@@ -187,22 +186,6 @@ def ledger_active() -> bool:
     charge would have recorded.
     """
     return _current.get() is not None
-
-
-def detach_ledger() -> None:
-    """Uninstall any ambient ledger (charging becomes a no-op).
-
-    Worker *processes* call this first: a ``fork`` start method copies
-    the parent's contextvars, so without the detach a forked worker
-    would charge its setup work into a ghost copy of the parent's
-    ledger.  Cross-process accounting instead flows through the
-    explicit sub-ledger the shipped-task protocol hands each chunk
-    (the ledger pickles whole — plain floats and
-    :class:`CostSnapshot` label subtotals — and the parent joins the
-    returned sub-ledgers via :meth:`WorkDepthLedger.absorb_parallel`,
-    exactly as for thread chunks).
-    """
-    _current.set(None)
 
 
 @contextlib.contextmanager

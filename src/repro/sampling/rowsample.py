@@ -89,8 +89,8 @@ class RowSampler:
         hi = self.adj.indptr[rows + 1] - 1
         if np.any(lo > hi):
             # An empty interior row can only reach this point when the
-            # derived base/top bounds disagree with the CSR (e.g.
-            # inconsistent shipped planes); clipping would silently
+            # derived base/top bounds disagree with the CSR;
+            # clipping would silently
             # return a slot from a *different* row.
             raise SamplingError("cannot sample from an empty adjacency "
                                 "row (CSR and cumulative bounds disagree)")

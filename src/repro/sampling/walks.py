@@ -56,53 +56,6 @@ from repro.sampling.alias import CSRAliasSampler
 __all__ = ["WalkEngine", "WalkResult"]
 
 
-def _walk_chunk_task(arrays, meta, lo, hi, stream, ledger):
-    """Shippable chunk task: step walkers ``[lo, hi)`` of a batch.
-
-    This is the process-backend counterpart of the closure
-    :meth:`WalkEngine.run_chunked` dispatches in-process: ``arrays``
-    holds the engine's immutable state (restricted CSR, per-slot
-    resistances, terminal mask, the alias sampler's ``prob``/``alias``/
-    row-total planes) plus the full ``starts`` batch — reconstructed
-    worker-side as read-only shared-memory views — and the chunk
-    itself is just slice bounds plus a spawned RNG stream.
-
-    Engine assembly is pure view-wiring (the parent ships the
-    sampler's derived arrays, so nothing is recomputed per chunk) and
-    charges nothing; the sub-ledger is installed only around the
-    stepping loop, mirroring the in-process path where the sampler was
-    built once by the parent before the chunks fork.  Ledger totals
-    are therefore backend-invariant.
-    """
-    from repro.graphs.multigraph import AdjacencyView
-    from repro.pram.ledger import use_ledger
-
-    adj = AdjacencyView(indptr=arrays["indptr"],
-                        neighbor=arrays["neighbor"],
-                        weight=arrays["weight"],
-                        # Stepping never decodes edge ids — placeholder.
-                        edge_id=np.empty(0, dtype=np.int64))
-    sampler = CSRAliasSampler.__new__(CSRAliasSampler)
-    sampler.adj = adj
-    sampler.prob = arrays["alias_prob"]
-    sampler.alias = arrays["alias_alias"]
-    sampler.row_total = arrays["alias_total"]
-    sampler._deg = arrays["alias_deg"]
-    engine = WalkEngine.__new__(WalkEngine)
-    engine.graph = None
-    engine.is_terminal = arrays["is_terminal"]
-    engine.adj = adj
-    engine.sampler = sampler
-    engine._slot_resistance = arrays["slot_resistance"]
-    starts = arrays["starts"][lo:hi]
-    if ledger is None:
-        return engine.run(starts, seed=stream,
-                          max_steps=meta["max_steps"])
-    with use_ledger(ledger):
-        return engine.run(starts, seed=stream,
-                          max_steps=meta["max_steps"])
-
-
 @dataclass(frozen=True)
 class WalkResult:
     """Outcome of a batch of terminal walks.
@@ -300,13 +253,7 @@ class WalkEngine:
         ``REPRO_CHUNK_ITEMS`` env default), never of the worker count —
         so for a fixed seed and fixed chunk policy the result is
         **bit-identical regardless of the worker count or backend**
-        (they only schedule the fixed chunks).  Under the process
-        backend the engine's immutable arrays ship to the worker pool
-        once per call as one shared-memory segment (in-band frames
-        under ``REPRO_TRANSPORT=tcp``) and each chunk pickles only its
-        slice bounds and seed-spawn key (see
-        :func:`_walk_chunk_task`); the serial and thread backends
-        step the same chunks in-process.  The explicit
+        (they only schedule the fixed chunks).  The explicit
         ``chunks``/``workers`` parameters remain for callers that want
         a specific layout.
         """
@@ -323,27 +270,11 @@ class WalkEngine:
             pieces = ctx.item_chunks(starts.size) if chunks is None \
                 else chunk_ranges(starts.size, chunks)
 
-        if ctx.resolve_backend() == "process" and len(pieces) > 1:
-            arrays = {"indptr": self.adj.indptr,
-                      "neighbor": self.adj.neighbor,
-                      "weight": self.adj.weight,
-                      "slot_resistance": self._slot_resistance,
-                      "is_terminal": self.is_terminal,
-                      "starts": starts,
-                      "alias_prob": self.sampler.prob,
-                      "alias_alias": self.sampler.alias,
-                      "alias_total": self.sampler.row_total,
-                      "alias_deg": self.sampler._deg}
-            results = ctx.run_shipped(_walk_chunk_task, arrays,
-                                      {"max_steps": max_steps},
-                                      pieces, rng=rng, scope="walk")
-        else:
+        def one(lo: int, hi: int, stream) -> WalkResult:
+            return self.run(starts[lo:hi], seed=stream,
+                            max_steps=max_steps)
 
-            def one(lo: int, hi: int, stream) -> WalkResult:
-                return self.run(starts[lo:hi], seed=stream,
-                                max_steps=max_steps)
-
-            results = ctx.run_chunks(one, pieces, rng=rng, scope="walk")
+        results = ctx.run_chunks(one, pieces, rng=rng, scope="walk")
         if not results:
             return WalkResult(np.empty(0, np.int64), np.empty(0),
                               np.empty(0, np.int64), 0)

@@ -13,7 +13,7 @@ Front ends: in-process (``SolverService.submit``/``solve``), HTTP
 (``SolverService.serve_http`` — stdlib asyncio, JSON), and the CLI
 (``repro serve`` / ``repro client``).
 
-Overload behaviour (DESIGN.md §13): a bounded pending-request budget
+Overload behaviour (DESIGN.md §12): a bounded pending-request budget
 (``REPRO_SERVE_MAX_PENDING``) sheds excess load with a retriable
 :class:`repro.errors.ServiceOverloadedError` (HTTP 503 +
 ``Retry-After``), and a circuit breaker opens after

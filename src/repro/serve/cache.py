@@ -3,9 +3,9 @@
 The expensive artifact is the block Cholesky chain; the cheap operation
 is a blocked apply.  :class:`ChainCache` keeps built
 :class:`repro.core.solver.LaplacianSolver` instances resident under a
-byte budget measured by the observable payload size
-(:attr:`repro.core.chain.CholeskyChain.nbytes` — exactly what one
-shipped-solve shared segment would hold), with:
+byte budget measured by the chain's solve-time array size
+(:attr:`repro.core.chain.CholeskyChain.nbytes` — everything an apply
+reads), with:
 
 * **LRU eviction** — least-recently-*used* entry goes first once the
   resident payload bytes exceed the budget; the most recent entry is
@@ -14,10 +14,9 @@ shipped-solve shared segment would hold), with:
 * **single-flight builds** — concurrent misses on one key run the
   builder once; every waiter gets the same solver (or the builder's
   exception, which is not cached — a later miss retries).
-* **eager teardown** — evicted and closed entries release their
-  shipped-solve shared-memory segments immediately
-  (:meth:`LaplacianSolver.close`), keeping
-  :func:`repro.pram.executor.live_segment_names` honest.
+
+An evicted solver holds nothing but memory, so dropping the cache's
+reference is all the teardown it needs.
 """
 
 from __future__ import annotations
@@ -180,31 +179,22 @@ class ChainCache:
                 self._entries.move_to_end(key)
                 self.builds += 1
                 self._builds.pop(key, None)
-                evicted = self._evict_locked()
+                self._evict_locked()
             pending.done.set()
-            for victim in evicted:
-                victim.close()
             return solver
 
-    def _evict_locked(self) -> list[LaplacianSolver]:
-        budget = self.max_bytes
-        evicted: list[LaplacianSolver] = []
+    def _evict_locked(self) -> None:
         while len(self._entries) > 1 \
-                and self._total_bytes_locked() > budget:
-            _, victim = self._entries.popitem(last=False)
+                and self._total_bytes_locked() > self.max_bytes:
+            self._entries.popitem(last=False)
             self.evictions += 1
-            evicted.append(victim)
-        return evicted
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop every entry and release its shm resources. Idempotent."""
+        """Drop every entry. Idempotent."""
         with self._lock:
-            victims = list(self._entries.values())
             self._entries.clear()
-        for victim in victims:
-            victim.close()
 
     def stats(self) -> dict:
         """Counters + residency snapshot (JSON-friendly)."""

@@ -15,10 +15,10 @@ factorization.  Identity has two halves:
   :class:`repro.config.SolverOptions` fields that change the built
   chain's bits.  Runtime knobs that the determinism contract
   (DESIGN.md §6) proves result-neutral (``workers``, ``backend``,
-  ``retries``, ``chunk_timeout``, ``degrade``, ``ship_solves``,
-  ``keep_graphs``, and ``sampler``, which has one value) are
-  deliberately excluded, so a thread-backend client and a
-  process-backend client share one resident chain.  Lazy fields that
+  ``retries``, ``keep_graphs``, and the single-valued ``sampler``,
+  ``degrade`` and ``ship_solves``) are deliberately excluded, so a
+  serial-backend client and a thread-backend client share one
+  resident chain.  Lazy fields that
   *do* affect bits (``coalesce_emitted``, ``chunk_items``) are
   resolved against the environment at key time.
 """

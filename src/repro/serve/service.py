@@ -143,7 +143,7 @@ def default_serve_breaker_cooldown_s() -> float:
 
 
 class _Breaker:
-    """Circuit breaker over the batched-solve path (DESIGN.md §13).
+    """Circuit breaker over the batched-solve path (DESIGN.md §12).
 
     ``closed`` → normal admission.  After K *consecutive* batch
     failures the breaker **opens**: requests fail fast with

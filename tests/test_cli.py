@@ -76,6 +76,26 @@ class TestSolve:
         assert "unrecognized arguments: --sampler" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--transport", "tcp"], ["--ship-solves"],
+        ["--chunk-timeout", "1"], ["--degrade"],
+    ])
+    def test_process_backend_flags_are_unknown(self, grid_file, capsys,
+                                               flag):
+        # The process backend and its wire transport are gone, and
+        # their flags with them.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", grid_file, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in \
+            capsys.readouterr().err
+
+    def test_process_backend_choice_is_refused(self, grid_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", grid_file, "--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_prints_ledger(self, grid_file, capsys):

@@ -16,6 +16,7 @@ from repro.errors import (
     ConvergenceError,
     FactorizationError,
     GraphStructureError,
+    InvalidInputError,
     NotConnectedError,
     ReproError,
     SamplingError,
@@ -60,6 +61,26 @@ class TestSolverOptions:
     def test_frozen(self):
         with pytest.raises(Exception):
             default_options().min_vertices = 3  # type: ignore
+
+    @pytest.mark.parametrize("field, value", [
+        ("backend", "process"),
+        ("backend", "bogus"),
+        ("ship_solves", True),
+        ("degrade", True),
+    ])
+    def test_retired_execution_values_are_refused(self, field, value):
+        # The process backend, shipped solves and backend degradation
+        # are gone; asking for them is a typed error at construction.
+        with pytest.raises(InvalidInputError, match=field):
+            SolverOptions(**{field: value})
+        with pytest.raises(InvalidInputError, match=field):
+            default_options().with_(**{field: value})
+
+    def test_remaining_execution_values_are_accepted(self):
+        for backend in (None, "serial", "thread"):
+            assert SolverOptions(backend=backend).backend == backend
+        opts = SolverOptions(ship_solves=False, degrade=False)
+        assert opts.ship_solves is False and opts.degrade is False
 
 
 class TestErrorHierarchy:

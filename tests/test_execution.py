@@ -6,15 +6,12 @@ blocked ``solve_many`` — produces bit-identical results for
 ``REPRO_WORKERS ∈ {1, 2, 4}``, because chunk layout and per-chunk RNG
 streams are functions of problem size only.  The backend-matrix tests
 extend that to the PR-4 contract: the same holds for
-``REPRO_BACKEND ∈ {serial, thread, process}`` — including ledger
-totals — and the process backend leaks no shared-memory segments after
-solver teardown.  The incremental-CSR tests pin the other tentpole
+``REPRO_BACKEND ∈ {serial, thread}`` — including ledger totals.  The
+incremental-CSR tests pin the other tentpole
 invariant: the maintained restricted adjacency (and the interior
 degree oracle it serves the 5DD scan from) equals a from-scratch
 rebuild after every elimination round.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -28,39 +25,10 @@ from repro.pram.executor import (
     BACKENDS,
     DEFAULT_CHUNK_ITEMS,
     ExecutionContext,
-    SharedPayload,
-    _attach_payload,
     default_backend,
     default_workers,
-    get_backend,
-    live_segment_names,
 )
 from repro.sampling.inc_csr import IncrementalWalkCSR
-
-
-def _square_task(arrays, meta, lo, hi, stream, ledger):
-    """Module-level shipped task (pickled by reference under the
-    process backend): deterministic value + one charged region."""
-    from repro.pram import charge, use_ledger as _use
-
-    value = float((arrays["x"][lo:hi] ** 2).sum()) + meta["bias"]
-    if stream is not None:
-        value += float(stream.random())
-    if ledger is not None:
-        with _use(ledger):
-            charge(hi - lo, 2.0, label="sq")
-    return value
-
-
-def _fail_task(arrays, meta, lo, hi, stream, ledger):
-    from repro.pram import charge, use_ledger as _use
-
-    if ledger is not None:
-        with _use(ledger):
-            charge(hi - lo, 1.0, label="chunk")
-    if lo >= meta["fail_from"]:
-        raise ValueError(f"boom {lo}")
-    return lo
 
 
 class TestExecutionContext:
@@ -211,10 +179,20 @@ class TestExecutionBackends:
     def test_default_backend_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert default_backend() == "thread"
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert default_backend() == "process"
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert default_backend() == "serial"
+
+    def test_process_backend_is_rejected(self, monkeypatch):
+        # The process backend is gone: naming it fails loudly rather
+        # than silently falling back to threads.
+        assert BACKENDS == ("serial", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(ValueError):
+            default_backend()
+        with pytest.raises(ValueError):
+            ExecutionContext().resolve_backend()
+        with pytest.raises(ValueError):
+            ExecutionContext(backend="process")
 
     def test_default_backend_rejects_typos(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "porcess")
@@ -227,106 +205,70 @@ class TestExecutionBackends:
         for name in BACKENDS:
             assert ExecutionContext(backend=name).resolve_backend() == name
 
-    def test_get_backend_singletons(self):
-        for name in BACKENDS:
-            assert get_backend(name) is get_backend(name)
-            assert get_backend(name).name == name
-        with pytest.raises(ValueError):
-            get_backend("nope")
+    @staticmethod
+    def _square(x):
+        """Chunk closure: deterministic value + one charged region."""
+        from repro.pram import charge
 
-    def test_shared_payload_roundtrip(self):
-        arrays = {"a": np.arange(7.0),
-                  "empty": np.empty(0, dtype=np.int64),
-                  "mask": np.array([[True, False], [False, True],
-                                    [True, True]]),
-                  "ints": np.arange(5, dtype=np.int32)}
-        before = live_segment_names()
-        payload = SharedPayload(arrays)
-        assert live_segment_names() == before  # published lazily
-        try:
-            spec = payload.publish()
-            assert payload.publish() is spec  # published once
-            assert spec[0] in live_segment_names()
-            got = _attach_payload(spec)
-            for key, want in arrays.items():
-                np.testing.assert_array_equal(got[key], want)
-                assert got[key].dtype == want.dtype
-            assert not got["a"].flags.writeable
-        finally:
-            payload.close()
-        assert spec[0] not in live_segment_names()
-        payload.close()  # idempotent
-        # A closed (or externally swept) payload re-publishes on demand.
-        again = payload.publish()
-        assert again[0] != spec[0] and again[0] in live_segment_names()
-        payload.close()
-        assert live_segment_names() == before
+        def one(lo, hi, stream):
+            charge(hi - lo, 2.0, label="sq")
+            return float((x[lo:hi] ** 2).sum()) + float(stream.random())
 
-    def test_shared_payload_fingerprint_and_nbytes(self):
-        from repro.pram.transport import payload_fingerprint
-
-        arrays = {"a": np.arange(7.0), "ints": np.arange(5, dtype=np.int32)}
-        before = live_segment_names()
-        payload = SharedPayload(arrays)
-        # The in-band identity and the size need no segment.
-        assert payload.fingerprint() == payload_fingerprint(arrays)
-        assert payload.nbytes == 7 * 8 + 5 * 4
-        assert live_segment_names() == before
-        payload.close()  # closing an unpublished payload is a no-op
+        return one
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_shipped_matches_serial(self, backend, monkeypatch):
+    def test_run_chunks_matches_serial(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         x = np.linspace(0.0, 3.0, 37)
         ctx = ExecutionContext(backend=backend, chunk_items=8)
         pieces = ctx.item_chunks(x.size)
         assert len(pieces) > 1
 
-        def run():
+        def run(context):
             rng = np.random.default_rng(5)
             with use_ledger() as ledger:
-                out = ctx.run_shipped(_square_task, {"x": x},
-                                      {"bias": 1.5}, pieces, rng=rng)
+                out = context.run_chunks(self._square(x), pieces, rng=rng)
             return out, ledger.work, ledger.depth, \
                 ledger.by_label["sq"].work
 
-        base_ctx = ExecutionContext(backend="serial", chunk_items=8)
-        rng = np.random.default_rng(5)
-        with use_ledger() as base_ledger:
-            base = base_ctx.run_shipped(_square_task, {"x": x},
-                                        {"bias": 1.5}, pieces, rng=rng)
-        out, work, depth, sq = run()
+        base = run(ExecutionContext(backend="serial", chunk_items=8))
+        out = run(ctx)
         assert out == base
-        assert (work, depth) == (base_ledger.work, base_ledger.depth)
-        assert sq == base_ledger.by_label["sq"].work
-        assert depth == 2.0  # fork/join: depths max, not add
+        assert out[2] == 2.0  # fork/join: depths max, not add
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_shipped_raises_lowest_index_error(self, backend,
-                                                   monkeypatch):
+    def test_run_chunks_raises_lowest_index_error(self, backend,
+                                                  monkeypatch):
+        from repro.pram import charge
+
         monkeypatch.setenv("REPRO_WORKERS", "2")
         ctx = ExecutionContext(backend=backend, chunk_items=4)
         pieces = ctx.item_chunks(20)
         fail_from = pieces[2][0]
+
+        def one(lo, hi):
+            charge(hi - lo, 1.0, label="chunk")
+            if lo >= fail_from:
+                raise ValueError(f"boom {lo}")
+            return lo
+
         with use_ledger() as ledger:
             with pytest.raises(ValueError, match=f"boom {fail_from}"):
-                ctx.run_shipped(_fail_task, {"x": np.zeros(1)},
-                                {"fail_from": fail_from}, pieces)
+                ctx.run_chunks(one, pieces)
         # Every chunk ran and charged before the deterministic re-raise.
         assert ledger.by_label["chunk"].work == 20
 
 
 class TestBackendMatrix:
-    """ISSUE 4 acceptance: fixed seed ⇒ bit-identical solutions and
-    ledger totals for ``REPRO_BACKEND ∈ {serial, thread, process}`` at
-    ``REPRO_WORKERS ∈ {1, 2, 4}`` — and no leaked shared memory."""
+    """Fixed seed ⇒ bit-identical solutions and ledger totals for
+    ``REPRO_BACKEND ∈ {serial, thread}`` at
+    ``REPRO_WORKERS ∈ {1, 2, 4}``."""
 
     WORKER_COUNTS = (1, 2, 4)
 
     @staticmethod
     def _opts() -> SolverOptions:
-        # Small walker chunks so every backend genuinely fans out (the
-        # process backend ships only multi-chunk dispatches).  The
+        # Small walker chunks so every backend genuinely fans out.  The
         # chunk policy is part of the result, so it is held fixed
         # across the whole matrix.
         return default_options().with_(chunk_items=512)
@@ -400,30 +342,10 @@ class TestBackendMatrix:
                     solutions(backend, workers), base,
                     err_msg=f"{backend} workers={workers}")
 
-    def test_no_leaked_shared_memory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        shm_dir = "/dev/shm"
-        prefix = f"repro-{os.getpid()}-"
-        g = G.grid2d(12, 12)
-        solver = LaplacianSolver(
-            g, options=practical_options().with_(chunk_items=512), seed=8)
-        b = np.zeros(g.n)
-        b[0], b[-1] = 1.0, -1.0
-        solver.solve(b, eps=1e-4)
-        del solver
-        # The registry is drained as each dispatch joins, and nothing
-        # with this process's prefix survives on the filesystem.
-        assert live_segment_names() == ()
-        if os.path.isdir(shm_dir):
-            leaked = [name for name in os.listdir(shm_dir)
-                      if name.startswith(prefix)]
-            assert leaked == []
-
     def test_options_backend_threads_through(self):
-        opts = default_options().with_(backend="process", workers=3)
+        opts = default_options().with_(backend="serial", workers=3)
         ctx = opts.execution()
-        assert ctx.resolve_backend() == "process"
+        assert ctx.resolve_backend() == "serial"
         assert ctx.resolve_workers() == 3
 
 
@@ -640,145 +562,3 @@ class TestChebyshevPreconditionedFreeze:
         chunked = chebyshev_iteration(L, solver.preconditioner.apply, B,
                                       lo, hi, 30, ctx=ctx)
         np.testing.assert_allclose(chunked, plain, rtol=1e-12, atol=1e-12)
-
-
-class TestShippedSolves:
-    """ISSUE 7 tentpole: blocked solves ship as self-contained tasks
-    over a once-published chain payload.  Fixed seed ⇒ bit-identical
-    solutions and ledger totals vs the threaded closure path across
-    the process backend's {shm, tcp} payload modes × {1, 2, 4}
-    workers, and no shared memory survives solver teardown."""
-
-    WORKER_COUNTS = (1, 2, 4)
-
-    @staticmethod
-    def _problem():
-        g = G.grid2d(13, 13)
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((g.n, 8))
-        B -= B.mean(axis=0)
-        return g, B
-
-    @staticmethod
-    def _opts():
-        # chunk_columns=2 over k=8 RHS -> 4 column chunks, so every
-        # kernel genuinely fans out; chunk policy is part of the
-        # result, held fixed across the matrix.
-        return practical_options().with_(chunk_columns=2,
-                                         chunk_items=512)
-
-    def _solve(self, g, B, backend, workers, ship,
-               method="richardson", eps=1e-6):
-        opts = self._opts().with_(backend=backend, workers=workers,
-                                  ship_solves=ship)
-        solver = LaplacianSolver(g, options=opts, seed=11)
-        with use_ledger() as ledger:
-            rep = solver.solve_many_report(B, eps=eps, method=method)
-        solver.close()
-        return rep, (ledger.work, ledger.depth)
-
-    @pytest.mark.parametrize("method", ["richardson", "pcg"])
-    def test_shipped_matrix_bit_identical(self, method, monkeypatch):
-        g, B = self._problem()
-        base, lbase = self._solve(g, B, "thread", 2, False, method)
-        assert base.iterations > 0
-        for transport in ("shm", "tcp"):
-            monkeypatch.setenv("REPRO_TRANSPORT", transport)
-            for workers in self.WORKER_COUNTS:
-                rep, led = self._solve(g, B, "process", workers, True,
-                                       method)
-                np.testing.assert_array_equal(
-                    rep.x, base.x,
-                    err_msg=f"{transport} workers={workers}")
-                assert rep.iterations == base.iterations
-                assert led == lbase, (transport, workers)
-        assert live_segment_names() == ()
-
-    def test_chebyshev_shipped_matches_chunked(self):
-        import math
-
-        from repro.graphs.laplacian import laplacian
-        from repro.linalg.chebyshev import chebyshev_iteration
-
-        g, B = self._problem()
-        lo, hi = math.exp(-1), math.exp(1)
-        opts = self._opts().with_(backend="process", workers=2,
-                                  ship_solves=True)
-        solver = LaplacianSolver(g, options=opts, seed=4)
-        L = laplacian(g)
-        plain = chebyshev_iteration(
-            L, solver.preconditioner.apply, B, lo, hi, 40, tol=1e-8,
-            ctx=solver.ctx)
-        shipped = chebyshev_iteration(
-            L, solver.preconditioner.apply, B, lo, hi, 40, tol=1e-8,
-            ship=solver.shipment)
-        np.testing.assert_array_equal(shipped, plain)
-        solver.close()
-        assert live_segment_names() == ()
-
-    def test_frozen_column_compaction_across_chunks(self):
-        # Per-column targets spanning seven decades stagger the freeze
-        # points, so columns compact out of their chunks at different
-        # iterations; shipped chunks must reproduce the threaded
-        # freeze/compaction trajectory exactly.
-        g, B = self._problem()
-        eps = np.geomspace(1e-2, 1e-9, B.shape[1])
-        base, lbase = self._solve(g, B, "thread", 2, False, eps=eps)
-        per = base.per_column_iterations
-        assert per is not None and np.unique(per).size > 1
-        rep, led = self._solve(g, B, "process", 2, True, eps=eps)
-        np.testing.assert_array_equal(rep.x, base.x)
-        np.testing.assert_array_equal(rep.per_column_iterations, per)
-        assert led == lbase
-        assert live_segment_names() == ()
-
-    def test_shipment_lifecycle_and_hygiene(self, monkeypatch):
-        # The segment lifecycle is the shm payload mode's (tcp
-        # publishes nothing).
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        g, B = self._problem()
-        opts = self._opts().with_(backend="process", workers=2,
-                                  ship_solves=True)
-        solver = LaplacianSolver(g, options=opts, seed=11)
-        shipment = solver.shipment
-        assert solver.shipment is shipment  # cached on the solver
-        # Payload = chain + Laplacian CSR, so strictly bigger than the
-        # chain alone; both sizes surface on the report.
-        assert shipment.nbytes > solver.chain.nbytes > 0
-        rep = solver.solve_many_report(B, eps=1e-5)
-        assert rep.chain_nbytes == solver.chain.nbytes
-        assert sum(rep.chain_level_nbytes) <= rep.chain_nbytes
-        # The chain segment persists between dispatches (publish once,
-        # attach per worker) ...
-        assert len(live_segment_names()) == 1
-        x1 = rep.x
-        np.testing.assert_array_equal(
-            solver.solve_many(B, eps=1e-5), x1)
-        # ... and close() unlinks it; idempotent, solver still usable.
-        solver.close()
-        assert live_segment_names() == ()
-        np.testing.assert_array_equal(
-            solver.solve_many(B, eps=1e-5), x1)
-        solver.close()
-        solver.close()
-        assert live_segment_names() == ()
-
-    def test_ship_solves_env_knob(self, monkeypatch):
-        from repro.pram.executor import default_ship_solves
-
-        monkeypatch.delenv("REPRO_SHIP_SOLVES", raising=False)
-        assert default_ship_solves() is False
-        for val, want in (("1", True), ("true", True), ("on", True),
-                          ("yes", True), ("0", False), ("no", False),
-                          ("off", False), ("", False)):
-            monkeypatch.setenv("REPRO_SHIP_SOLVES", val)
-            assert default_ship_solves() is want, val
-        monkeypatch.setenv("REPRO_SHIP_SOLVES", "wat")
-        with pytest.raises(ValueError):
-            default_ship_solves()
-        # An explicit option beats the env var; None defers to it.
-        monkeypatch.setenv("REPRO_SHIP_SOLVES", "1")
-        opts = default_options()
-        assert opts.resolve_ship_solves() is True
-        assert opts.with_(ship_solves=False).resolve_ship_solves() \
-            is False

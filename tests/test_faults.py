@@ -9,8 +9,6 @@ run bit-for-bit — solutions **and** ledger totals — and every recovery
 action must appear in the structured :class:`FaultLog`.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -28,10 +26,7 @@ from repro.pram.executor import (
     BACKENDS,
     ExecutionContext,
     RetryPolicy,
-    default_chunk_timeout,
-    default_degrade,
     default_retries,
-    live_segment_names,
 )
 from repro.pram.faults import (
     FaultDirective,
@@ -48,18 +43,18 @@ from repro.pram.faults import (
 FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
-def _square_task(arrays, meta, lo, hi, stream, ledger):
-    """Module-level shipped task (pickled by reference under the
-    process backend): deterministic value + one charged region."""
-    from repro.pram import charge, use_ledger as _use
+def _square(x):
+    """Chunk closure: deterministic value + one charged region."""
+    from repro.pram import charge
 
-    value = float((arrays["x"][lo:hi] ** 2).sum()) + meta["bias"]
-    if stream is not None:
-        value += float(stream.random())
-    if ledger is not None:
-        with _use(ledger):
-            charge(hi - lo, 2.0, label="sq")
-    return value
+    def one(lo, hi, stream=None):
+        charge(hi - lo, 2.0, label="sq")
+        value = float((x[lo:hi] ** 2).sum()) + 1.5
+        if stream is not None:
+            value += float(stream.random())
+        return value
+
+    return one
 
 
 class TestPlanParsing:
@@ -76,7 +71,7 @@ class TestPlanParsing:
     def test_spec_roundtrip(self):
         text = ("kill:chunk=2:attempt=1,hang:chunk=0:seconds=2,"
                 "nan:col=3:iter=1:stage=cg,"
-                "kill:chunk=1:attempt=*:backend=process:phase=walk")
+                "kill:chunk=1:attempt=*:backend=thread:phase=walk")
         plan = FaultPlan.parse(text)
         reparsed = FaultPlan.parse(
             ",".join(d.spec() for d in plan.directives))
@@ -91,22 +86,15 @@ class TestPlanParsing:
 
     def test_backend_and_phase_selectors(self):
         d = FaultPlan.parse(
-            "kill:chunk=0:backend=process:phase=walk").directives[0]
-        assert d.matches_chunk(chunk=0, attempt=0, backend="process",
+            "kill:chunk=0:backend=thread:phase=walk").directives[0]
+        assert d.matches_chunk(chunk=0, attempt=0, backend="thread",
                                phase="walk")
-        assert not d.matches_chunk(chunk=0, attempt=0, backend="thread",
+        assert not d.matches_chunk(chunk=0, attempt=0, backend="serial",
                                    phase="walk")
-        assert not d.matches_chunk(chunk=0, attempt=0, backend="process",
+        assert not d.matches_chunk(chunk=0, attempt=0, backend="thread",
                                    phase="columns")
         # Unknown coordinate at the call site: selector not consulted.
         assert d.matches_chunk(chunk=0, attempt=0)
-
-    def test_chunk_directives_prefilter(self):
-        plan = FaultPlan.parse(
-            "kill:chunk=0:backend=process,kill:chunk=1:backend=serial,"
-            "nan:col=2,hang:chunk=3")
-        ships = plan.chunk_directives(backend="process", phase="walk")
-        assert [d.chunk for d in ships] == [0, 3]
 
     @pytest.mark.parametrize("bad", [
         "explode:chunk=1",       # unknown kind
@@ -122,6 +110,13 @@ class TestPlanParsing:
         "kill:chunk=1:backend=distributed",  # retired backend
         "kill:chunk=1:phase=wlak",           # typo'd phase
         "nan:col=1:stage=richardsn",         # typo'd stage
+        # Directives naming the retired process backend, its wire or
+        # its shipped solves could never fire.
+        "drop:frame=0",
+        "disconnect:worker=1",
+        "kill:chunk=0:backend=process",
+        "kill:chunk=0:phase=transport",
+        "kill:chunk=0:stage=solve",
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -130,14 +125,37 @@ class TestPlanParsing:
     def test_every_listed_selector_value_parses(self):
         # The selector check must not reject a value some dispatch
         # site can actually match (case-insensitive, like the rest).
+        # Kernel stages are nan coordinates; kill/hang take stage= as
+        # an alias of a dispatch scope.
         from repro.pram.faults import PHASES, STAGES
 
-        for key, values in (("backend", BACKENDS), ("phase", PHASES),
-                            ("stage", STAGES)):
+        scopes = tuple(v for v in STAGES if v in PHASES)
+        assert scopes == ("serve",)
+        for kind, key, values in (("kill:chunk=0", "backend", BACKENDS),
+                                  ("kill:chunk=0", "phase", PHASES),
+                                  ("kill:chunk=0", "stage", scopes),
+                                  ("nan:col=0", "stage", STAGES)):
             for value in values:
                 d = FaultPlan.parse(
-                    f"kill:chunk=0:{key}={value.upper()}").directives[0]
+                    f"{kind}:{key}={value.upper()}").directives[0]
                 assert getattr(d, key) == value
+
+    def test_nan_stage_solve_is_a_kernel_wildcard(self):
+        # kill/hang lost stage=solve with the shipped solves; nan keeps
+        # it as the wildcard over the blocked kernels.
+        from repro.pram.faults import inject_nan_columns
+
+        plan = FaultPlan.parse("nan:col=0:stage=solve")
+        d = plan.directives[0]
+        assert d.stage == "solve"
+        assert FaultPlan.parse(d.spec()) == plan
+        for stage in ("richardson", "pcg", "cg", "chebyshev"):
+            block = np.ones((3, 2))
+            hit = inject_nan_columns(plan, block, np.array([0, 1]), 0,
+                                     stage)
+            assert hit == [0], stage
+            assert np.isnan(block[:, 0]).all()
+            assert np.isfinite(block[:, 1]).all()
 
     def test_env_activation(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -174,46 +192,23 @@ class TestEnvKnobs:
         with pytest.raises(ValueError):
             default_retries()
 
-    def test_default_chunk_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
-        assert default_chunk_timeout() is None
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "2.5")
-        assert default_chunk_timeout() == 2.5
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "0")
-        with pytest.raises(ValueError):
-            default_chunk_timeout()
-
-    def test_default_degrade(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEGRADE", raising=False)
-        assert default_degrade() is False
-        monkeypatch.setenv("REPRO_DEGRADE", "1")
-        assert default_degrade() is True
-        monkeypatch.setenv("REPRO_DEGRADE", "0")
-        assert default_degrade() is False
-
     def test_retry_policy_validation_and_backoff(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
         policy = RetryPolicy(max_attempts=4, base_delay=0.1)
         assert policy.delay(1) == pytest.approx(0.1)
         assert policy.delay(3) == pytest.approx(0.4)  # doubles per round
 
     def test_policy_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "1.5")
         policy = RetryPolicy.from_env()
         assert policy.max_attempts == 6
-        assert policy.timeout == 1.5
 
     def test_options_thread_through(self):
-        ctx = default_options().with_(
-            retries=1, chunk_timeout=2.0, degrade=True).execution()
-        assert ctx.retry == RetryPolicy(max_attempts=2, timeout=2.0)
-        assert ctx.resolve_degrade() is True
+        ctx = default_options().with_(retries=1).execution()
+        assert ctx.retry == RetryPolicy(max_attempts=2)
         # All-defaults options still share the singleton context.
         assert default_options().execution() is ExecutionContext.DEFAULT
 
@@ -225,8 +220,7 @@ class TestChunkRedispatch:
         rng = np.random.default_rng(5)
         with use_ledger() as ledger:
             with use_faults(plan), use_fault_log() as flog:
-                out = ctx.run_shipped(_square_task, {"x": x},
-                                      {"bias": 1.5}, pieces, rng=rng)
+                out = ctx.run_chunks(_square(x), pieces, rng=rng)
         return out, ledger.work, ledger.depth, flog
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -244,8 +238,6 @@ class TestChunkRedispatch:
         assert out == base
         assert (fwork, fdepth) == (work, depth)
         assert flog.count("retry") >= 1
-        if backend == "process" and fault.startswith("kill"):
-            assert flog.count("worker_replace") >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_second_attempt_can_fault_too(self, backend, monkeypatch):
@@ -259,27 +251,6 @@ class TestChunkRedispatch:
         assert out == base and fwork == work
         assert flog.count("retry") >= 2
 
-    def test_lease_timeout_replaces_worker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        policy = RetryPolicy(max_attempts=2, base_delay=0.01, timeout=0.5)
-        ctx = ExecutionContext(backend="process", chunk_items=8,
-                               retry=policy)
-        pieces = ctx.item_chunks(x.size)
-        base, work, *_ = self._run(ctx, pieces, x, None)
-        # A real 30s sleep in a worker that keeps heartbeating: only
-        # the lease timeout can save this dispatch within the test's
-        # lifetime, and it replaces that one worker, not the pool.
-        out, fwork, _, flog = self._run(ctx, pieces, x,
-                                        "hang:chunk=0:seconds=30")
-        assert out == base and fwork == work
-        assert [e.chunk for e in flog.events
-                if e.action == "timeout"] == [0]
-        assert flog.count("worker_replace") == 1
-        assert flog.count("retry") == 1
-        assert flog.count("pool_rebuild") == 0
-        assert live_segment_names() == ()
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_exhaustion_error_shape(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
@@ -291,20 +262,18 @@ class TestChunkRedispatch:
         with use_faults("kill:chunk=1:attempt=*"), \
                 use_fault_log() as flog:
             with pytest.raises(ExecutionError) as err:
-                ctx.run_shipped(_square_task, {"x": x}, {"bias": 1.5},
-                                pieces)
-        # A dying worker loses only its own lease, so chunk 1 is the
-        # one and only chunk to exhaust on every backend.
+                ctx.run_chunks(_square(x), pieces)
+        # Only chunk 1 faults, so it is the one and only chunk to
+        # exhaust on every backend.
         assert err.value.chunk == 1
         assert err.value.attempts == 2
         assert err.value.__cause__ is not None
         assert [e.chunk for e in flog.events
                 if e.action == "exhausted"] == [1]
-        assert live_segment_names() == ()
 
     def test_nontransient_errors_are_not_retried(self, monkeypatch):
         # A deterministic bug must not burn retry attempts: only
-        # injected faults / crashes / timeouts are transient.
+        # injected faults are transient.
         monkeypatch.setenv("REPRO_WORKERS", "2")
         ctx = ExecutionContext(backend="serial", chunk_items=4,
                                retry=FAST)
@@ -328,88 +297,6 @@ class TestChunkRedispatch:
             out = ctx.run_chunks(lambda lo, hi: hi - lo, pieces)
         assert out == [hi - lo for lo, hi in pieces]
         assert flog.count("inject") == 1 and flog.count("retry") == 1
-
-
-class TestShmHygiene:
-    """Satellite: no leaked segments when workers die mid-dispatch."""
-
-    def _assert_no_leaks(self):
-        assert live_segment_names() == ()
-        shm_dir = "/dev/shm"
-        prefix = f"repro-{os.getpid()}-"
-        if os.path.isdir(shm_dir):
-            leaked = [name for name in os.listdir(shm_dir)
-                      if name.startswith(prefix)]
-            assert leaked == []
-
-    def test_killed_worker_leaves_no_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(
-            backend="process", chunk_items=8,
-            retry=RetryPolicy(max_attempts=1, base_delay=0.01))
-        pieces = ctx.item_chunks(x.size)
-        with use_faults("kill:chunk=1:attempt=*"):
-            with pytest.raises(ExecutionError):
-                ctx.run_shipped(_square_task, {"x": x}, {"bias": 1.5},
-                                pieces)
-        self._assert_no_leaks()
-
-    def test_recovered_dispatch_leaves_no_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(backend="process", chunk_items=8,
-                               retry=FAST)
-        pieces = ctx.item_chunks(x.size)
-        with use_faults("kill:chunk=0"):
-            ctx.run_shipped(_square_task, {"x": x}, {"bias": 1.5}, pieces)
-        self._assert_no_leaks()
-
-
-class TestDegradation:
-    """Retry-exhausted chunks fall down the backend ladder — and the
-    degraded result is still bit-identical."""
-
-    def test_process_degrades_to_thread_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        policy = RetryPolicy(max_attempts=2, base_delay=0.01)
-        pieces = ExecutionContext(chunk_items=8).item_chunks(x.size)
-
-        def run(ctx, plan):
-            rng = np.random.default_rng(5)
-            with use_faults(plan), use_fault_log() as flog:
-                out = ctx.run_shipped(_square_task, {"x": x},
-                                      {"bias": 1.5}, pieces, rng=rng)
-            return out, flog
-
-        base, _ = run(ExecutionContext(backend="serial", chunk_items=8),
-                      None)
-        ctx = ExecutionContext(backend="process", chunk_items=8,
-                               retry=policy, degrade=True)
-        # backend=process pins the kill to the process attempts only, so
-        # the degraded (thread) re-dispatch of the same chunk succeeds.
-        out, flog = run(ctx, "kill:chunk=1:attempt=*:backend=process")
-        assert out == base
-        # Leases confine the deaths to chunk 1: it alone exhausts, and
-        # one degrade step (process -> thread) recovers it.
-        assert [e.chunk for e in flog.events
-                if e.action == "exhausted"] == [1]
-        assert flog.count("degrade") == 1
-        assert flog.events[-1].action != "exhausted"
-        assert live_segment_names() == ()
-
-    def test_degrade_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEGRADE", raising=False)
-        ctx = ExecutionContext(backend="process", chunk_items=8,
-                               retry=RetryPolicy(max_attempts=1))
-        assert ctx.resolve_degrade() is False
-        x = np.linspace(0.0, 3.0, 37)
-        pieces = ctx.item_chunks(x.size)
-        with use_faults("kill:chunk=1:attempt=*"):
-            with pytest.raises(ExecutionError):
-                ctx.run_shipped(_square_task, {"x": x}, {"bias": 1.5},
-                                pieces)
 
 
 class TestSolverFaultInvariance:
@@ -442,14 +329,6 @@ class TestSolverFaultInvariance:
                                           err_msg=f"{backend} w={workers}")
             assert faulted[1:] == base[1:], (backend, workers)
 
-    def test_hang_on_process_backend_is_invisible(self, monkeypatch):
-        base = self._solve(monkeypatch, "process", 2, None)
-        faulted = self._solve(monkeypatch, "process", 2,
-                              "hang:chunk=0:seconds=0.01")
-        np.testing.assert_array_equal(faulted[0], base[0])
-        assert faulted[1:] == base[1:]
-        assert live_segment_names() == ()
-
     def test_column_chunk_faults_are_invisible(self, monkeypatch):
         # phase=columns pins the fault to the column-chunked solve
         # dispatches (run_chunks closures), leaving the walk phase
@@ -459,91 +338,6 @@ class TestSolverFaultInvariance:
                               "kill:chunk=0:phase=columns")
         np.testing.assert_array_equal(faulted[0], base[0])
         assert faulted[1:] == base[1:]
-
-
-class TestShippedSolveFaults:
-    """ISSUE 7: the fault machinery covers shipped solve chunks
-    unchanged.  ``stage=solve`` pins kill/hang to the shipped-solve
-    dispatch scope (and widens nan directives over every kernel
-    stage); recovery replays the identical column chunks, so faulted
-    runs stay bit-identical — solutions and ledger totals — and no
-    shared memory survives a worker dying mid-solve."""
-
-    def _solve(self, plan, backend="process", ship=True, retries=2):
-        g = G.grid2d(12, 12)
-        rng = np.random.default_rng(5)
-        B = rng.standard_normal((g.n, 8))
-        B -= B.mean(axis=0)
-        opts = practical_options().with_(
-            chunk_columns=2, chunk_items=512, backend=backend,
-            workers=2, ship_solves=ship, retries=retries)
-        solver = LaplacianSolver(g, options=opts, seed=11)
-        with use_faults(plan):
-            with use_ledger() as ledger:
-                rep = solver.solve_many_report(B, eps=1e-6)
-        solver.close()
-        return rep, (ledger.work, ledger.depth)
-
-    def test_stage_solve_selector_semantics(self):
-        plan = FaultPlan.parse("kill:chunk=1:stage=solve")
-        assert plan.chunk_directives(phase="solve")
-        assert not plan.chunk_directives(phase="walk")
-        assert not plan.chunk_directives(phase="columns")
-        d = plan.directives[0]
-        assert d.matches_chunk(chunk=1, attempt=0, phase="solve")
-        assert not d.matches_chunk(chunk=1, attempt=0, phase="walk")
-        assert FaultPlan.parse(d.spec()) == plan  # spec round-trips
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_killed_solve_chunk_recovers_bit_identical(self, backend):
-        base, lbase = self._solve(None, backend=backend)
-        assert base.iterations > 0
-        rep, led = self._solve("kill:chunk=1:stage=solve",
-                               backend=backend)
-        np.testing.assert_array_equal(rep.x, base.x)
-        assert rep.iterations == base.iterations
-        assert led == lbase
-        assert rep.fault_log.summary().get("retry", 0) >= 1
-        assert live_segment_names() == ()
-
-    def test_hung_solve_chunk_recovers_bit_identical(self):
-        base, lbase = self._solve(None)
-        rep, led = self._solve(
-            "hang:chunk=0:seconds=0.01:stage=solve")
-        np.testing.assert_array_equal(rep.x, base.x)
-        assert led == lbase
-        assert rep.fault_log.summary().get("retry", 0) >= 1
-        assert live_segment_names() == ()
-
-    def test_nan_stage_solve_shipped_matches_inprocess(self):
-        # stage=solve is a wildcard over the kernel stages for nan
-        # directives; the quarantine fires inside a shipped worker, the
-        # escalation runs parent-side — the whole trajectory (status,
-        # solutions, ledger) must equal the unshipped thread run.
-        ship, led_s = self._solve("nan:col=3:stage=solve")
-        plain, led_p = self._solve("nan:col=3:stage=solve",
-                                   backend="thread", ship=False)
-        np.testing.assert_array_equal(ship.x, plain.x)
-        assert ship.method == plain.method
-        assert list(ship.column_status) == list(plain.column_status)
-        assert "dense" in ship.column_status or \
-            "pcg" in ship.column_status
-        assert led_s == led_p
-        assert ship.fault_log.summary()["quarantine"] == \
-            plain.fault_log.summary()["quarantine"]
-        assert live_segment_names() == ()
-
-    def test_shm_clean_after_killed_worker_mid_solve(self):
-        # The killed worker dies holding live attachments to both the
-        # dispatch payload and the persistent chain payload; neither
-        # may outlive the run on the filesystem.
-        rep, _ = self._solve("kill:chunk=1:stage=solve")
-        assert np.isfinite(rep.x).all()
-        assert live_segment_names() == ()
-        prefix = f"repro-{os.getpid()}-"
-        if os.path.isdir("/dev/shm"):
-            assert [name for name in os.listdir("/dev/shm")
-                    if name.startswith(prefix)] == []
 
 
 class TestNumericalContainment:

@@ -5,7 +5,7 @@ Re-proves the library's contracts at the service boundary
 
 * **batching equivalence** — k concurrent single-RHS requests through
   the micro-batcher are bit-identical to one direct ``solve_many`` on
-  the assembled block, across ``{serial, thread, process}`` backends;
+  the assembled block, across ``{serial, thread}`` backends;
   sequential library ``solve(b)`` calls agree to
   solver tolerance (the blocked path's documented contract: reductions
   depend on the block width — DESIGN.md §5);
@@ -16,8 +16,8 @@ Re-proves the library's contracts at the service boundary
   bit-identically; a nan-poisoned request degrades only its own
   column (``column_status``) while cohabiting requests in the same
   batch are untouched;
-* **hygiene** — no leaked shared-memory segments after shutdown; env
-  caches reset on server start and in test teardown.
+* **hygiene** — env caches reset on server start and in test
+  teardown.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from repro.errors import DimensionMismatchError, InvalidInputError, \
     ServiceError, ServiceOverloadedError
 from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
-from repro.pram.executor import _env_caches, default_workers, \
-    live_segment_names
+from repro.pram.executor import _env_caches, default_workers
 from repro.pram.faults import FaultPlan, InjectedFault, split_serve_plan, \
     use_faults
 from repro.serve import (
@@ -139,10 +138,10 @@ class TestGraphKeys:
         g = G.grid2d(5, 5)
         base = solver_cache_key(g, default_options(), 0)
         for variant in (default_options().with_(workers=3),
-                        default_options().with_(backend="process"),
+                        default_options().with_(backend="serial"),
                         default_options().with_(retries=7),
-                        default_options().with_(degrade=True),
-                        default_options().with_(ship_solves=True),
+                        default_options().with_(degrade=False),
+                        default_options().with_(ship_solves=False),
                         default_options().with_(keep_graphs=False)):
             assert solver_cache_key(g, variant, 0) == base
 
@@ -278,7 +277,6 @@ class TestChainCache:
         cache.get_or_build("k", lambda: _build_solver(g))
         cache.close()
         assert len(cache) == 0
-        assert live_segment_names() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ class TestBatchingEquivalence:
     K = 5
 
     @pytest.mark.parametrize("sampler", [None, "alias"])
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_batched_bit_identical_to_direct_solve_many(
             self, backend, sampler):
         # n > min_vertices so the build actually walks (the backend
@@ -547,21 +545,6 @@ class TestServeFaults:
         walk = next(d for d in inner.directives if d.kind == "kill")
         assert walk.phase == "walk"  # untouched pass-through
         assert split_serve_plan(None) == ((), None)
-
-    def test_shm_hygiene_after_shutdown(self):
-        # Shipped solves publish the chain payload through shared
-        # memory; closing the service must unlink every segment.
-        g = G.grid2d(6, 6)
-        opts = default_options().with_(backend="process",
-                                       ship_solves=True,
-                                       chunk_columns=2)
-        with SolverService(options=opts, window_ms=WINDOW_MS) as svc:
-            key = svc.register(g, seed=0)
-            B = np.random.default_rng(15).normal(size=(g.n, 4))
-            futures = [svc.submit(key, B[:, i]) for i in range(4)]
-            for f in futures:
-                assert np.isfinite(f.result(timeout=120).x).all()
-        assert live_segment_names() == ()
 
 
 # ---------------------------------------------------------------------------

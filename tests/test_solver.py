@@ -99,6 +99,12 @@ class TestSolveVariants:
         assert rep.iterations >= 1
         assert rep.chain_depth == solver.chain.d
         assert rep.multiedges == solver.multigraph.m_logical
+        # The block report carries the resident chain's size, whole and
+        # per level.
+        block = solver.solve_many_report(b[:, None], eps=1e-4)
+        assert block.chain_nbytes == solver.chain.nbytes > 0
+        assert len(block.chain_level_nbytes) == solver.chain.d
+        assert sum(block.chain_level_nbytes) <= block.chain_nbytes
 
     def test_unbalanced_rhs_projected(self):
         g = G.grid2d(8, 8)
