@@ -8,7 +8,7 @@ pair (weight ``Σwᵢ``, multiplicity ``k``).  The Laplacian is unchanged
 (per-copy resistance ``k/Σwᵢ`` is the conditional mean of the
 individual resistances, so Lemma 5.1's unbiasedness survives with
 *smaller* variance); what shrinks is everything proportional to stored
-slots: edge bytes, alias-plane rebuild work, epoch-compaction traffic.
+slots: edge bytes, alias-plane build work, epoch-compaction traffic.
 
 Always-on correctness gates:
 
@@ -24,7 +24,7 @@ Always-on correctness gates:
 Measured at the p01 workload (grid n≈2025, ε=0.5), coalesce ON vs OFF:
 
 * **stored edges per round** (sum), **peak edge bytes**, and
-  **alias slots rebuilt** after the prime — the full run **gates**
+  **alias slots built** over all rounds — the full run **gates**
   every reduction ``> 1×`` (they are typically ≥ 5×);
 * **end-to-end** ``approx_schur`` wall-clock, coalesce OFF vs ON
   (informational).
@@ -172,7 +172,7 @@ def reduction_metrics(g, C, eps: float, seed: int) -> dict:
         out[label] = {
             "stored_edges_total": int(sum(report.stored_edges_per_round)),
             "peak_edge_bytes": int(report.peak_edge_bytes),
-            "alias_rebuilt_slots": int(report.alias_rebuilt_slots),
+            "alias_built_slots": int(report.alias_built_slots),
             "emitted_slots_saved": int(report.emitted_slots_saved),
             "rounds": int(report.rounds),
         }
@@ -180,7 +180,7 @@ def reduction_metrics(g, C, eps: float, seed: int) -> dict:
         key: (out["off"][key] / out["on"][key]) if out["on"][key] else
         float("inf")
         for key in ("stored_edges_total", "peak_edge_bytes",
-                    "alias_rebuilt_slots")}
+                    "alias_built_slots")}
     return out
 
 
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     print(f"determinism matrix: {determinism}")
     print(f"reductions at p01: stored-edges {red['stored_edges_total']:.1f}x  "
           f"peak-bytes {red['peak_edge_bytes']:.1f}x  "
-          f"alias-rebuilds {red['alias_rebuilt_slots']:.1f}x")
+          f"alias-builds {red['alias_built_slots']:.1f}x")
     print(f"end-to-end: coalesce off {e2e['off']['seconds']:.3f}s  "
           f"on {e2e['on']['seconds']:.3f}s  "
           f"-> {e2e['speedup']:.2f}x (informational)")

@@ -96,12 +96,12 @@ def _cmd_solve(args) -> int:
     report = solver.solve_report(b, eps=args.eps, method=args.method)
     t_solve = time.time() - t0
     A = solver.chain.A
-    nb = solver.chain.final_pinv.shape[0]
+    nb = solver.chain.base.size
     print(f"build: {t_build:.3f}s (d={report.chain_depth} levels, "
           f"{report.multiedges} multi-edges)")
     print(f"chain payload: {solver.chain.nbytes / 1e6:.2f} MB "
           f"(sweep matrix {A.shape[0]}x{A.shape[0]} with {A.nnz} "
-          f"entries, base pseudo-inverse {nb}x{nb})")
+          f"entries, base Cholesky factor {nb}x{nb})")
     print(f"solve: {t_solve:.3f}s ({report.iterations} iterations, "
           f"method={report.method}, residual="
           f"{report.residual_2norm:.3e})")

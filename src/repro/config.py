@@ -48,8 +48,12 @@ class SolverOptions:
         laptop-scale instances fast while concentration still holds
         empirically (benchmark E14 sweeps this knob).
     min_vertices:
-        ``BlockCholesky`` recurses until the Schur complement has at
-        most this many vertices (paper: 100), then solves densely.
+        The base case's byte budget, ``min_vertices²`` doubles.
+        ``BlockCholesky`` eliminates while a packed Cholesky factor of
+        the grounded Schur complement on ``a`` active vertices,
+        ``a(a−1)/2`` doubles, exceeds it, then factors that base
+        exactly (DESIGN.md §17).  The default 100 (the paper's base
+        size) stops at most 141 vertices.
     dd_fraction / dd_candidate_fraction / dd_threshold:
         Constants of ``5DDSubset`` (Algorithm 3): accept when
         ``|F| > n·dd_fraction`` (paper: 1/40), sample candidate sets of

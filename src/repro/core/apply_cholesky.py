@@ -3,12 +3,13 @@
 Given the chain from ``BlockCholesky``, applies the linear operator
 ``W ≈₁ L⁺``: a forward substitution down the chain (each level solving
 its ``F`` block with the Jacobi operator ``Z^(k)`` and pushing the
-remainder to ``C``), a dense pseudo-solve at the O(1)-size base, and a
-backward substitution up the chain.
+remainder to ``C``), an exact solve at the O(1)-size base (a packed
+Cholesky factor, DESIGN.md §17), and a backward substitution up the
+chain.
 
 Both sweeps are triangular solves with the chain's flat form ``A``
 (:meth:`repro.core.chain.CholeskyChain.flatten`, DESIGN.md §14), so one
-application is two compiled sparse kernels plus the base product.
+application is two compiled sparse kernels plus the base solve.
 Narrow blocks run them as SuperLU solves; blocks of at least
 :data:`K_WAVE` columns run them over the chain's ``2d + 1``
 wavefronts, two sparse products per level and sweep.  Both kernels do
@@ -23,12 +24,14 @@ coupling-block matvec (``O(m)``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from repro.core.chain import CholeskyChain
+from repro.core.chain import CholeskyChain, csr_addmul
 from repro.errors import DimensionMismatchError, FactorizationError
 from repro.linalg.jacobi import jacobi_terms
 from repro.pram import charge, ledger_active
@@ -89,18 +92,12 @@ class ApplyCholeskyOperator:
         a = 2 * (np.cumsum(f) - f)
         self._fronts = list(zip(a.tolist(), (a + f).tolist(),
                                 (a + 2 * f).tolist()))
-        # Between the sweeps: y_k moves to u_{F_k}, the y slots clear
-        # and u_base becomes final_pinv @ u_base.  Both are one sparse
-        # product, so each column's arithmetic is independent of how
-        # many columns ride along.
-        uF, yF, base0 = chain.sweep_slots()
-        nb = chain.final_pinv.shape[0]
-        base = base0 + np.arange(nb)
-        self._mid = sp.csr_matrix(
-            (np.concatenate([np.ones(uF.size), chain.final_pinv.ravel()]),
-             (np.concatenate([uF, np.repeat(base, nb)]),
-              np.concatenate([yF, np.tile(base, nb)]))),
-            shape=(N, N))
+        # Between the sweeps y_k moves to u_{F_k} and the y slots
+        # clear: one CSR kernel with rows of ones (exact copies), which
+        # leaves the base rows zero for the base solve to fill.
+        uF, yF, self._base0 = chain.sweep_slots()
+        self._move = sp.csr_matrix((np.ones(uF.size), (uF, yF)),
+                                   shape=(N, N))
         self._l = jacobi_terms(chain.jacobi_eps)
 
     # -- the operator -------------------------------------------------------
@@ -131,7 +128,21 @@ class ApplyCholeskyOperator:
     def _superlu(self, r: np.ndarray) -> np.ndarray:
         """Both sweeps as SuperLU triangular solves, which walk ``A``
         one column and one right-hand side at a time."""
-        return self._lu.solve(self._mid @ self._lu.solve(r), trans="T")
+        return self._lu.solve(self._mid(self._lu.solve(r)), trans="T")
+
+    def _mid(self, s: np.ndarray) -> np.ndarray:
+        """Between the sweeps: ``y_k`` moves to ``u_{F_k}``, the ``y``
+        slots clear and ``u_base`` becomes ``L_B⁺ u_base`` (DESIGN.md
+        §17).  Sparse kernels and ``dpptrs``, all treating columns
+        independently, so a column's arithmetic does not depend on how
+        many columns ride along."""
+        N, k = s.shape[0], 1 if s.ndim == 1 else s.shape[1]
+        t = np.zeros(s.shape)
+        S, T = s.reshape(N, k), t.reshape(N, k)
+        csr_addmul(self._move, S, T)
+        b0 = self._base0
+        self.chain.base.solve_into(S[b0:], T[b0:])
+        return t
 
     def _wavefronts(self, r: np.ndarray) -> np.ndarray:
         """Both sweeps level by level, in place on C-ordered ``(N, k)``
@@ -152,7 +163,7 @@ class ApplyCholeskyOperator:
                                      flat[a * k:m * k], flat)
             _sparsetools.csc_matvecs(N, e - m, k, ptr[m:e + 1], ind, dat,
                                      flat[m * k:e * k], flat)
-        t = self._mid @ r
+        t = self._mid(r)
         flat = t.reshape(-1)
         for a, m, e in reversed(self._fronts):
             _sparsetools.csr_matvecs(e - m, N, k, ptr[m:e + 1], ind, dat,
@@ -166,14 +177,18 @@ class ApplyCholeskyOperator:
     def _charge(self, k: int) -> None:
         """Charge Algorithm 2's per-level costs in the order of its
         sweeps: per level a Jacobi apply and a coupling matvec, the base
-        product, then the levels again in reverse."""
+        solve, then the levels again in reverse.  The base is charged as
+        the PRAM model runs it: two triangular products with the inverse
+        factor formed at build (DESIGN.md §17), ``n_B²`` work per column
+        and ``2⌈log₂ n_B⌉`` depth."""
         l = self._l
         shapes = self.chain.level_shapes.tolist()
         for nf, ynnz, cnnz in shapes:
             charge(l * max(ynnz, nf) * k, l * P.log2p(max(ynnz, 2)),
                    label="jacobi_apply")
             charge(*P.matvec_cost(cnnz * k), label="forward_coupling")
-        charge(*P.matvec_cost(self.chain.final_pinv.size * k),
+        nb = self.chain.base.size
+        charge(float(nb * nb * k), 2.0 * math.ceil(P.log2p(nb)),
                label="base_case_solve")
         for nf, ynnz, cnnz in reversed(shapes):
             charge(l * max(ynnz, nf) * k, l * P.log2p(max(ynnz, 2)),

@@ -4,13 +4,16 @@ Repeatedly: find a 5-DD subset ``F_k`` of the current vertices
 (Algorithm 3, extended by a maximal independent set of the vertices
 with no edge to it — DESIGN.md §16), eliminate it by replacing the
 graph with the sampled C-terminal-walk approximation of the Schur
-complement onto ``C_k = C_{k-1} ∖ F_k`` (Algorithm 4), until at most
-``min_vertices`` (paper: 100) vertices remain.  The output chain
+complement onto ``C_k = C_{k-1} ∖ F_k`` (Algorithm 4), until a packed
+Cholesky factor of the grounded active Laplacian fits in
+``min_vertices²`` doubles (``a(a−1)/2 ≤ min_vertices²`` for ``a``
+active vertices; at most 141 vertices at the default 100), and then
+factors that base exactly (DESIGN.md §17).  The output chain
 satisfies, whp (Theorem 3.9):
 
 1. every ``G^(k)`` has at most ``m`` multi-edges,
 2. every ``F_k`` is 5-DD in ``L_{G^(k-1)}``,
-3. the base case has O(1) size,
+3. the base case has O(1) size (``≤ √2·min_vertices + 1`` vertices),
 4. ``d ≤ log_{40/39} n = O(log n)`` rounds,
 5. ``(U^(d))ᵀ D^(d) U^(d) ≈_{0.5} L_G``,
 
@@ -19,10 +22,12 @@ in ``O(m log n)`` work and ``O(log m log n)`` depth.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.config import SolverOptions, default_options
-from repro.core.chain import CholeskyChain, Level
+from repro.core.chain import BaseFactor, CholeskyChain, Level
 from repro.core.dd_subset import extend_independent, five_dd_subset
 from repro.core.terminal_walks import TerminalWalkStats, terminal_walks
 from repro.errors import FactorizationError
@@ -40,7 +45,8 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
                             rng, opts: SolverOptions, baseline: int,
                             max_retries: int = 25,
                             engine=None, ctx=None
-                            ) -> "tuple[MultiGraph, TerminalWalkStats, int]":
+                            ) -> "tuple[MultiGraph, TerminalWalkStats, " \
+                                 "int, np.ndarray]":
     """``TerminalWalks`` with a connectivity certificate.
 
     Fact 2.4: the *exact* Schur complement of a connected graph is
@@ -64,8 +70,9 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
     sample must not create *new* components (1 for connected inputs;
     pathological already-disconnected inputs keep their count).
     Returns the accepted sample, its :class:`TerminalWalkStats` (the
-    incremental store consumes ``passthrough_stored``) and its
-    component count on ``C``, the next level's baseline.
+    incremental store consumes ``passthrough_stored``), its component
+    count on ``C`` (the next level's baseline) and its component
+    labels (the base case grounds one vertex per component).
     """
     last = None
     for _ in range(max(max_retries, 1)):
@@ -73,19 +80,20 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
                                     max_steps=opts.max_walk_steps,
                                     return_stats=True,
                                     engine=engine, ctx=ctx)
-        count = _components_on(nxt, C.size)
+        count, labels = _components_on(nxt, C.size)
         if count <= baseline:
-            return nxt, stats, count
-        last = nxt, stats, count
-    # Give up and return the last sample: the dense base case and the
+            return nxt, stats, count, labels
+        last = nxt, stats, count, labels
+    # Give up and return the last sample: the exact base case and the
     # outer Richardson/PCG loop still behave (slowly) with a weak
     # preconditioner, and pathological inputs shouldn't hard-fail.
     return last
 
 
-def _components_on(graph: MultiGraph, size: int) -> int:
+def _components_on(graph: MultiGraph, size: int
+                   ) -> tuple[int, np.ndarray]:
     """Component count of ``graph`` on the ``size`` vertices its edges
-    may touch.
+    may touch, and the component label of every vertex.
 
     Every other vertex is an isolated singleton of its own component,
     so no induced subgraph is needed.  ``connected_components`` is
@@ -95,7 +103,7 @@ def _components_on(graph: MultiGraph, size: int) -> int:
     from repro.graphs.validation import connected_components
 
     labels = connected_components(graph)
-    return int(labels.max(initial=-1)) + 1 - (graph.n - size)
+    return int(labels.max(initial=-1)) + 1 - (graph.n - size), labels
 
 
 def block_cholesky(graph: MultiGraph,
@@ -128,7 +136,7 @@ def block_cholesky(graph: MultiGraph,
     sampled, so only one working graph is alive at a time.  Solving is
     unaffected — ``ApplyCholesky`` consumes only the chain's flat form
     (:meth:`CholeskyChain.flatten`, assembled here from the levels'
-    blocks) and the base pseudoinverse; edge-count diagnostics stay
+    blocks) and the base factor; edge-count diagnostics stay
     available through the chain's cached count lists, but graph-level
     introspection (``dense_factorization``, per-level subgraphs) needs
     ``keep_graphs=True``.
@@ -145,11 +153,14 @@ def block_cholesky(graph: MultiGraph,
     logical_edges: list[int] = [graph.m_logical]
     stored_edges: list[int] = [graph.m]
     levels: list[Level] = []
-    components = _components_on(graph, graph.n)
+    components, labels = _components_on(graph, graph.n)
+    # A packed factor of the grounded a×a base holds a(a−1)/2 doubles:
+    # stop once that fits in the min_vertices² a dense base once took.
+    budget = opts.min_vertices ** 2
     max_levels = int(np.ceil(np.log(max(graph.n, 2))
                              / np.log(40.0 / 39.0))) + 10
 
-    while active.size > opts.min_vertices:
+    while active.size * (active.size - 1) // 2 > budget:
         if len(levels) >= max_levels:
             raise FactorizationError(
                 f"exceeded {max_levels} elimination rounds; Lemma 3.4 "
@@ -157,14 +168,14 @@ def block_cholesky(graph: MultiGraph,
         F = five_dd_subset(current, active=active, seed=rng, options=opts)
         if F.size == 0 or F.size >= active.size:
             # Nothing (or everything) would be eliminated; the remaining
-            # matrix is already 5-DD-trivial — stop and solve densely.
+            # matrix is already 5-DD-trivial — stop and factor it.
             break
         F = extend_independent(current, active, F, seed=rng)
         C = np.setdiff1d(active, F)
         idxF = np.searchsorted(active, F)
         idxC = np.searchsorted(active, C)
         blocks = laplacian_blocks(current, F, C)
-        nxt, walk_stats, components = _sample_schur_connected(
+        nxt, walk_stats, components, labels = _sample_schur_connected(
             current, C, rng, opts, components,
             engine=inc.walk_engine(F, C), ctx=ctx)
         nxt = inc.accept_round(F, nxt, walk_stats.passthrough_stored,
@@ -188,25 +199,50 @@ def block_cholesky(graph: MultiGraph,
     jacobi_eps = opts.jacobi_eps if opts.jacobi_eps is not None \
         else 1.0 / (2.0 * d)
     for level in levels:
-        level.attach_jacobi(jacobi_eps)
-
-    # Base case: dense pseudoinverse of L_{G^(d)} on the surviving set.
-    # pinv_psd uses a relative kernel cutoff and handles the (rare,
-    # sampling-induced) disconnected base graph as well as the generic
-    # connected one.
-    from repro.linalg.pinv import pinv_psd
-
-    # Slice before densifying: only the |active|² block is ever dense.
-    final_pinv = pinv_psd(laplacian(current)[active][:, active].toarray())
-    charge(float(active.size) ** 3, P.log2p(active.size),
-           label="base_case_pinv")
+        level.jacobi_eps = jacobi_eps
 
     chain = CholeskyChain(n=graph.n,
                           graphs=graphs if keep_graphs else None,
                           levels=levels,
-                          final_active=active, final_pinv=final_pinv,
+                          final_active=active,
+                          base=_base_factor(current, active, components,
+                                            labels),
                           jacobi_eps=jacobi_eps,
                           logical_edges=logical_edges,
                           stored_edges=stored_edges)
     chain.flatten()
     return chain
+
+
+def _base_factor(graph: MultiGraph, active: np.ndarray, components: int,
+                 labels: np.ndarray) -> BaseFactor:
+    """Factor ``L_graph`` on ``active`` exactly (DESIGN.md §17).
+
+    ``components``/``labels`` are the last connectivity certificate's.
+    A connected base (the usual case) keeps ``active``'s order and is
+    grounded at its last vertex.  Otherwise the base is reordered into
+    each component's other vertices, component by component, followed
+    by each component's last vertex, which is grounded.  Charged as the
+    PRAM model builds the base: a dense Cholesky (``n_B³/3`` work,
+    ``n_B·⌈log₂ n_B⌉`` depth for ``n_B`` dependent pivot steps), then
+    the inverse of its triangular factor (``n_B³/3`` work,
+    ``⌈log₂ n_B⌉²`` depth by recursive halving), which keeps every
+    apply's base step at logarithmic depth (DESIGN.md §17).
+    """
+    a = active.size
+    # Slice before densifying: only the a×a block is ever dense.
+    L = laplacian(graph)[active][:, active].toarray()
+    order = None
+    bounds = np.array([0, max(a - 1, 0)], dtype=np.int64)
+    if components > 1:
+        comp = np.unique(labels[active], return_inverse=True)[1]
+        by_comp = np.argsort(comp, kind="stable")
+        last = np.cumsum(np.bincount(comp)) - 1
+        order = np.concatenate((np.delete(by_comp, last), by_comp[last]))
+        L = L[np.ix_(order, order)]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(comp) - 1)))
+    base = BaseFactor.factor(L, bounds, order)
+    log_a = math.ceil(P.log2p(a))
+    charge(a ** 3 / 3.0, a * log_a, label="base_case_factor")
+    charge(a ** 3 / 3.0, log_a ** 2, label="base_case_inverse")
+    return base

@@ -5,10 +5,10 @@ A :class:`Level` stores what iteration ``k`` eliminated — the 5-DD set
 ``F_k``, the remaining set ``C_k``, and the sub-blocks of
 ``L_{G^(k-1)}`` that ``ApplyCholesky`` needs (``X_k + Y_k = (L)_{F_kF_k}``
 and the coupling block ``L_{F_kC_k}``).  A :class:`CholeskyChain` is the
-full output plus the dense base-case pseudoinverse, and — once
-:meth:`CholeskyChain.flatten` has run — the chain's solve-time form: the
-whole of Algorithm 2 as one unit-lower-triangular sparse matrix ``A``
-(DESIGN.md §14).
+full output plus the exact base factor (:class:`BaseFactor`, DESIGN.md
+§17), and — once :meth:`CholeskyChain.flatten` has run — the chain's
+solve-time form: the whole of Algorithm 2 as one unit-lower-triangular
+sparse matrix ``A`` (DESIGN.md §14).
 
 :meth:`CholeskyChain.dense_factorization` materialises
 ``(U^(d))ᵀ D^(d) U^(d)`` (equations (5)/(6) of the paper) for the
@@ -22,16 +22,29 @@ with the convention that the ``F``/``C`` blocks come from ``G^(k)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpptrf, dpptrs
+from scipy.sparse import _sparsetools
 
+from repro.errors import FactorizationError
 from repro.graphs.laplacian import LaplacianBlocks, laplacian
 from repro.graphs.multigraph import MultiGraph
 from repro.linalg.jacobi import JacobiOperator
 
-__all__ = ["Level", "CholeskyChain"]
+__all__ = ["Level", "BaseFactor", "CholeskyChain", "csr_addmul"]
+
+
+def csr_addmul(M: sp.csr_matrix, X: np.ndarray, Y: np.ndarray) -> None:
+    """``Y += M @ X`` for ``(·, k)`` blocks, ``Y`` C-ordered, through the
+    compiled kernel behind ``M @ X`` without its dispatch.  Each column
+    accumulates in ``M``'s index order, whatever ``k`` is."""
+    _sparsetools.csr_matvecs(M.shape[0], M.shape[1], X.shape[1],
+                             M.indptr, M.indices, M.data,
+                             np.ascontiguousarray(X).reshape(-1),
+                             Y.reshape(-1))
 
 
 @dataclass
@@ -48,13 +61,11 @@ class Level:
     blocks:
         ``X``, ``Y``, ``L_FC`` of ``L_{G^(k-1)}`` under the ``F ⊔ C``
         bipartition (positional).
-    jacobi:
-        The operator ``Z^(k)`` of Lemma 3.5 (attached after the chain
-        length ``d`` is known, since the paper sets ε = 1/(2d)).  The
-        solve path reads the same operator materialised inside the
-        chain's flat form; this one serves per-level diagnostics.
     parent_edges:
         Multi-edge count of ``G^(k-1)`` (for cost accounting/diagnostics).
+    jacobi_eps:
+        The chain's Jacobi accuracy, set on every level once the chain
+        length ``d`` is known (the paper sets ε = 1/(2d)).
     """
 
     F: np.ndarray
@@ -63,11 +74,25 @@ class Level:
     idxC: np.ndarray
     blocks: LaplacianBlocks
     parent_edges: int
-    jacobi: JacobiOperator | None = None
+    jacobi_eps: float | None = None
+    _jacobi: JacobiOperator | None = field(default=None, repr=False,
+                                           compare=False)
 
-    def attach_jacobi(self, eps: float) -> None:
+    @property
+    def jacobi(self) -> JacobiOperator | None:
+        """The operator ``Z^(k)`` of Lemma 3.5 at :attr:`jacobi_eps`,
+        built on first read (``None`` before the eps is set).  The
+        solve path reads the same operator materialised inside the
+        chain's flat form; this one serves tests and per-level
+        diagnostics, so no build pays for it."""
+        if self._jacobi is None and self.jacobi_eps is not None:
+            self.attach_jacobi(self.jacobi_eps)
+        return self._jacobi
+
+    def attach_jacobi(self, eps: float) -> JacobiOperator:
         """Instantiate ``Z^(k)`` with accuracy ε (Algorithm 2 line 4)."""
-        self.jacobi = JacobiOperator(self.blocks.X, self.blocks.Y, eps)
+        self._jacobi = JacobiOperator(self.blocks.X, self.blocks.Y, eps)
+        return self._jacobi
 
     @property
     def nf(self) -> int:
@@ -78,6 +103,113 @@ class Level:
     def nc(self) -> int:
         """Surviving-block size ``|C|`` of this level."""
         return self.C.size
+
+
+@dataclass
+class BaseFactor:
+    """The exact base solve: ``x_B = Π G Π b_B`` (DESIGN.md §17).
+
+    The base Laplacian ``L_B`` is held in *base order*: every
+    component's kept vertices, component by component, then one
+    grounded vertex per component, in component order.  ``G`` is the
+    inverse of ``L_B`` on the kept vertices (a prefix of base order),
+    zero on the grounded rows and columns, and ``Π`` removes
+    per-component means, so ``Π G Π = L_B⁺``.
+
+    Attributes
+    ----------
+    packed:
+        Upper-packed Cholesky factor of the grounded ``L_B`` (LAPACK
+        ``dpptrf``): ``n_g(n_g + 1)/2`` doubles for ``n_g`` kept
+        vertices.
+    bounds:
+        Offsets of each component's kept block in base order
+        (``#components + 1`` entries, the last is ``n_g``).
+    order:
+        Positions in ``final_active`` of the base-order vertices, or
+        ``None`` when the two orders agree (always, for a connected
+        base: its last vertex is the grounded one).  ``flatten`` folds
+        it into ``u_slot``; no apply reads it.
+    """
+
+    packed: np.ndarray
+    bounds: np.ndarray
+    order: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        b = np.asarray(self.bounds, dtype=np.int64)
+        c, ng = b.size - 1, int(b[-1])
+        comp = np.concatenate((np.repeat(np.arange(c), np.diff(b)),
+                               np.arange(c)))
+        nb = comp.size
+        count = np.bincount(comp, minlength=c).astype(np.float64)
+        # w = G·1, per component (G is block diagonal).
+        w = np.zeros(nb)
+        if ng:
+            w[:ng] = dpptrs(ng, self.packed, np.ones((ng, 1)))[0][:, 0]
+        gamma = np.bincount(comp, weights=w, minlength=c) / count
+        # Π G Π x = G x − a·(1_jᵀx) − e·(w_jᵀx) per component j, with
+        # a = (w − γ_j)/n_j and e = 1/n_j (G symmetric, γ_j = 1_jᵀw_j/n_j).
+        # Two CSR kernels carry the rank-2c correction: S (2c × n_B)
+        # sums 1_jᵀx into row j and w_jᵀx into row c + j, each in base
+        # order; R (n_B × 2c) adds −a and −e times those sums.
+        pos = np.argsort(comp, kind="stable")
+        ptr = np.concatenate(([0], np.cumsum(count).astype(np.int64)))
+        self._S = sp.csr_matrix(
+            (np.concatenate((np.ones(nb), w[pos])),
+             np.concatenate((pos, pos)),
+             np.concatenate((ptr, ptr[1:] + nb))), shape=(2 * c, nb))
+        n_j = count[comp]
+        self._R = sp.csr_matrix(
+            (np.column_stack((-(w - gamma[comp]) / n_j,
+                              -1.0 / n_j)).reshape(-1),
+             np.column_stack((comp, comp + c)).reshape(-1),
+             np.arange(0, 2 * nb + 1, 2)), shape=(nb, 2 * c))
+        self._ng, self._nb = ng, nb
+
+    @classmethod
+    def factor(cls, L: np.ndarray, bounds: np.ndarray,
+               order: np.ndarray | None = None) -> "BaseFactor":
+        """Factor the dense base-order Laplacian ``L`` on its kept
+        prefix with ``dpptrf`` (packed and unblocked, so no BLAS
+        thread pool is woken)."""
+        ng = int(bounds[-1])
+        packed = np.empty(0)
+        if ng:
+            # Row-major lower triangle == column-major upper (symmetric).
+            packed, info = dpptrf(ng, L[:ng, :ng][np.tril_indices(ng)])
+            if info != 0:
+                raise FactorizationError(
+                    f"grounded base Laplacian is not positive definite "
+                    f"(dpptrf info={info}); a component label is wrong")
+        return cls(packed, np.asarray(bounds, dtype=np.int64), order)
+
+    @property
+    def size(self) -> int:
+        """Base vertex count ``n_B``."""
+        return self._nb
+
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        """``Π G Π X`` for an ``(n_B, k)`` block in base order."""
+        out = np.zeros((self._nb, X.shape[1]))
+        self.solve_into(X, out)
+        return out
+
+    def solve_into(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Add ``Π G Π X`` to ``out``, a zero-filled C-ordered
+        ``(n_B, k)`` block.
+
+        Every step treats columns independently — the sparse kernels
+        for the sums and the rank-2c correction, and ``dpptrs``, which
+        solves one right-hand side at a time — so a column's result
+        does not depend on ``k``.
+        """
+        sums = np.zeros((self._S.shape[0], X.shape[1]))
+        csr_addmul(self._S, X, sums)
+        ng = self._ng
+        if ng:
+            out[:ng] = dpptrs(ng, self.packed, X[:ng])[0]
+        csr_addmul(self._R, sums, out)
 
 
 @dataclass
@@ -96,7 +228,7 @@ class CholeskyChain:
     graphs: list[MultiGraph] | None
     levels: list[Level]
     final_active: np.ndarray
-    final_pinv: np.ndarray
+    base: BaseFactor | None
     jacobi_eps: float
     logical_edges: list[int] | None = None
     stored_edges: list[int] | None = None
@@ -108,6 +240,20 @@ class CholeskyChain:
     level_shapes: np.ndarray | None = None
 
     @property
+    def final_pinv(self) -> np.ndarray:
+        """Dense ``L_B⁺ = Π G Π`` on :attr:`final_active` (sorted
+        order), derived from the base factor on demand — a test and
+        :meth:`dense_factorization`-style oracle, ``O(n_B³)``; no apply
+        reads it."""
+        nb = self.base.size
+        P = self.base.solve(np.eye(nb))
+        if self.base.order is None:
+            return P
+        pos = np.empty(nb, dtype=np.int64)
+        pos[self.base.order] = np.arange(nb)
+        return P[np.ix_(pos, pos)]
+
+    @property
     def d(self) -> int:
         """Number of elimination rounds (paper's ``d = O(log n)``)."""
         if self.level_shapes is not None:
@@ -116,7 +262,6 @@ class CholeskyChain:
 
     def _require_graphs(self) -> list[MultiGraph]:
         if self.graphs is None:
-            from repro.errors import FactorizationError
             raise FactorizationError(
                 "chain was built with keep_graphs=False; per-level "
                 "graphs were dropped after block extraction — rebuild "
@@ -181,8 +326,9 @@ class CholeskyChain:
         uF, yF, base0 = self.sweep_slots()
         N = base0 + self.final_active.size
         u_slot = np.empty(self.n, dtype=np.int64)
-        u_slot[self.final_active] = base0 + np.arange(
-            self.final_active.size)
+        base = self.final_active if self.base.order is None \
+            else self.final_active[self.base.order]
+        u_slot[base] = base0 + np.arange(base.size)
         rows, cols, vals = [np.arange(N)], [np.arange(N)], [np.ones(N)]
         if levels:
             u_slot[np.concatenate([level.F for level in levels])] = uF
@@ -226,8 +372,8 @@ class CholeskyChain:
     @property
     def nbytes(self) -> int:
         """Bytes of the solve-time chain state: ``A``'s CSC triple, the
-        slot map, the level shapes and the dense base-case
-        pseudoinverse — exactly the arrays :meth:`payload_arrays`
+        slot map, the level shapes and the packed base factor with its
+        component bounds — exactly the arrays :meth:`payload_arrays`
         returns, so it is what a resident chain costs to keep (the
         serving cache's byte budget counts it)."""
         return sum(int(a.nbytes) for a in self.payload_arrays()[0].values())
@@ -248,20 +394,20 @@ class CholeskyChain:
 
         Returns ``(arrays, meta)``: ``arrays`` holds ``A``'s CSC triple
         (``A_data``/``A_indices``/``A_indptr``), ``u_slot``,
-        ``level_shapes`` and ``final_pinv`` — everything
+        ``level_shapes``, ``base_factor`` and ``base_bounds`` — everything
         :class:`repro.core.apply_cholesky.ApplyCholeskyOperator` reads
         during an apply, nothing else; ``meta`` holds the scalars
         (``n``, ``jacobi_eps``).  :attr:`nbytes` and
         :meth:`payload_fingerprint` are computed over this mapping.
         """
         if self.A is None:
-            from repro.errors import FactorizationError
             raise FactorizationError(
                 "cannot export a chain payload before flatten()")
         arrays = {"A_data": self.A.data, "A_indices": self.A.indices,
                   "A_indptr": self.A.indptr, "u_slot": self.u_slot,
                   "level_shapes": self.level_shapes,
-                  "final_pinv": self.final_pinv}
+                  "base_factor": self.base.packed,
+                  "base_bounds": self.base.bounds}
         meta = {"n": int(self.n), "jacobi_eps": float(self.jacobi_eps)}
         return arrays, meta
 

@@ -81,9 +81,9 @@ class ApproxSchurReport:
     #: Emitted slots merged away by coalescing (batch duplicates +
     #: live-slot folds); 0 when not coalescing.
     emitted_slots_saved: int = 0
-    #: Alias-table slots rebuilt after the one-time prime (the
-    #: per-round churn cost coalescing shrinks).
-    alias_rebuilt_slots: int = 0
+    #: Alias-table slots built over all rounds (each round's
+    #: restricted view; coalescing shrinks it).
+    alias_built_slots: int = 0
 
 
 def approx_schur(graph: MultiGraph,
@@ -146,9 +146,6 @@ def approx_schur(graph: MultiGraph,
     in_C = np.zeros(graph.n, dtype=bool)
     in_C[C] = True
     U = np.nonzero(~in_C)[0]
-    # Only interior rows can ever be eliminated (and hence walked
-    # from): narrow the one-time alias prime to them.
-    inc.prime_alias(U)
     active = np.arange(graph.n, dtype=np.int64)
 
     edges_per_round = [work.m_logical]
@@ -213,5 +210,5 @@ def approx_schur(graph: MultiGraph,
             total_walkers=total_walkers,
             coalesced=coalesce,
             emitted_slots_saved=inc.emitted_slots_saved,
-            alias_rebuilt_slots=inc.alias_rebuilt_slots)
+            alias_built_slots=inc.alias_built_slots)
     return work

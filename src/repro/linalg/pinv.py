@@ -2,9 +2,9 @@
 
 These are the *test oracles* for everything stochastic in the library:
 exact ``L⁺``, exact Schur complements, exact effective resistances.
-They cost ``O(n³)`` and are only used on small instances (tests,
-benches' ground truth, and the ≤ ``min_vertices`` base case of
-``BlockCholesky``).
+They cost ``O(n³)`` and are only used on small instances (tests and
+benches' ground truth); ``BlockCholesky``'s base is factored by a
+packed Cholesky instead (DESIGN.md §17).
 
 For a connected graph the kernel is ``span(1)`` (Fact 2.3), so
 ``L⁺ = (L + J/n)⁻¹ − J/n`` with ``J`` the all-ones matrix — a standard

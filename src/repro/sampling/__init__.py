@@ -5,8 +5,8 @@ tables: ``O(n)`` work, ``O(log n)`` depth build; ``O(1)`` per query —
 both for a single distribution (:class:`AliasTable`) and batched
 per-CSR-row (:class:`CSRAliasSampler`, the walk engine's O(1)-per-step
 sampler), the walk engine ``TerminalWalks`` runs on, and the
-incrementally maintained restricted CSR (with per-row alias planes)
-the elimination loops extract their per-round walk engine from.  The
+incrementally maintained restricted CSR the elimination loops extract
+their per-round walk engine (and its alias planes) from.  The
 bisection-based :class:`RowSampler` is the independent oracle the
 alias sampler is tested against.
 """

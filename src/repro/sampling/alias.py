@@ -11,17 +11,16 @@ Two samplers realise the paper's O(1)-per-query bound:
   comparison — no bisection, no per-row Python.
 
 The batched sampler builds through :func:`build_alias_tables`, a
-*batched* Vose construction: all rows advance in lockstep (one
-finalised table cell per active row per vectorised iteration), so the
-Python-level loop count is the maximum row degree while the total work
-stays linear in the slot count.  The per-row pairing order is
-deterministic (smalls in ascending slot order against the current
-large, demoted larges processed immediately), which makes the planes a
-pure function of the per-row weight sequences — the property the
-incremental maintenance in
-:class:`repro.sampling.inc_csr.IncrementalWalkCSR` relies on for
-bit-identical cached rows.  :class:`AliasTable` keeps its historical
-single-distribution loop (see its constructor for why).
+vectorised Vose construction: every row that needs pairing takes the
+prefix-sum sweep (:func:`_vose_row_sweep`), and rows are padded into
+one 2-D block per degree bucket (degrees of equal bit length), so the
+only Python-level loop runs over at most ``⌈log₂ max deg⌉ + 1``
+buckets while the total work stays linear in the slot count (up to the
+per-bucket sorts).  Each row's planes equal :func:`_vose_row_sweep` on
+that row alone, bit for bit, so the planes are a pure function of the
+per-row weight sequences, whichever rows share the build.
+:class:`AliasTable` keeps its historical single-distribution loop (see
+its constructor for why).
 
 The construction is exact up to floating-point rounding; a final clamp
 makes every probability valid.  Ledger charges follow the [HS19]
@@ -40,30 +39,13 @@ from repro.rng import as_generator
 
 __all__ = ["AliasTable", "CSRAliasSampler", "build_alias_tables"]
 
-#: Active-row count below which the lockstep build finishes each row
-#: with the scalar loop instead.  Pure scheduling policy: both engines
-#: execute the identical per-row operation sequence (same IEEE-754
-#: ops, same order), so the planes are bit-identical wherever the
-#: crossover lands — the cutoff only avoids paying numpy's per-call
-#: overhead on near-empty iterations when a few high-degree rows
-#: outlive the rest of the batch.
-_SCALAR_ROWS = 64
-
-#: Degree at or above which a row is built by the vectorised
-#: prefix-sum sweep instead of the sequential Vose pairing.  Unlike
-#: :data:`_SCALAR_ROWS` this threshold selects a *different* (equally
-#: exact) construction whose float output differs in the last bits, so
-#: it must be — and is — a pure function of the row alone (its degree):
-#: a row is built by the same algorithm whether it arrives in a full-
-#: view batch or an incremental rebuild of dirty rows, keeping the
-#: cached-vs-scratch planes bit-identical.
-_SWEEP_DEG = 128
-
 
 def _vose_row_sweep(prob, alias, smalls, larges, scaled) -> None:
-    """Vectorised alias construction for one high-degree row.
+    """Vectorised alias construction for one row — the reference the
+    bucketed build (:func:`_vose_rows_sweep_padded`) reproduces bit
+    for bit.
 
-    Equivalent to the sequential sweep in exact arithmetic, O(deg)
+    Equivalent to sequential Vose pairing in exact arithmetic, O(deg)
     with a handful of numpy passes instead of one Python step per
     cell: with per-small deficits ``d_i = 1 − scaled(s_i)`` and
     per-large surpluses ``e_j = scaled(l_j) − 1``, the sequential
@@ -115,103 +97,55 @@ def _rowwise_merge_ranks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _vose_rows_sweep_batch(prob, alias, smalls2d, larges2d,
-                           scaled) -> None:
-    """One 2-D pass over same-shape high-degree rows.
+def _vose_rows_sweep_padded(prob, alias, perm, scaled, lo, ns,
+                            nl) -> None:
+    """:func:`_vose_row_sweep` for a bucket of rows in one 2-D pass.
 
-    ``smalls2d``/``larges2d`` are ``(g, ns)``/``(g, nl)`` global slot
-    blocks for ``g`` rows sharing one ``(deg, ns)`` signature, so every
-    per-row statement of :func:`_vose_row_sweep` lifts to an axis-1
-    twin: the cumulative sums accumulate sequentially within each row
-    (numpy's ``cumsum`` is a plain running sum — per-row bitwise equal
-    to the 1-D call), the elementwise leftover arithmetic is identical,
-    and the two ``searchsorted`` calls become stable merge-rank
-    subtractions (comparison-only, integer-exact):
+    Row ``t`` owns the cells ``perm[lo[t]:lo[t] + ns[t]]`` (its smalls)
+    followed by ``nl[t]`` larges.  Both lists are padded to the
+    bucket's widest row with cells whose scaled value is exactly 1, so
+    a pad adds exactly 0 to the cumulative deficits ``D`` and surpluses
+    ``E``: past a row's real cells they stay constant.  Every per-row
+    statement of the 1-D sweep then lifts to an axis-1 twin with the
+    same IEEE results on the real cells: ``cumsum`` along axis 1 is the
+    same running sum, the leftover arithmetic is elementwise, and the
+    two ``searchsorted`` calls become stable merge-rank subtractions
+    (comparison only):
 
     * ``j_idx = searchsorted(E, d_prev, "left")`` — rank ``d_prev[i]``
-      in the merge with queries *first* (ties ahead of equal ``E``),
-      then subtract the ``i`` earlier queries (``d_prev`` is
-      non-decreasing, so exactly ``i`` of them precede it).
+      in the merge with queries first (ties ahead of equal ``E``), less
+      the ``i`` earlier queries.  A pad ``E`` equals the row's last real
+      one, so it counts only when every real one does, and the clamp to
+      ``nl − 1`` maps both answers to the same large;
     * ``i_star = searchsorted(D, E, "right")`` — rank ``E[j]`` in the
-      merge with ``D`` first (ties behind equal ``D``), minus ``j``.
-
-    Output planes are therefore bit-identical to calling
-    :func:`_vose_row_sweep` once per row — the batch is pure
-    scheduling, collapsing the heavy-row Python loop to one numpy
-    pass per ``(deg, ns)`` group.
+      merge with ``D`` first (ties behind equal ``D``), less ``j``.  A
+      pad ``D`` counts only when all ``ns`` real ones do, and any
+      answer ``≥ ns`` means "never demoted" in both.
     """
-    s_sc = scaled[smalls2d]
-    l_sc = scaled[larges2d]
-    g, ns = s_sc.shape
-    nl = l_sc.shape[1]
+    g = lo.size
+    ws, wl = int(ns.max()), int(nl.max())
+    cs, cl = np.arange(ws), np.arange(wl)
+    s_real = cs < ns[:, None]
+    l_real = cl < nl[:, None]
+    smalls = perm[lo[:, None] + np.minimum(cs, ns[:, None] - 1)]
+    larges = perm[(lo + ns)[:, None] + np.minimum(cl, nl[:, None] - 1)]
+    s_sc = np.where(s_real, scaled[smalls], 1.0)
+    l_sc = np.where(l_real, scaled[larges], 1.0)
     D = np.cumsum(1.0 - s_sc, axis=1)
     E = np.cumsum(l_sc - 1.0, axis=1)
-    prob[smalls2d] = s_sc
+    real = smalls[s_real]
+    prob[real] = s_sc[s_real]
     d_prev = np.concatenate((np.zeros((g, 1)), D[:, :-1]), axis=1)
-    j_idx = _rowwise_merge_ranks(d_prev, E)[:, :ns] - np.arange(ns)
-    np.minimum(j_idx, nl - 1, out=j_idx)  # rounding clamp (leftovers)
-    alias[smalls2d] = np.take_along_axis(larges2d, j_idx, axis=1)
-    i_star = _rowwise_merge_ranks(D, E)[:, ns:] - np.arange(nl)
-    dem = i_star < ns
-    dem[:, -1] = False
+    j_idx = _rowwise_merge_ranks(d_prev, E)[:, :ws] - cs
+    np.minimum(j_idx, nl[:, None] - 1, out=j_idx)  # rounding clamp
+    alias[real] = np.take_along_axis(larges, j_idx, axis=1)[s_real]
+    i_star = _rowwise_merge_ranks(D, E)[:, ws:] - cl
+    dem = (i_star < ns[:, None]) & (cl < nl[:, None] - 1)
     if dem.any():
         rows, k = np.nonzero(dem)
-        tgt = larges2d[rows, k]
+        tgt = larges[rows, k]
         prob[tgt] = 1.0 + (E[dem] - D[rows, i_star[dem]])
-        alias[tgt] = larges2d[rows, k + 1]
-
-
-def _vose_row_scalar(prob, alias, perm, scaled,
-                     i: int, i_end: int, j: int, j_end: int,
-                     resid: float) -> None:
-    """Finish one row's pairing sequentially (see :data:`_SCALAR_ROWS`).
-
-    Must mirror the vectorised loop's arithmetic exactly — every
-    update below is the elementwise twin of a batched statement
-    (Python floats are the same IEEE-754 doubles, so interleaving the
-    two engines cannot change a bit).  The row's remaining cells are
-    pulled into plain lists up front and the finalised cells written
-    back in one shot, keeping the per-step cost at list-indexing
-    rather than numpy-scalar-indexing level.
-    """
-    smalls = perm[i:i_end].tolist()
-    larges = perm[j:j_end].tolist()
-    s_sc = scaled[perm[i:i_end]].tolist()
-    l_sc = scaled[perm[j:j_end]].tolist()
-    p, q, n_s, n_l = 0, 0, len(smalls), len(larges)
-    cur = larges[q]
-    idxs: list = []
-    probs: list = []
-    avals: list = []
-    while True:
-        if resid >= 1.0:
-            if p < n_s:
-                idxs.append(smalls[p])
-                probs.append(s_sc[p])
-                avals.append(cur)
-                resid = resid + (s_sc[p] - 1.0)
-                p += 1
-            else:
-                idxs.append(cur)
-                probs.append(1.0)
-                avals.append(cur)
-                break
-        elif q + 1 < n_l:
-            nxt = larges[q + 1]
-            idxs.append(cur)
-            probs.append(resid)
-            avals.append(nxt)
-            resid = l_sc[q + 1] + (resid - 1.0)
-            q += 1
-            cur = nxt
-        else:
-            idxs.append(cur)
-            probs.append(1.0)
-            avals.append(cur)
-            break
-    ii = np.array(idxs, dtype=np.int64)
-    prob[ii] = probs
-    alias[ii] = avals
+        alias[tgt] = larges[rows, k + 1]
 
 
 def build_alias_tables(indptr: np.ndarray, weight: np.ndarray
@@ -238,14 +172,16 @@ def build_alias_tables(indptr: np.ndarray, weight: np.ndarray
     ``prob = 1`` / self-alias default — they cannot be sampled from and
     the samplers raise before ever reading their cells.
 
-    The pairing per row is Vose's method with a fixed deterministic
-    order (see the module docstring), processed for all rows in
-    lockstep: each vectorised iteration finalises one cell per still-
-    active row, so the loop runs ``max_row_degree`` times while total
-    work stays ``O(slots)`` (the partition uses a lexsort here; a
-    counting sort realises the theoretical ``O(m)`` bound, which is
-    what the ledger charges — same convention as the bisect sampler's
-    accounting).
+    Every row with both small and large cells takes the prefix-sum
+    sweep (:func:`_vose_row_sweep`); rows are padded into one 2-D block
+    per degree bucket (equal bit length, so every row's degree is more
+    than half the bucket's largest), and the only Python loop runs over
+    those ``⌈log₂ max deg⌉ + 1`` buckets.  A row's planes equal the
+    1-D sweep on that row alone, bit for bit.  Total work is
+    ``O(slots)`` up to the partition's lexsort and the per-bucket merge
+    sorts; a counting sort realises the theoretical ``O(m)`` bound,
+    which is what the ledger charges — same convention as the bisect
+    sampler's accounting.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)
@@ -256,9 +192,8 @@ def build_alias_tables(indptr: np.ndarray, weight: np.ndarray
     deg = np.diff(indptr)
     row_of = np.repeat(np.arange(n, dtype=np.int64), deg)
     # Sequential per-bin accumulation: the per-row total is a pure
-    # function of the row's weight *sequence*, so a row rebuilt from a
-    # sliced-out mini-CSR reproduces it bit-for-bit (the incremental
-    # cache equality in inc_csr.py depends on this).
+    # function of the row's weight *sequence*, whichever rows share
+    # the build.
     total = np.bincount(row_of, weights=weight, minlength=n) if nnz \
         else np.zeros(n, dtype=np.float64)
     if nnz == 0:
@@ -285,78 +220,15 @@ def build_alias_tables(indptr: np.ndarray, weight: np.ndarray
     # only arise from rounding and fall to the leftover prob = 1 rule —
     # both are already the default plane values.
     pairing = ok & (ns > 0) & (ns < deg)
-    # High-degree rows take the vectorised prefix-sum sweep (see
-    # _SWEEP_DEG for why the split is keyed on the row alone).  Rows
-    # sharing one (deg, ns) signature batch into a single 2-D pass
-    # that is bit-identical to the per-row sweep (pure scheduling —
-    # see _vose_rows_sweep_batch); singletons keep the 1-D call.
-    heavy = np.flatnonzero(pairing & (deg >= _SWEEP_DEG))
-    if heavy.size:
-        heavy = heavy[np.lexsort((ns[heavy], deg[heavy]))]
-        d_h, ns_h = deg[heavy], ns[heavy]
-        cut = np.ones(heavy.size, dtype=bool)
-        cut[1:] = (d_h[1:] != d_h[:-1]) | (ns_h[1:] != ns_h[:-1])
-        starts = np.flatnonzero(cut)
-        for a, b in zip(starts.tolist(),
-                        np.append(starts[1:], heavy.size).tolist()):
-            if b - a == 1:
-                r = int(heavy[a])
-                lo, split, hi = indptr[r], indptr[r] + ns[r], \
-                    indptr[r + 1]
-                _vose_row_sweep(prob, alias, perm[lo:split],
-                                perm[split:hi], scaled)
-            else:
-                nsg, dg = int(ns_h[a]), int(d_h[a])
-                base = indptr[heavy[a:b]][:, None]
-                _vose_rows_sweep_batch(
-                    prob, alias,
-                    perm[base + np.arange(nsg)],
-                    perm[base + np.arange(nsg, dg)],
-                    scaled)
-    act = np.flatnonzero(pairing & (deg < _SWEEP_DEG))
-    i = indptr[act].copy()             # next small to consume
-    i_end = indptr[act] + ns[act]
-    j = i_end.copy()                   # current large
-    j_end = indptr[act + 1].copy()
-    resid = scaled[perm[j]].copy()     # running scaled mass of large j
-    while i.size:
-        if i.size <= _SCALAR_ROWS:
-            for t in range(i.size):
-                _vose_row_scalar(prob, alias, perm, scaled,
-                                 int(i[t]), int(i_end[t]),
-                                 int(j[t]), int(j_end[t]),
-                                 float(resid[t]))
-            break
-        # All three masks snapshot the iteration-start state; the
-        # branch bodies below mutate i/j, so deciding membership first
-        # keeps a row from e.g. consuming its last small *and* being
-        # finalised in the same pass.
-        absorb = resid >= 1.0
-        take = absorb & (i < i_end)
-        demote = ~absorb
-        step = demote & (j + 1 < j_end)
-        finish = (absorb & ~take) | (demote & ~step)
-        if take.any():
-            s = perm[i[take]]
-            prob[s] = scaled[s]
-            alias[s] = perm[j[take]]
-            resid[take] += scaled[s] - 1.0
-            i[take] += 1
-        if step.any():
-            l = perm[j[step]]
-            l2 = perm[j[step] + 1]
-            prob[l] = resid[step]
-            alias[l] = l2
-            resid[step] = scaled[l2] + (resid[step] - 1.0)
-            j[step] += 1
-        if finish.any():
-            # Current large lands on (up to rounding) exactly 1; any
-            # untouched smalls/larges beyond it keep the default 1.
-            prob[perm[j[finish]]] = 1.0
-            keep = ~finish
-            i, i_end = i[keep], i_end[keep]
-            j, j_end = j[keep], j_end[keep]
-            resid = resid[keep]
+    rows = np.flatnonzero(pairing)
+    if rows.size:
+        bucket = np.frexp(deg[rows].astype(np.float64))[1]
+        rows = rows[np.argsort(bucket, kind="stable")]
+        cuts = np.flatnonzero(np.diff(np.sort(bucket))) + 1
+        for grp in np.split(rows, cuts):
+            _vose_rows_sweep_padded(prob, alias, perm, scaled,
+                                    indptr[grp], ns[grp],
+                                    deg[grp] - ns[grp])
     np.clip(prob, 0.0, 1.0, out=prob)
     return prob, alias, total
 
@@ -379,10 +251,10 @@ class CSRAliasSampler:
         from.
     planes:
         Optional prebuilt ``(prob, alias, row_total)`` planes aligned
-        with ``adj``'s slots (e.g. incrementally maintained by
-        :class:`repro.sampling.inc_csr.IncrementalWalkCSR`, or
-        reconstructed worker-side from shared memory).  When given,
-        construction is pure view-wiring and charges nothing.
+        with ``adj``'s slots (e.g. built and charged by
+        :meth:`repro.sampling.inc_csr.IncrementalWalkCSR.alias_planes`).
+        When given, construction is pure view-wiring and charges
+        nothing.
     """
 
     __slots__ = ("adj", "prob", "alias", "row_total", "_deg")

@@ -31,16 +31,11 @@ Invariants (asserted by the equality tests, documented in DESIGN.md §6):
   ``rebuild_factor`` × the live edge count, keeping the amortised
   per-round index cost linear in the *churn*, not the graph.
 
-The store also maintains the walk engine's **per-row alias planes**
-(:meth:`IncrementalWalkCSR.alias_planes`, DESIGN.md §8): each row's
-Vose table is cached when first built and invalidated only when one of
-the row's incident edges is deleted or inserted, so a round rebuilds
-tables for the churned rows alone.  Cached rows are bit-identical to a
-from-scratch :func:`repro.sampling.alias.build_alias_tables` over the
-extracted view, because a table is a pure function of the row's live
-weight *sequence* and the store preserves per-row slot order across
-mutations — including epoch compaction, which only renames global slot
-ids (the cache stores row-local aliases, so it survives epochs intact).
+Each round's **alias planes** (:meth:`IncrementalWalkCSR.alias_planes`,
+DESIGN.md §8) are built from that round's restricted view in one
+vectorised pass.  Nothing is cached across rounds: a row is sampled
+only in the round that eliminates it, so every row's table is built
+exactly once either way.
 
 **Coalesced inserts** (DESIGN.md §11): ``insert(..., coalesce=True)``
 merges same-``{u, v}`` duplicates *within the batch* (sort/``unique``
@@ -199,19 +194,6 @@ class IncrementalWalkCSR:
             self._bmult[:graph.m] = graph.mult
         self._balive[:graph.m] = True
         self._alive_count = graph.m
-        # Per-row alias-plane cache: row -> (prob, row-local alias,
-        # total).  Primed for every live row on the first
-        # alias_planes() call, invalidated by edge churn; row-local
-        # storage makes it epoch-compaction-proof.
-        self._alias_rows: dict[int, tuple[np.ndarray, np.ndarray,
-                                          float]] = {}
-        self._alias_primed = False
-        # Rows whose alias tables can ever be needed again: set by
-        # prime_alias (the primed interior), shrunk by eliminate.
-        # None = no narrowing (pre-prime).  Invariant: cached rows are
-        # always inside the mask, so narrowed invalidation never
-        # skips a live entry.
-        self._primed_mask: np.ndarray | None = None
         # Coalesced-insert state: packed {u,v} key -> live slot id for
         # slots created by a coalescing insert (remapped at epoch
         # compaction, dropped lazily when the slot dies).
@@ -220,7 +202,6 @@ class IncrementalWalkCSR:
         self.emitted_slots_saved = 0
         self.live_merged_slots = 0
         self.alias_built_slots = 0
-        self.alias_primed_slots = 0
         self._build_epoch()
 
     # -- buffer views --------------------------------------------------------
@@ -267,18 +248,10 @@ class IncrementalWalkCSR:
             total += self._bmult.nbytes
         total += (self._u_indptr.nbytes + self._u_slots.nbytes
                   + self._v_indptr.nbytes + self._v_slots.nbytes)
-        total += sum(p.nbytes + a.nbytes + 8
-                     for p, a, _ in self._alias_rows.values())
         # Coalesce lookup: ~one dict entry (key + slot id + table
         # overhead) per coalesced slot.
         total += 64 * len(self._slot_lookup)
         return total
-
-    @property
-    def alias_rebuilt_slots(self) -> int:
-        """Alias-table slots rebuilt *after* the one-time prime — the
-        per-round churn cost the coalesce benchmark gates on."""
-        return self.alias_built_slots - self.alias_primed_slots
 
     @property
     def m_alive(self) -> int:
@@ -371,17 +344,6 @@ class IncrementalWalkCSR:
         newly = mark & alive
         self._alive_count -= int(np.count_nonzero(newly))
         alive[newly] = False
-        self._invalidate_alias(self._bu[:self._size][newly],
-                               self._bv[:self._size][newly])
-        # Eliminated rows can never be sampled again: drop them from
-        # the primed set (after the invalidation above popped their
-        # now-dead entries) so later churn skips them entirely.
-        if self._primed_mask is not None:
-            self._primed_mask[F] = False
-        if self._alias_rows:
-            cache = self._alias_rows
-            for r in F.tolist():
-                cache.pop(r, None)
         if ledger_active():
             charge(*P.map_cost(hit_u.size + hit_v.size),
                    label="inc_csr_delete")
@@ -444,7 +406,6 @@ class IncrementalWalkCSR:
         self._balive[lo:hi] = True
         self._size = hi
         self._alive_count += u.size
-        self._invalidate_alias(u, v)
         return np.arange(lo, hi, dtype=np.int64)
 
     def _insert_coalesced(self, u: np.ndarray, v: np.ndarray,
@@ -503,7 +464,6 @@ class IncrementalWalkCSR:
             tgt = slots[merge]
             self._bw[tgt] += cw[merge]
             self._bmult[tgt] += cm[merge]
-            self._invalidate_alias(self._bu[tgt], self._bv[tgt])
             self.live_merged_slots += n_merge
         app = ~merge
         new_slots = self._append(cu[app], cv[app], cw[app], cm[app])
@@ -519,11 +479,10 @@ class IncrementalWalkCSR:
                     terminals: np.ndarray) -> WalkEngine:
         """The walk engine for one elimination round.
 
-        Extracts the restricted view of ``F``'s rows, wires the
-        maintained alias planes around it, and returns the engine that
-        round's :func:`repro.core.terminal_walks.terminal_walks` steps
-        toward ``terminals`` — the only walk path both elimination
-        loops run.
+        Extracts the restricted view of ``F``'s rows, builds its alias
+        planes, and returns the engine that round's
+        :func:`repro.core.terminal_walks.terminal_walks` steps toward
+        ``terminals`` — the only walk path both elimination loops run.
         """
         is_terminal = np.zeros(self.n, dtype=bool)
         is_terminal[terminals] = True
@@ -559,24 +518,6 @@ class IncrementalWalkCSR:
         self.eliminate(F)
         self.insert(emitted_u, emitted_v, emitted_w, emitted_mult,
                     coalesce=coalesce)
-
-    def _invalidate_alias(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Drop cached alias tables for churned-edge endpoints.
-
-        Narrowed to the primed interior: rows outside
-        :attr:`_primed_mask` (terminals never primed, rows already
-        eliminated) can never be sampled again, so their endpoints cost
-        nothing here — late rounds, whose churn lands almost entirely
-        on terminals, stop paying no-op invalidations and rebuilds.
-        """
-        if not self._alias_rows:
-            return
-        cache = self._alias_rows
-        rows = np.unique(np.concatenate([us, vs]))
-        if self._primed_mask is not None:
-            rows = rows[self._primed_mask[rows]]
-        for r in rows.tolist():
-            cache.pop(r, None)
 
     # -- extraction ----------------------------------------------------------
 
@@ -634,108 +575,19 @@ class IncrementalWalkCSR:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Alias sampler planes for ``restricted_view(rows)``'s layout.
 
-        Returns ``(prob, alias, total)`` exactly as
-        :func:`repro.sampling.alias.build_alias_tables` would produce
-        from the view — bit-identical, asserted by the equality tests —
-        but built **incrementally**: each row's Vose table is cached on
-        first use and only rows whose incident edges churned since
-        (deleted by :meth:`eliminate`, appended by :meth:`insert`) are
-        rebuilt, in one batched construction over just those rows.
-        ``view`` must be the :meth:`restricted_view` result for the
-        same ``rows`` (the planes align with its slots).
-
-        Equality holds because a row's table is a pure function of its
-        live weight sequence, which the store presents in a canonical
-        per-row order that survives both mutation rounds and epoch
-        compaction (module docstring); cached aliases are stored
-        row-local and re-offset into each extraction's global slot ids.
+        Returns ``(prob, alias, total)`` =
+        :func:`repro.sampling.alias.build_alias_tables` over ``view``,
+        and charges Lemma 2.6's linear preprocessing for its slots.
+        ``view`` must be the :meth:`restricted_view` result for
+        ``rows``.  No table outlives its round: a row is sampled only
+        in the round that eliminates it.
         """
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if not self._alias_primed:
-            self.prime_alias()
-        indptr = view.indptr
-        self._build_alias_rows(rows, view)
-        cache = self._alias_rows
-        nnz = view.weight.size
-        prob = np.empty(nnz, dtype=np.float64)
-        alias = np.empty(nnz, dtype=np.int64)
-        total = np.zeros(self.n, dtype=np.float64)
-        for r in rows.tolist():
-            lo, hi = int(indptr[r]), int(indptr[r + 1])
-            if hi == lo:
-                continue
-            pr, al, t = cache[r]
-            prob[lo:hi] = pr
-            alias[lo:hi] = al + lo
-            total[r] = t
-        return prob, alias, total
-
-    def prime_alias(self, rows: np.ndarray | None = None) -> None:
-        """Prime the alias cache in one batched build (Lemma 2.6's
-        linear preprocessing, charged once).
-
-        ``rows`` narrows the prime to the rows that can ever be
-        sampled — e.g. ``approx_schur`` passes its interior ``U``, so
-        terminal rows (never in any eliminated set) cost neither build
-        work nor cache bytes.  ``None`` primes every vertex (right for
-        ``block_cholesky``, which eventually eliminates almost all of
-        them); rounds after the prime only rebuild rows whose incident
-        edges churned.  Calling this is optional — the first
-        :meth:`alias_planes` call self-primes over all rows — and
-        per-row planes are identical either way (pure per-row
-        function), only the build/cache footprint differs.
-        """
-        self._alias_primed = True
-        if rows is None:
-            rows = np.arange(self.n, dtype=np.int64)
-            self._primed_mask = np.ones(self.n, dtype=bool)
-        else:
-            rows = np.unique(np.asarray(rows, dtype=np.int64))
-            mask = np.zeros(self.n, dtype=bool)
-            mask[rows] = True
-            self._primed_mask = mask
-        if rows.size:
-            before = self.alias_built_slots
-            self._build_alias_rows(rows, self.restricted_view(rows)[0])
-            self.alias_primed_slots += self.alias_built_slots - before
-
-    def _build_alias_rows(self, rows: np.ndarray,
-                          view: AdjacencyView) -> None:
-        """Build (and cache) alias tables for ``rows`` not yet cached.
-
-        ``view`` must be a restricted view covering at least ``rows``;
-        the missing rows' weight sequences are sliced out of it into a
-        mini-CSR and built in one batched pass — per-row results are
-        bit-identical to a whole-view build (per-row independence of
-        :func:`build_alias_tables`).
-        """
-        indptr = view.indptr
-        cache = self._alias_rows
-        missing = [r for r in rows.tolist()
-                   if r not in cache and indptr[r + 1] > indptr[r]]
-        if missing:
-            miss = np.asarray(missing, dtype=np.int64)
-            if self._primed_mask is not None:
-                # Keep the invariant "cached rows ⊆ primed mask" so the
-                # narrowed invalidation can never skip a live entry.
-                self._primed_mask[miss] = True
-            lens = indptr[miss + 1] - indptr[miss]
-            mini_indptr = np.zeros(miss.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=mini_indptr[1:])
-            w_mini, _ = _gather_row_slices(indptr, view.weight, miss)
-            prob_m, alias_m, tot_m = build_alias_tables(mini_indptr, w_mini)
-            for t, r in enumerate(miss.tolist()):
-                lo, hi = int(mini_indptr[t]), int(mini_indptr[t + 1])
-                # Copy the prob slice: a view would keep the whole
-                # batch plane alive (and uncounted by nbytes) for as
-                # long as any one row survives invalidation.  The
-                # alias slice is already a fresh array (`- lo`).
-                cache[r] = (prob_m[lo:hi].copy(), alias_m[lo:hi] - lo,
-                            float(tot_m[t]))
-            self.alias_built_slots += int(w_mini.size)
-            if ledger_active():
-                charge(*P.sampler_build_cost(int(w_mini.size)),
-                       label="alias_build")
+        nnz = int(view.weight.size)
+        planes = build_alias_tables(view.indptr, view.weight)
+        self.alias_built_slots += nnz
+        if ledger_active():
+            charge(*P.sampler_build_cost(nnz), label="alias_build")
+        return planes
 
     def interior_degrees(self, rows: np.ndarray) -> InteriorDegreeOracle:
         """Degree oracle for the live edges induced on ``rows``.

@@ -126,7 +126,7 @@ class WalkEngine:
         the engine only consumes per-slot quantities.  ``row_sampler``
         is a prebuilt sampler over ``adj`` (anything with a
         ``sample(rows, seed)`` returning slot ids — the store's
-        maintained alias planes, or the bisection
+        per-round alias planes, or the bisection
         :class:`repro.sampling.rowsample.RowSampler` that test oracles
         and the seed baseline use); ``None`` builds alias planes from
         ``adj``.

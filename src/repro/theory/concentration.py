@@ -50,7 +50,7 @@ def martingale_deviation_trace(graph: MultiGraph, chain: CholeskyChain
             graphs=graphs[: k + 1],
             levels=chain.levels[:k],
             final_active=chain.levels[k - 1].C,
-            final_pinv=np.empty((0, 0)),
+            base=None,
             jacobi_eps=chain.jacobi_eps)
         Lk = truncated.dense_factorization()
         devs.append(float(np.linalg.norm(half @ (Lk - L) @ half, 2)))

@@ -10,9 +10,9 @@ Pins the PR-5 contracts:
   accepts only ``None``/``"alias"``, a stale ``REPRO_SAMPLER`` is
   ignored, and the seed baseline in :mod:`repro.baselines` bisects;
 * fixed seed ⇒ bit-identical results across
-  ``{serial, thread, process}`` × ``{1, 2, 4}`` workers;
-* the incrementally maintained alias planes equal a from-scratch
-  rebuild after every elimination round — bitwise;
+  ``{serial, thread}`` × ``{1, 2, 4}`` workers;
+* every elimination round's alias planes equal a from-scratch build
+  over that round's restricted view — bitwise;
 * the satellite guards: ``RowSampler``'s empty-row clip validation and
   the ``REPRO_CHUNK_ITEMS`` chunk-grain override.
 """
@@ -128,44 +128,39 @@ class TestBuildAliasTables:
             want = np.where(ok, w / np.where(ok, total[row_of], 1.0), 0.0)
             np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-12)
 
-    def test_batched_sweep_bit_identical_to_per_row(self, rng,
-                                                    monkeypatch):
-        # ISSUE 7 satellite: same-(deg, ns) high-degree rows batch
-        # into one 2-D sweep pass.  The batch is pure scheduling — its
-        # planes must equal a per-row _vose_row_sweep loop bit for bit,
-        # so the (deg, ns) grouping can never leak into results.
+    def test_batched_sweep_bit_identical_to_per_row(self):
+        # Rows are padded into one 2-D sweep per degree bucket; every
+        # row's planes must equal _vose_row_sweep on that row alone, bit
+        # for bit, so neither the bucketing nor the padding can leak
+        # into results.
         import repro.sampling.alias as A
 
         for trial in range(6):
             trial_rng = np.random.default_rng(100 + trial)
-            degs = ([200] * 7 + [300] * 4 + [257] + [128] * 3 +
-                    [5, 40, 1, 0, 129, 2000])
+            degs = [0, 1, 2, 3, 5, 40, 127, 128, 129, 500, 2000] * 2
             trial_rng.shuffle(degs)
             indptr = np.concatenate(
                 ([0], np.cumsum(degs))).astype(np.int64)
             w = trial_rng.gamma(0.4, size=int(indptr[-1]))
             w[trial_rng.random(w.size) < 0.05] = 0.0
-
-            batched = build_alias_tables(indptr, w)
-            calls = []
-
-            def per_row(prob, alias, smalls2d, larges2d, scaled):
-                calls.append(smalls2d.shape[0])
-                for s_row, l_row in zip(smalls2d, larges2d):
-                    A._vose_row_sweep(prob, alias, s_row, l_row,
-                                      scaled)
-
-            monkeypatch.setattr(A, "_vose_rows_sweep_batch", per_row)
-            reference = build_alias_tables(indptr, w)
-            monkeypatch.undo()
-            assert calls and all(g > 1 for g in calls)
-            for got, want in zip(batched, reference):
-                np.testing.assert_array_equal(got, want)
+            prob, alias, total = build_alias_tables(indptr, w)
+            for r, deg in enumerate(degs):
+                lo, hi = indptr[r], indptr[r + 1]
+                want_p, want_a = np.ones(deg), np.arange(deg)
+                if deg and total[r] > 0:
+                    scaled = (w[lo:hi] / total[r]) * deg
+                    smalls = np.flatnonzero(scaled < 1.0)
+                    larges = np.flatnonzero(scaled >= 1.0)
+                    if smalls.size and larges.size:
+                        A._vose_row_sweep(want_p, want_a, smalls, larges,
+                                          scaled)
+                np.clip(want_p, 0.0, 1.0, out=want_p)
+                np.testing.assert_array_equal(prob[lo:hi], want_p)
+                np.testing.assert_array_equal(alias[lo:hi] - lo, want_a)
 
     def test_row_planes_independent_of_batch_grouping(self):
-        # The incremental cache rebuilds rows in mini-CSRs; a row's
-        # planes must not depend on which batch built it — including
-        # across the sequential/sweep threshold.
+        # A row's planes must not depend on which rows share its
+        # build — at low and high degree alike.
         for deg0 in (9, 700):
             w0 = np.random.default_rng(7).random(deg0) * 10.0
             p1, a1, _ = build_alias_tables(np.array([0, deg0]), w0)
@@ -385,7 +380,32 @@ class TestPerSamplerBackendMatrix:
 
 
 class TestIncrementalAliasPlanes:
-    """Maintained alias planes == from-scratch builds, every round."""
+    """The store's alias planes == from-scratch builds, every round."""
+
+    @pytest.mark.parametrize("maker", [
+        lambda: G.grid2d(16, 16),
+        lambda: G.preferential_attachment(300, 3, seed=4),
+    ], ids=["grid", "preferential_attachment"])
+    def test_every_build_round_equals_scratch(self, maker, monkeypatch):
+        from repro.config import SolverOptions
+        from repro.core.block_cholesky import block_cholesky
+        from repro.core.boundedness import naive_split
+
+        real = IncrementalWalkCSR.alias_planes
+        rounds = []
+
+        def spy(self, rows, view):
+            got = real(self, rows, view)
+            want = build_alias_tables(view.indptr, view.weight)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            rounds.append(view.weight.size)
+            return got
+
+        monkeypatch.setattr(IncrementalWalkCSR, "alias_planes", spy)
+        chain = block_cholesky(naive_split(maker(), 0.25),
+                               SolverOptions(min_vertices=10), seed=3)
+        assert len(rounds) >= chain.d >= 3
 
     def test_round_by_round_plane_equality(self):
         from repro.core.boundedness import naive_split
@@ -409,7 +429,7 @@ class TestIncrementalAliasPlanes:
             np.testing.assert_array_equal(got[0], want[0])  # prob
             np.testing.assert_array_equal(got[1], want[1])  # alias
             np.testing.assert_array_equal(got[2][F], want[2][F])  # totals
-            # Second extraction is served from cache, bit-identically.
+            # A second extraction builds the same planes again.
             again = inc.alias_planes(F, view)
             np.testing.assert_array_equal(again[0], got[0])
             np.testing.assert_array_equal(again[1], got[1])
@@ -459,21 +479,6 @@ class TestIncrementalAliasPlanes:
             rounds += 1
         assert rounds >= 2
         assert inc.emitted_slots_saved > 0
-
-    def test_churn_invalidates_touched_rows_only(self):
-        g = G.grid2d(5, 5)
-        inc = IncrementalWalkCSR(g)
-        all_rows = np.arange(g.n)
-        view, _ = inc.restricted_view(all_rows)
-        inc.alias_planes(all_rows, view)
-        assert len(inc._alias_rows) > 0
-        before = dict(inc._alias_rows)
-        # Insert one far-away edge: only its endpoints drop.
-        inc.insert(np.array([0]), np.array([1]), np.array([2.0]))
-        assert 0 not in inc._alias_rows and 1 not in inc._alias_rows
-        for r in before:
-            if r not in (0, 1):
-                assert r in inc._alias_rows
 
     def test_incremental_matches_scratch_end_to_end(self, scratch_walks):
         g = G.grid2d(13, 13)

@@ -34,9 +34,11 @@ class TestTheorem39Invariants:
             assert verify_five_dd(chain.graphs[k], level.F)
 
     def test_base_case_small(self):
-        # Theorem 3.9-(3).
+        # Theorem 3.9-(3): the packed grounded base factor fits in
+        # min_vertices² doubles.
         H, chain = _chain(G.grid2d(10, 10))
-        assert chain.final_active.size <= 20
+        a = chain.final_active.size
+        assert a * (a - 1) // 2 <= 20 ** 2
 
     def test_level_count_logarithmic(self):
         # Theorem 3.9-(4): d <= log_{40/39} n.
@@ -172,9 +174,9 @@ class TestChainStructure:
         assert shapes == [(a, a)]
         monkeypatch.undo()
         L = laplacian(chain.graphs[-1]).toarray()
-        np.testing.assert_array_equal(
-            chain.final_pinv,
-            pinv_psd(L[np.ix_(chain.final_active, chain.final_active)]))
+        want = pinv_psd(L[np.ix_(chain.final_active, chain.final_active)])
+        assert np.linalg.norm(chain.final_pinv - want) \
+            <= 1e-10 * np.linalg.norm(want)
 
     def test_summary_mentions_levels(self):
         H, chain = _chain(G.grid2d(8, 8))
@@ -205,3 +207,144 @@ class TestDenseFactorizationOracle:
         assert np.allclose(A, A.T, atol=1e-9)
         assert np.abs(A @ np.ones(A.shape[0])).max() < 1e-8
         assert np.linalg.eigvalsh(A).min() > -1e-8
+
+
+def _base_laplacian(chain):
+    L = laplacian(chain.graphs[-1]).toarray()
+    return L[np.ix_(chain.final_active, chain.final_active)]
+
+
+def _disconnected():
+    # Two components and an isolated vertex: the base must ground one
+    # vertex in each.
+    return G.union_disjoint(G.union_disjoint(G.grid2d(7, 7), G.cycle(12)),
+                            G.path(1))
+
+
+#: Every family in ``graphs/generators.py`` (weights via
+#: ``with_random_weights``; the disjoint union is the disconnected case).
+GENERATOR_FAMILIES = {
+    "path": lambda: G.path(90),
+    "cycle": lambda: G.cycle(90),
+    "complete": lambda: G.complete(40),
+    "star": lambda: G.star(90),
+    "grid2d": lambda: G.grid2d(10, 10),
+    "torus2d": lambda: G.torus2d(10, 10),
+    "grid3d": lambda: G.grid3d(5, 5, 4),
+    "binary_tree": lambda: G.binary_tree(6),
+    "barbell": lambda: G.barbell(30, 4),
+    "dumbbell": lambda: G.dumbbell(6),
+    "lollipop": lambda: G.lollipop(25, 40),
+    "erdos_renyi": lambda: G.erdos_renyi(100, 0.08, seed=2),
+    "random_regular": lambda: G.random_regular(100, 4, seed=1),
+    "watts_strogatz": lambda: G.watts_strogatz(100, 6, 0.2, seed=2),
+    "preferential_attachment": lambda: G.preferential_attachment(
+        100, 3, seed=4),
+    "random_bipartite": lambda: G.random_bipartite(40, 50, 0.1, seed=3),
+    "with_random_weights": lambda: G.with_random_weights(
+        G.grid2d(10, 10), 0.01, 100.0, seed=3, log_uniform=True),
+    "union_disjoint": _disconnected,
+}
+
+
+class TestExactBase:
+    """The base is factored exactly (packed Cholesky, grounded)."""
+
+    @pytest.mark.parametrize("maker", [
+        lambda: G.grid2d(12, 12),
+        lambda: G.with_random_weights(G.grid2d(11, 11), 0.01, 100.0,
+                                      seed=3, log_uniform=True),
+        lambda: G.barbell(30, 4),
+        lambda: G.preferential_attachment(150, 3, seed=4),
+        _disconnected,
+    ], ids=["grid", "weighted_grid", "barbell", "preferential_attachment",
+            "disconnected"])
+    def test_final_pinv_matches_pinv_psd(self, maker):
+        from repro.linalg.pinv import pinv_psd
+
+        H, chain = _chain(maker(), seed=5)
+        assert chain.levels
+        want = pinv_psd(_base_laplacian(chain))
+        assert np.linalg.norm(chain.final_pinv - want) \
+            <= 1e-10 * np.linalg.norm(want)
+
+    def test_disconnected_base_grounds_every_component(self):
+        from repro.linalg.pinv import pinv_psd
+
+        g = _disconnected()
+        H = naive_split(g, 0.25)
+        for min_vertices in (20, 100):
+            chain = block_cholesky(H, SolverOptions(
+                min_vertices=min_vertices), seed=0)
+            assert chain.base.bounds.size - 1 == 3
+            assert chain.base.order is not None
+            assert chain.base.packed.size == (
+                (chain.base.size - 3) * (chain.base.size - 2) // 2)
+            want = pinv_psd(_base_laplacian(chain))
+            assert np.linalg.norm(chain.final_pinv - want) \
+                <= 1e-10 * np.linalg.norm(want)
+
+    def test_connected_base_keeps_its_order(self):
+        H, chain = _chain(G.grid2d(10, 10))
+        a = chain.final_active.size
+        assert chain.base.order is None
+        np.testing.assert_array_equal(chain.base.bounds, [0, a - 1])
+        assert chain.base.packed.size == a * (a - 1) // 2
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    @pytest.mark.parametrize("min_vertices", [5, 12])
+    def test_base_fits_the_byte_budget(self, family, min_vertices):
+        H = naive_split(GENERATOR_FAMILIES[family](), 0.25)
+        chain = block_cholesky(H, SolverOptions(min_vertices=min_vertices),
+                               seed=1)
+        a = chain.final_active.size
+        assert a * (a - 1) // 2 <= min_vertices ** 2
+        assert chain.base.packed.nbytes <= 8 * min_vertices ** 2
+        # The cut-over is the first level whose base fits: the level
+        # before it did not.
+        if chain.levels:
+            p = chain.active_counts[-2]
+            assert p * (p - 1) // 2 > min_vertices ** 2
+
+    def test_build_calls_neither_pinv_psd_nor_eigh(self, monkeypatch):
+        import scipy.linalg
+
+        import repro.linalg.pinv as pinv
+
+        def boom(*args, **kwargs):
+            raise AssertionError("dense eigensolver on the build path")
+
+        monkeypatch.setattr(pinv, "pinv_psd", boom)
+        monkeypatch.setattr(scipy.linalg, "eigh", boom)
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        _chain(G.grid2d(10, 10))
+        block_cholesky(G.grid2d(4, 4), SolverOptions(min_vertices=20),
+                       seed=0)
+
+
+#: ``chain.nbytes`` of the perfbench keys (seed-0 keyset, solver seed
+#: 0, ``practical_options``) with the earlier dense ``eigh``
+#: pseudo-inverse base of at most ``min_vertices`` vertices.
+DENSE_BASE_CHAIN_BYTES = {
+    "grid": 214832, "wgrid": 211920, "regular": 394512,
+    "torus": 237848, "smallworld": 324504, "powerlaw": 398976,
+}
+
+
+@pytest.mark.parametrize("key", sorted(DENSE_BASE_CHAIN_BYTES))
+def test_chain_bytes_below_the_dense_base(key):
+    from repro.config import practical_options
+    from repro.core.solver import LaplacianSolver
+
+    graph = {
+        "grid": lambda: G.grid2d(32, 32),
+        "wgrid": lambda: G.with_random_weights(
+            G.grid2d(32, 32), 0.1, 10.0, seed=0, log_uniform=True),
+        "regular": lambda: G.random_regular(1024, 4, seed=0),
+        "torus": lambda: G.torus2d(32, 32),
+        "smallworld": lambda: G.watts_strogatz(1024, 6, 0.1, seed=0),
+        "powerlaw": lambda: G.preferential_attachment(1024, 3, seed=0),
+    }[key]()
+    opts = practical_options(0).with_(coalesce_emitted=False)
+    chain = LaplacianSolver(graph, options=opts, seed=0).chain
+    assert chain.nbytes < DENSE_BASE_CHAIN_BYTES[key]
