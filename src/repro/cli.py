@@ -86,8 +86,6 @@ def _cmd_solve(args) -> int:
         options = options.with_(workers=args.workers)
     if args.backend is not None:
         options = options.with_(backend=args.backend)
-    if args.retries is not None:
-        options = options.with_(retries=args.retries)
     if args.coalesce is not None:
         options = options.with_(coalesce_emitted=args.coalesce)
     solver = LaplacianSolver(g, options=options, seed=args.seed)
@@ -254,10 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--backend", choices=list(BACKENDS), default=None,
                    help="execution backend (default: REPRO_BACKEND env "
                         "var / thread); results are backend independent")
-    p.add_argument("--retries", type=int, default=None,
-                   help="extra attempts per faulted chunk (default: "
-                        "REPRO_RETRIES env var / 2); re-dispatch is "
-                        "bit-identical to an undisturbed run")
     p.add_argument("--coalesce", default=None,
                    action=argparse.BooleanOptionalAction,
                    help="coalesce each elimination level's emitted "

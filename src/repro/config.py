@@ -109,18 +109,13 @@ class SolverOptions:
         backends and worker counts.
     chunk_items / chunk_columns:
         Chunk-policy overrides for the execution context (``None`` =
-        library defaults; ``chunk_items`` additionally honours the
-        ``REPRO_CHUNK_ITEMS`` env var — see
-        :func:`repro.pram.executor.default_chunk_items`).  Chunk layout
-        is part of the *result* for a fixed seed (it decides the
-        per-chunk RNG streams), so these are solver options, not
-        runtime knobs.
+        library defaults).  Chunk layout is part of the *result* for a
+        fixed seed (it decides the per-chunk RNG streams), so these
+        are solver options, not runtime knobs.
     retries:
-        Fault-tolerance policy for dispatched chunks (DESIGN.md §9):
-        extra attempts per chunk lost to an injected fault (``None`` =
-        the ``REPRO_RETRIES`` env var, default 2).  Re-dispatch
-        replays the same ``(lo, hi, seed)`` chunk, so recovered runs
-        are bit-identical to undisturbed ones.
+        Retired with chunk re-dispatch; only ``None`` and ``0`` are
+        accepted (anything else raises
+        :class:`repro.errors.InvalidInputError`), and nothing reads it.
     ship_solves / degrade:
         Retired with the process backend; only ``None`` and ``False``
         are accepted (anything else raises
@@ -183,6 +178,10 @@ class SolverOptions:
                     f"{name} must be None or False (the process "
                     f"backend it served is gone), got "
                     f"{getattr(self, name)!r}")
+        if self.retries not in (None, 0):
+            raise InvalidInputError(
+                f"retries must be None or 0 (chunks are no longer "
+                f"re-dispatched), got {self.retries!r}")
 
     def alpha_inverse(self, n: int) -> int:
         """α⁻¹ = Θ(log² n) rounded to an integer ≥ 1 (see Theorem 3.9)."""
@@ -217,15 +216,13 @@ class SolverOptions:
 
     def execution(self) -> "ExecutionContext":
         """The :class:`repro.pram.ExecutionContext` these options imply."""
-        from repro.pram.executor import ExecutionContext, RetryPolicy
+        from repro.pram.executor import ExecutionContext
 
         kwargs = {}
         if self.chunk_items is not None:
             kwargs["chunk_items"] = self.chunk_items
         if self.chunk_columns is not None:
             kwargs["chunk_columns"] = self.chunk_columns
-        if self.retries is not None:
-            kwargs["retry"] = RetryPolicy(max_attempts=1 + self.retries)
         if not kwargs and self.workers is None and self.backend is None:
             return ExecutionContext.DEFAULT
         return ExecutionContext(workers=self.workers,
@@ -236,10 +233,10 @@ def reset_env_caches() -> None:
     """Forget every cached ``REPRO_*`` environment lookup.
 
     The env-var knobs (``REPRO_WORKERS``, ``REPRO_BACKEND``,
-    ``REPRO_COALESCE``, ``REPRO_CHUNK_ITEMS``, ``REPRO_FAULTS``, the
-    ``REPRO_SERVE_*`` family, ...) all funnel through one module-level
-    cache (:func:`repro.pram.executor._env_cached`), keyed on the raw
-    env string.  A *changed* value is therefore picked up automatically,
+    ``REPRO_COALESCE``, the ``REPRO_SERVE_*`` family) all funnel
+    through one module-level cache
+    (:func:`repro.pram.executor._env_cached`), keyed on the raw env
+    string.  A *changed* value is therefore picked up automatically,
     but a long-lived process wants a hard reset point: stale parse
     results that leaked in from an importing process (or from a test
     poking the cache directly) must not survive into a serving daemon's

@@ -113,9 +113,8 @@ class BlockSolveReport:
     #: (§15), ``"dense"`` where that broke down too.
     column_status: np.ndarray | None = None
     #: Structured :class:`repro.pram.faults.FaultLog` of every
-    #: injection and recovery action during this solve (retries,
-    #: quarantines, escalations).  Empty when nothing
-    #: happened.
+    #: injection and containment action during this solve
+    #: (quarantines, escalations).  Empty when nothing happened.
     fault_log: object | None = None
     #: Resident size of the preconditioner chain's solve-time arrays in
     #: bytes (:attr:`repro.core.chain.CholeskyChain.nbytes`).
@@ -178,26 +177,21 @@ class LaplacianSolver:
         self.graph = graph
         self.options = options
 
-        #: Recovery actions taken while *building* the factorization
-        #: (chunk retries after injected faults); solve
-        #: calls get their own per-call log on the report.
-        self.build_fault_log = FaultLog()
-        with use_fault_log(self.build_fault_log):
-            alpha = options.alpha(graph.n)
-            if options.splitting == "naive":
-                self.multigraph = naive_split(graph, alpha)
-            elif options.splitting == "leverage":
-                from repro.core.lev_est import leverage_split
-                self.multigraph = leverage_split(graph, alpha,
-                                                 K=options.K(graph.n),
-                                                 seed=rng, options=options)
-            elif options.splitting == "none":
-                self.multigraph = graph
-            else:  # pragma: no cover - guarded by SolverOptions typing
-                raise ReproError(f"unknown splitting {options.splitting!r}")
+        alpha = options.alpha(graph.n)
+        if options.splitting == "naive":
+            self.multigraph = naive_split(graph, alpha)
+        elif options.splitting == "leverage":
+            from repro.core.lev_est import leverage_split
+            self.multigraph = leverage_split(graph, alpha,
+                                             K=options.K(graph.n),
+                                             seed=rng, options=options)
+        elif options.splitting == "none":
+            self.multigraph = graph
+        else:  # pragma: no cover - guarded by SolverOptions typing
+            raise ReproError(f"unknown splitting {options.splitting!r}")
 
-            self.chain = block_cholesky(self.multigraph, options, seed=rng,
-                                        keep_graphs=options.keep_graphs)
+        self.chain = block_cholesky(self.multigraph, options, seed=rng,
+                                    keep_graphs=options.keep_graphs)
         self.preconditioner = ApplyCholeskyOperator(self.chain)
         #: Execution context for the blocked solve paths (walker
         #: stepping inside ``block_cholesky`` already went through it).

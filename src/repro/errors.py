@@ -83,26 +83,6 @@ class ServiceOverloadedError(ServiceError):
         self.retry_after = float(retry_after)
 
 
-class ExecutionError(ReproError):
-    """A dispatched chunk failed after exhausting its retry budget.
-
-    Raised by the execution layer when a chunk could not be completed
-    even after the :class:`repro.pram.executor.RetryPolicy`'s bounded
-    re-dispatches (injected faults).  ``chunk`` identifies the failing chunk, ``attempts`` how
-    many dispatch attempts were made, and the last transient cause is
-    chained as ``__cause__``.
-    """
-
-    def __init__(self, message: str, chunk: int | None = None,
-                 attempts: int | None = None,
-                 cause: BaseException | None = None) -> None:
-        super().__init__(message)
-        self.chunk = chunk
-        self.attempts = attempts
-        if cause is not None:
-            self.__cause__ = cause
-
-
 class FactorizationError(ReproError):
     """Block Cholesky construction failed (e.g. a level became empty or a
     5-DD subset could not be found)."""

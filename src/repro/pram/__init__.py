@@ -17,11 +17,10 @@ provides:
   solves), scheduled serially or on a thread pool (numpy releases the
   GIL inside chunk kernels).  Results are bit-identical across
   schedulers and worker counts for a fixed seed (DESIGN.md §6–§7).
-* :mod:`repro.pram.faults` — deterministic fault injection
-  (``REPRO_FAULTS`` / :func:`use_faults`) and the structured
-  :class:`FaultLog` of recovery actions, backing the fault-tolerant
-  dispatch layer (DESIGN.md §9): per-chunk retries with exponential
-  backoff.
+* :mod:`repro.pram.faults` — deterministic NaN injection
+  (:func:`use_faults`) into the blocked solve kernels and the
+  structured :class:`FaultLog` of containment actions (quarantine and
+  escalation, DESIGN.md §9).
 """
 
 from repro.pram.ledger import (
@@ -36,12 +35,10 @@ from repro.pram.ledger import (
 from repro.pram import primitives
 from repro.pram.executor import (
     ExecutionContext,
-    RetryPolicy,
     parallel_map,
     chunk_ranges,
     default_workers,
     default_backend,
-    default_retries,
     BACKENDS,
 )
 from repro.pram.faults import (
@@ -49,7 +46,6 @@ from repro.pram.faults import (
     FaultEvent,
     FaultLog,
     FaultPlan,
-    InjectedFault,
     active_plan,
     current_fault_log,
     faults_active,
@@ -67,18 +63,15 @@ __all__ = [
     "parallel_region",
     "primitives",
     "ExecutionContext",
-    "RetryPolicy",
     "parallel_map",
     "chunk_ranges",
     "default_workers",
     "default_backend",
-    "default_retries",
     "BACKENDS",
     "FaultDirective",
     "FaultEvent",
     "FaultLog",
     "FaultPlan",
-    "InjectedFault",
     "active_plan",
     "current_fault_log",
     "faults_active",

@@ -39,20 +39,16 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.errors import ExecutionError
-
-__all__ = ["ExecutionContext", "RetryPolicy", "parallel_map",
-           "chunk_ranges", "run_column_chunks", "default_workers",
-           "default_backend", "default_chunk_items", "default_retries",
-           "BACKENDS", "DEFAULT_CHUNK_ITEMS", "DEFAULT_CHUNK_COLUMNS",
-           "MAX_CHUNKS", "DEFAULT_RETRIES"]
+__all__ = ["ExecutionContext", "parallel_map", "chunk_ranges",
+           "run_column_chunks", "default_workers", "default_backend",
+           "default_chunk_items", "BACKENDS", "DEFAULT_CHUNK_ITEMS",
+           "DEFAULT_CHUNK_COLUMNS", "MAX_CHUNKS"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -135,59 +131,14 @@ def default_backend() -> str:
 
 
 def default_chunk_items() -> int:
-    """Walker-chunk grain from ``REPRO_CHUNK_ITEMS`` env var.
+    """The walker-chunk grain when ``SolverOptions.chunk_items`` is
+    unset: :data:`DEFAULT_CHUNK_ITEMS`.
 
-    Defaults to :data:`DEFAULT_CHUNK_ITEMS`.  Lets deployments tune the
-    walker-chunk size without code edits.  **Chunk layout is
-    part of the result for a fixed seed** — it decides the per-chunk
-    RNG streams — so this is a solver-level knob on par with
-    ``SolverOptions.chunk_items`` (which takes precedence), and an
-    unparseable or non-positive value raises :class:`ValueError` rather
-    than silently changing the layout.
+    **Chunk layout is part of the result for a fixed seed** — it
+    decides the per-chunk RNG streams — so the grain is a solver
+    option, never an environment knob.
     """
-
-    def parse(env: str | None) -> int:
-        if not env:
-            return DEFAULT_CHUNK_ITEMS
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(
-                f"REPRO_CHUNK_ITEMS must be a positive integer, "
-                f"got {env!r}")
-        return value
-
-    return _env_cached("REPRO_CHUNK_ITEMS", parse)
-
-
-#: Default number of *re*-dispatches after a transient chunk failure
-#: (so ``DEFAULT_RETRIES + 1`` total attempts).
-DEFAULT_RETRIES = 2
-
-
-def default_retries() -> int:
-    """Transient-failure retry budget from ``REPRO_RETRIES``.
-
-    Defaults to :data:`DEFAULT_RETRIES`; must be a non-negative
-    integer (``0`` disables re-dispatch entirely).
-    """
-
-    def parse(env: str | None) -> int:
-        if not env:
-            return DEFAULT_RETRIES
-        try:
-            value = int(env)
-        except ValueError:
-            value = -1
-        if value < 0:
-            raise ValueError(
-                f"REPRO_RETRIES must be a non-negative integer, "
-                f"got {env!r}")
-        return value
-
-    return _env_cached("REPRO_RETRIES", parse)
+    return DEFAULT_CHUNK_ITEMS
 
 
 def default_coalesce() -> bool:
@@ -216,53 +167,6 @@ def default_coalesce() -> bool:
             f"got {env!r}")
 
     return _env_cached("REPRO_COALESCE", parse)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded re-dispatch policy for transient chunk failures.
-
-    Parameters
-    ----------
-    max_attempts:
-        Total dispatch attempts per chunk (first try + retries).
-    base_delay:
-        Backoff before retry round ``r`` is ``base_delay * 2**(r-1)``
-        seconds — exponential, per round (not per chunk).
-
-    Transient failures are injected faults
-    (:class:`repro.pram.faults.InjectedFault`).  Everything else — a
-    task raising ``ValueError``, say — is deterministic and propagates
-    unchanged on the first attempt.  Because chunk layout and RNG
-    streams are functions of problem size only (DESIGN.md §6), a
-    re-dispatched chunk is bit-identical to what the lost attempt
-    would have produced, so retries never change results.
-    """
-
-    max_attempts: int = DEFAULT_RETRIES + 1
-    base_delay: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be non-negative")
-
-    def delay(self, retry_round: int) -> float:
-        """Backoff before retry round ``retry_round`` (1-based)."""
-        return self.base_delay * (2.0 ** max(0, retry_round - 1))
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRIES``."""
-        return cls(max_attempts=default_retries() + 1)
-
-
-def _is_transient(exc: BaseException) -> bool:
-    """Is ``exc`` a transient failure the retry policy may re-dispatch?"""
-    from repro.pram.faults import InjectedFault
-
-    return isinstance(exc, InjectedFault)
 
 
 def chunk_ranges(n: int, chunks: int) -> list[tuple[int, int]]:
@@ -345,7 +249,7 @@ def run_column_chunks(ctx: "ExecutionContext", b: np.ndarray,
                          *[None if c is None else c[lo:hi] for c in bc],
                          ids[lo:hi])
 
-    return ctx.run_chunks(one, pieces, scope="columns")
+    return ctx.run_chunks(one, pieces)
 
 
 @dataclass(frozen=True)
@@ -368,19 +272,12 @@ class ExecutionContext:
         influences results.
     chunk_items:
         Target work items (walkers) per chunk for :meth:`item_chunks`.
-        ``None`` (default) consults the ``REPRO_CHUNK_ITEMS`` env var
-        lazily (default :data:`DEFAULT_CHUNK_ITEMS`) — see
-        :func:`default_chunk_items`; an explicit value wins.
+        ``None`` (default) means :data:`DEFAULT_CHUNK_ITEMS`.
     chunk_columns:
         Target right-hand-side columns per chunk for
         :meth:`column_chunks`.
     max_chunks:
         Cap on the number of chunks per dispatch.
-    retry:
-        :class:`RetryPolicy` for transient chunk failures.  ``None``
-        (default) builds one lazily from ``REPRO_RETRIES`` at each
-        dispatch.  Retries never influence results — a re-dispatched
-        chunk is bit-identical.
 
     The three chunk-policy fields fully determine chunk boundaries from
     the problem size alone — see the module docstring for the
@@ -392,7 +289,6 @@ class ExecutionContext:
     chunk_items: int | None = None
     chunk_columns: int = DEFAULT_CHUNK_COLUMNS
     max_chunks: int = MAX_CHUNKS
-    retry: "RetryPolicy | None" = None
 
     def __post_init__(self) -> None:
         if (self.chunk_items is not None and self.chunk_items < 1) \
@@ -404,9 +300,6 @@ class ExecutionContext:
             raise ValueError(
                 f"backend must be None or one of {BACKENDS}, "
                 f"got {self.backend!r}")
-        if self.retry is not None and not isinstance(self.retry,
-                                                     RetryPolicy):
-            raise ValueError("retry must be None or a RetryPolicy")
 
     # -- worker/backend resolution --------------------------------------------
 
@@ -422,12 +315,6 @@ class ExecutionContext:
             return self.backend
         return default_backend()
 
-    def resolve_retry(self) -> "RetryPolicy":
-        """The retry policy to use *right now* (lazy env consultation)."""
-        if self.retry is not None:
-            return self.retry
-        return RetryPolicy.from_env()
-
     # -- deterministic chunk layout ------------------------------------------
 
     def _chunk_count(self, n: int, grain: int) -> int:
@@ -436,15 +323,14 @@ class ExecutionContext:
         return max(1, min(self.max_chunks, math.ceil(n / grain)))
 
     def resolve_chunk_items(self) -> int:
-        """The item-chunk grain to use *right now* (lazy env lookup)."""
+        """The item-chunk grain: ``chunk_items`` or the default."""
         if self.chunk_items is not None:
             return self.chunk_items
         return default_chunk_items()
 
     def item_chunks(self, n: int) -> list[tuple[int, int]]:
         """Chunk ``range(n)`` work items; layout depends only on ``n``
-        and the chunk policy (explicit ``chunk_items`` or the
-        ``REPRO_CHUNK_ITEMS`` env default)."""
+        and the chunk policy."""
         return chunk_ranges(n, self._chunk_count(n,
                                                  self.resolve_chunk_items()))
 
@@ -461,8 +347,7 @@ class ExecutionContext:
     def run_chunks(self,
                    fn: Callable[..., R],
                    pieces: Sequence[tuple[int, int]],
-                   rng: np.random.Generator | None = None,
-                   scope: str | None = None) -> list[R]:
+                   rng: np.random.Generator | None = None) -> list[R]:
         """Run ``fn(lo, hi[, stream])`` over ``pieces``, in parallel.
 
         ``pieces`` must come from :meth:`item_chunks` /
@@ -479,16 +364,7 @@ class ExecutionContext:
         charges) regardless of worker count, then the lowest-index
         chunk's exception is re-raised — keeping both the ledger totals
         and the surfaced error deterministic.
-
-        Transient failures (injected faults — see
-        :mod:`repro.pram.faults`) are retried under
-        :meth:`resolve_retry` with a fresh sub-ledger per attempt, so
-        only the surviving attempt charges and both results and ledger
-        totals stay fault-invariant.  ``scope`` labels the dispatch
-        (``"walk"``/``"columns"``) for fault-directive ``phase=``
-        matching.
         """
-        from repro.pram import faults as _faults
         from repro.pram.ledger import current_ledger, use_ledger
 
         streams: Sequence[np.random.Generator | None]
@@ -498,20 +374,12 @@ class ExecutionContext:
             streams = [None] * len(pieces)
 
         parent = current_ledger()
-        backend_name = self.resolve_backend()
-        plan = _faults.active_plan()
-        log = _faults.current_fault_log()
 
-        def one(i: int, attempt: int = 0):
+        def one(i: int):
             lo, hi = pieces[i]
             args = (lo, hi) if streams[i] is None else (lo, hi, streams[i])
             sub = parent.__class__() if parent is not None else None
             try:
-                if plan is not None:
-                    _faults.apply_chunk_faults(plan, chunk=i,
-                                               attempt=attempt,
-                                               backend=backend_name,
-                                               phase=scope, log=log)
                 if sub is None:
                     return True, fn(*args), None
                 with use_ledger(sub):
@@ -521,34 +389,6 @@ class ExecutionContext:
 
         triples = parallel_map(one, range(len(pieces)),
                                workers=self._map_workers())
-        if plan is not None:
-            policy = self.resolve_retry()
-            for retry_round in range(1, policy.max_attempts):
-                failed = [i for i, (ok, val, _) in enumerate(triples)
-                          if not ok and _is_transient(val)]
-                if not failed:
-                    break
-                if log is not None:
-                    for i in failed:
-                        log.record("retry", chunk=i, attempt=retry_round,
-                                   backend=backend_name,
-                                   detail=repr(triples[i][1]))
-                time.sleep(policy.delay(retry_round))
-                redo = parallel_map(lambda i: one(i, retry_round), failed,
-                                    workers=self._map_workers())
-                for i, triple in zip(failed, redo):
-                    triples[i] = triple
-            for i, (ok, val, _) in enumerate(triples):
-                if not ok and _is_transient(val):
-                    if log is not None:
-                        log.record("exhausted", chunk=i,
-                                   attempt=policy.max_attempts,
-                                   backend=backend_name, detail=repr(val))
-                    triples[i] = (False, ExecutionError(
-                        f"chunk {i} failed after {policy.max_attempts} "
-                        f"attempt(s) on the {backend_name} backend",
-                        chunk=i, attempts=policy.max_attempts,
-                        cause=val), None)
         if parent is not None:
             subs = [sub for _, _, sub in triples if sub is not None]
             if subs:

@@ -249,9 +249,9 @@ class WalkEngine:
 
         With an :class:`repro.pram.ExecutionContext` ``ctx``, the chunk
         layout comes from ``ctx.item_chunks`` — a function of the walker
-        count and the chunk policy (explicit ``chunk_items`` or the
-        ``REPRO_CHUNK_ITEMS`` env default), never of the worker count —
-        so for a fixed seed and fixed chunk policy the result is
+        count and the chunk policy (``chunk_items``), never of the
+        worker count — so for a fixed seed and fixed chunk policy the
+        result is
         **bit-identical regardless of the worker count or backend**
         (they only schedule the fixed chunks).  The explicit
         ``chunks``/``workers`` parameters remain for callers that want
@@ -274,7 +274,7 @@ class WalkEngine:
             return self.run(starts[lo:hi], seed=stream,
                             max_steps=max_steps)
 
-        results = ctx.run_chunks(one, pieces, rng=rng, scope="walk")
+        results = ctx.run_chunks(one, pieces, rng=rng)
         if not results:
             return WalkResult(np.empty(0, np.int64), np.empty(0),
                               np.empty(0, np.int64), 0)

@@ -26,8 +26,7 @@ start via :func:`repro.config.reset_env_caches`):
 ``REPRO_SERVE_WINDOW_MS``, ``REPRO_SERVE_MAX_BATCH``,
 ``REPRO_SERVE_CACHE_BYTES``, ``REPRO_SERVE_MAX_PENDING``,
 ``REPRO_SERVE_BREAKER_FAILS``, ``REPRO_SERVE_BREAKER_COOLDOWN_S``,
-``REPRO_SERVE_READ_TIMEOUT_S``; the batch retry budget shares
-``REPRO_RETRIES``.
+``REPRO_SERVE_READ_TIMEOUT_S``.
 """
 
 from repro.serve.batcher import (

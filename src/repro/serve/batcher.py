@@ -100,8 +100,7 @@ class ServeResult:
     method: str
     #: How many requests shared the batch.
     batched_k: int
-    #: Monotone batch sequence number (the ``chunk=`` coordinate of
-    #: ``stage=serve`` fault directives).
+    #: Monotone batch sequence number.
     batch_seq: int
     #: Cache key the batch solved against.
     key: str
@@ -131,7 +130,7 @@ class _Bucket:
 class MicroBatcher:
     """Collects single-RHS requests into blocked solves.
 
-    ``runner(solver, B, eps_col, method, plan, batch_seq)`` executes
+    ``runner(solver, B, eps_col, method, plan)`` executes
     the batched solve (in the service's solve executor) and returns a
     :class:`repro.core.solver.BlockSolveReport`.  ``window_ms`` /
     ``max_batch`` of ``None`` resolve their env knobs lazily per
@@ -225,12 +224,12 @@ class MicroBatcher:
         try:
             report = await loop.run_in_executor(
                 self._executor, self._runner, bucket.solver, B, eps_col,
-                bucket.method, plan, seq)
+                bucket.method, plan)
         except BaseException as exc:
-            # Batch-level failure (retry budget exhausted, solver bug):
-            # every cohabiting request sees it.  Column-level damage
-            # never lands here — the quarantine/escalation ladder keeps
-            # solve_many returning (DESIGN.md §9).
+            # Batch-level failure (a raising solve): every cohabiting
+            # request sees it.  Column-level damage never lands here —
+            # the quarantine/escalation ladder keeps solve_many
+            # returning (DESIGN.md §9).
             for r in requests:
                 if not r.future.done():
                     r.future.set_exception(exc)

@@ -97,6 +97,8 @@ async def _read_request(reader: asyncio.StreamReader):
         length = int(headers.get("content-length", "0") or 0)
     except ValueError:
         raise _HttpError(400, "bad Content-Length")
+    if length < 0:
+        raise _HttpError(400, "bad Content-Length")
     if length > _MAX_BODY:
         raise _HttpError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -185,29 +187,57 @@ async def _dispatch(service, method: str, path: str,
     return 404, {"error": f"no route {method} {path}"}
 
 
+def _integer(obj: dict, field: str) -> int:
+    """``obj[field]`` as an int; 400 unless it is an integral number."""
+    value = obj[field]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise _HttpError(400, f"{field!r} must be an integer")
+
+
+def _integer_array(obj: dict, field: str) -> np.ndarray:
+    """``obj[field]`` as an int64 array; 400 unless every entry is an
+    integral number (``MultiGraph`` itself would truncate ``0.5``)."""
+    message = f"{field!r} must be an array of integers"
+    try:
+        arr = np.asarray(obj[field])
+    except ValueError:  # ragged nesting
+        raise _HttpError(400, message)
+    if arr.dtype.kind == "f" and np.isfinite(arr).all() \
+            and (arr == np.trunc(arr)).all():
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise _HttpError(400, message)
+    return arr
+
+
 async def _post_graph(service, obj: dict) -> tuple[int, dict]:
     from repro.graphs.multigraph import MultiGraph
 
     for field in ("n", "u", "v", "w"):
         if field not in obj:
             raise _HttpError(400, f"graph body needs {field!r}")
+    n = _integer(obj, "n")
+    u, v = _integer_array(obj, "u"), _integer_array(obj, "v")
+    mult = _integer_array(obj, "mult") \
+        if obj.get("mult") is not None else None
+    seed = _integer(obj, "seed") if obj.get("seed") is not None else None
+    if seed is not None and seed < 0:
+        raise _HttpError(400, "'seed' must be non-negative")
     try:
-        graph = MultiGraph(int(obj["n"]),
-                           np.asarray(obj["u"]), np.asarray(obj["v"]),
-                           np.asarray(obj["w"], dtype=np.float64),
-                           mult=np.asarray(obj["mult"])
-                           if obj.get("mult") is not None else None)
+        graph = MultiGraph(n, u, v, np.asarray(obj["w"], dtype=np.float64),
+                           mult=mult)
     except (ReproError, TypeError, ValueError) as exc:
         raise _HttpError(400, f"bad graph: {exc}")
-    seed = obj.get("seed")
     loop = asyncio.get_running_loop()
     try:
         # The warm build is the expensive part — run it off-loop in the
         # solve executor (single-flight via the cache either way).
         key = await loop.run_in_executor(
             service._solve_pool,
-            functools.partial(service.register, graph,
-                              seed=None if seed is None else int(seed)))
+            functools.partial(service.register, graph, seed=seed))
     except ReproError as exc:
         raise _HttpError(400, f"build failed: {exc}")
     solver = service.cache.get(key)

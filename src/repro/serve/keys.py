@@ -15,12 +15,12 @@ factorization.  Identity has two halves:
   :class:`repro.config.SolverOptions` fields that change the built
   chain's bits.  Runtime knobs that the determinism contract
   (DESIGN.md §6) proves result-neutral (``workers``, ``backend``,
-  ``retries``, ``keep_graphs``, and the single-valued ``sampler``,
+  ``keep_graphs``, and the single-valued ``sampler``, ``retries``,
   ``degrade`` and ``ship_solves``) are deliberately excluded, so a
   serial-backend client and a thread-backend client share one
-  resident chain.  Lazy fields that
-  *do* affect bits (``coalesce_emitted``, ``chunk_items``) are
-  resolved against the environment at key time.
+  resident chain.  Defaulted fields that *do* affect bits are
+  resolved at key time: ``coalesce_emitted`` against the environment,
+  ``chunk_items`` to the library default.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.config import SolverOptions, default_options
 from repro.graphs.multigraph import MultiGraph
+from repro.pram.executor import DEFAULT_CHUNK_ITEMS
 
 __all__ = ["canonical_edge_arrays", "graph_fingerprint",
            "options_token", "solver_cache_key"]
@@ -76,17 +77,14 @@ def graph_fingerprint(graph: MultiGraph) -> str:
 def options_token(options: SolverOptions) -> str:
     """Stable string of the chain-affecting option fields.
 
-    Lazy env-backed fields are resolved *now* — two processes with
+    Defaulted fields are resolved *now* — two processes with
     different ``REPRO_COALESCE`` environments must not share a chain.
     """
     parts = [f"{name}={getattr(options, name)!r}"
              for name in _CHAIN_FIELDS]
     parts.append(f"coalesce={options.resolve_coalesce()}")
-    if options.chunk_items is not None:
-        chunk_items = options.chunk_items
-    else:
-        from repro.pram.executor import default_chunk_items
-        chunk_items = default_chunk_items()
+    chunk_items = options.chunk_items if options.chunk_items is not None \
+        else DEFAULT_CHUNK_ITEMS
     parts.append(f"chunk_items={chunk_items}")
     return ";".join(parts)
 

@@ -5,8 +5,7 @@
 
 * a dedicated thread running an asyncio event loop (request plumbing),
 * a single-worker solve executor (batched solves and chain builds run
-  one at a time, so batch execution order — and therefore the fault
-  coordinates of ``stage=serve`` directives — is deterministic),
+  one at a time, so batch execution order is deterministic),
 * a :class:`repro.serve.cache.ChainCache` of resident solvers built
   with ``keep_graphs=False`` (streaming builds: the cache holds the
   solve payload, not the per-level graphs), and
@@ -45,15 +44,8 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graphs.multigraph import MultiGraph
-from repro.pram.executor import RetryPolicy, _env_cached
-from repro.pram.faults import (
-    FaultLog,
-    InjectedFault,
-    active_plan,
-    apply_serve_faults,
-    split_serve_plan,
-    use_faults,
-)
+from repro.pram.executor import _env_cached
+from repro.pram.faults import FaultLog, active_plan, use_faults
 from repro.serve.batcher import (
     MicroBatcher,
     ServeResult,
@@ -294,8 +286,8 @@ class SolverService:
                  breaker_cooldown_s: float | None = None) -> None:
         self.options = options or default_options()
         self.cache = ChainCache(max_bytes=cache_bytes)
-        #: Serve-level fault log: ``stage=serve`` injections, batch
-        #: retries/exhaustions, plus every batch report's own events.
+        #: Serve-level fault log: sheds and breaker transitions, plus
+        #: every batch report's own events.
         self.fault_log = FaultLog()
         self._window_ms = window_ms
         self._max_batch = max_batch
@@ -522,55 +514,26 @@ class SolverService:
                 self.breaker.release_probe(probe)
 
     def _run_batch(self, solver: LaplacianSolver, B: np.ndarray,
-                   eps_col: np.ndarray, method: str, plan,
-                   batch_seq: int):
+                   eps_col: np.ndarray, method: str, plan):
         """Execute one micro-batch (solve-executor thread).
 
-        ``stage=serve`` kill/hang directives fire here, before the
-        blocked solve, and are retried under the ambient
-        :class:`RetryPolicy` — stateless directives make the replay
-        bit-identical.  The remaining plan is installed around the
-        solve so in-kernel injection (including rewritten
-        ``nan:stage=serve`` directives) behaves exactly as it would
-        under a direct ``solve_many``.
+        The request's fault plan is installed around the solve, so
+        in-kernel injection behaves exactly as it would under a direct
+        ``solve_many``.  The batch's outcome feeds the circuit breaker:
+        a raising batch fails every cohabiting request and counts as
+        one consecutive failure.
         """
-        serve_directives, inner_plan = split_serve_plan(plan)
-        policy = RetryPolicy.from_env()
-        attempt = 0
-        while True:
-            try:
-                if serve_directives:
-                    apply_serve_faults(serve_directives, batch=batch_seq,
-                                       attempt=attempt,
-                                       log=self.fault_log)
-                context = use_faults(inner_plan) if plan is not None \
-                    else contextlib.nullcontext()
-                with context:
-                    report = solver.solve_many_report(B, eps=eps_col,
-                                                      method=method)
-                if report.fault_log is not None:
-                    self.fault_log.events.extend(report.fault_log.events)
-                # Only the batch's final outcome feeds the breaker —
-                # retried transients that eventually succeed are the
-                # system working, not a failing dependency.
-                self.breaker.record_success(self.fault_log)
-                return report
-            except InjectedFault as exc:
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    self.fault_log.record(
-                        "exhausted", kind="serve", chunk=batch_seq,
-                        attempt=attempt, backend="serve",
-                        detail=str(exc))
-                    self.breaker.record_failure(self.fault_log)
-                    raise
-                self.fault_log.record(
-                    "retry", chunk=batch_seq, attempt=attempt,
-                    backend="serve", detail="re-dispatching batch")
-                time.sleep(policy.base_delay * (2 ** (attempt - 1)))
-            except BaseException:
-                self.breaker.record_failure(self.fault_log)
-                raise
+        try:
+            with use_faults(plan):
+                report = solver.solve_many_report(B, eps=eps_col,
+                                                  method=method)
+        except BaseException:
+            self.breaker.record_failure(self.fault_log)
+            raise
+        if report.fault_log is not None:
+            self.fault_log.events.extend(report.fault_log.events)
+        self.breaker.record_success(self.fault_log)
+        return report
 
     # -- HTTP front end ------------------------------------------------------
 

@@ -14,7 +14,7 @@ Pins the PR-5 contracts:
 * every elimination round's alias planes equal a from-scratch build
   over that round's restricted view — bitwise;
 * the satellite guards: ``RowSampler``'s empty-row clip validation and
-  the ``REPRO_CHUNK_ITEMS`` chunk-grain override.
+  the ``chunk_items`` chunk-grain override.
 """
 
 import numpy as np
@@ -521,28 +521,17 @@ class TestRowSamplerClipGuard:
 
 
 class TestChunkItemsOverride:
-    def test_env_override_changes_layout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_ITEMS", raising=False)
-        assert default_chunk_items() == DEFAULT_CHUNK_ITEMS
-        ctx = ExecutionContext()
-        n = 4 * DEFAULT_CHUNK_ITEMS
-        assert len(ctx.item_chunks(n)) == 4
-        monkeypatch.setenv("REPRO_CHUNK_ITEMS", str(DEFAULT_CHUNK_ITEMS * 2))
-        assert default_chunk_items() == DEFAULT_CHUNK_ITEMS * 2
-        assert len(ctx.item_chunks(n)) == 2
-
     def test_explicit_chunk_items_wins(self, monkeypatch):
+        # Only the chunk_items option moves the walker-chunk layout; a
+        # stale REPRO_CHUNK_ITEMS from an older release changes nothing.
         monkeypatch.setenv("REPRO_CHUNK_ITEMS", "7")
-        ctx = ExecutionContext(chunk_items=100)
-        assert ctx.resolve_chunk_items() == 100
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_ITEMS", "lots")
-        with pytest.raises(ValueError):
-            default_chunk_items()
-        monkeypatch.setenv("REPRO_CHUNK_ITEMS", "0")
-        with pytest.raises(ValueError):
-            default_chunk_items()
+        assert default_chunk_items() == DEFAULT_CHUNK_ITEMS
+        n = 4 * DEFAULT_CHUNK_ITEMS
+        assert len(ExecutionContext().item_chunks(n)) == 4
+        ctx = default_options().with_(
+            chunk_items=2 * DEFAULT_CHUNK_ITEMS).execution()
+        assert ctx.resolve_chunk_items() == 2 * DEFAULT_CHUNK_ITEMS
+        assert len(ctx.item_chunks(n)) == 2
 
 
 class TestRunColumnChunks:

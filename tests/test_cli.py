@@ -78,7 +78,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ["--transport", "tcp"], ["--ship-solves"],
-        ["--chunk-timeout", "1"], ["--degrade"],
+        ["--chunk-timeout", "1"], ["--degrade"], ["--retries", "2"],
     ])
     def test_process_backend_flags_are_unknown(self, grid_file, capsys,
                                                flag):

@@ -67,10 +67,12 @@ class TestSolverOptions:
         ("backend", "bogus"),
         ("ship_solves", True),
         ("degrade", True),
+        ("retries", 1),
     ])
     def test_retired_execution_values_are_refused(self, field, value):
-        # The process backend, shipped solves and backend degradation
-        # are gone; asking for them is a typed error at construction.
+        # The process backend, shipped solves, backend degradation and
+        # chunk re-dispatch are gone; asking for them is a typed error
+        # at construction.
         with pytest.raises(InvalidInputError, match=field):
             SolverOptions(**{field: value})
         with pytest.raises(InvalidInputError, match=field):
@@ -79,8 +81,9 @@ class TestSolverOptions:
     def test_remaining_execution_values_are_accepted(self):
         for backend in (None, "serial", "thread"):
             assert SolverOptions(backend=backend).backend == backend
-        opts = SolverOptions(ship_solves=False, degrade=False)
+        opts = SolverOptions(ship_solves=False, degrade=False, retries=0)
         assert opts.ship_solves is False and opts.degrade is False
+        assert opts.retries == 0
 
 
 class TestErrorHierarchy:

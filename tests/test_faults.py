@@ -1,12 +1,11 @@
-"""Fault-tolerant execution (ISSUE 6): injection harness + recovery.
+"""Numerical-breakdown containment and its NaN-injection harness.
 
-The determinism contract (chunk layout and per-chunk RNG streams are
-functions of problem size only) makes recovery cheap: a lost chunk
-re-dispatched with its original ``(lo, hi, seed_key)`` is bit-identical
-to what the lost attempt would have produced.  These tests *prove* it:
-for every backend and fault kind, a faulted run must equal a fault-free
-run bit-for-bit — solutions **and** ledger totals — and every recovery
-action must appear in the structured :class:`FaultLog`.
+A column whose iterate goes non-finite in a blocked kernel is
+quarantined without poisoning its siblings, then escalated per column
+(DESIGN.md §9).  ``nan:col=N`` directives make that path run on
+demand; these tests pin the directive grammar, that healthy columns
+stay bit-identical to the fault-free solve, and that every
+containment action appears in the structured :class:`FaultLog`.
 """
 
 import numpy as np
@@ -15,136 +14,81 @@ import pytest
 from repro.config import default_options, practical_options
 from repro.core.apply_cholesky import K_WAVE, ApplyCholeskyOperator
 from repro.core.solver import DEFAULT_METHOD, LaplacianSolver
-from repro.errors import (
-    ConvergenceError,
-    ExecutionError,
-    NumericalBreakdownError,
-)
+from repro.errors import ConvergenceError, NumericalBreakdownError
 from repro.graphs import generators as G
-from repro.pram import use_ledger
-from repro.pram.executor import (
-    BACKENDS,
-    ExecutionContext,
-    RetryPolicy,
-    default_retries,
-)
+from repro.pram.executor import ExecutionContext
 from repro.pram.faults import (
-    FaultDirective,
-    FaultLog,
     FaultPlan,
-    InjectedFault,
     active_plan,
-    apply_chunk_faults,
+    inject_nan_columns,
     use_fault_log,
     use_faults,
 )
 
-#: A fast retry policy for tests (no reason to sleep real backoffs).
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
-
-
-def _square(x):
-    """Chunk closure: deterministic value + one charged region."""
-    from repro.pram import charge
-
-    def one(lo, hi, stream=None):
-        charge(hi - lo, 2.0, label="sq")
-        value = float((x[lo:hi] ** 2).sum()) + 1.5
-        if stream is not None:
-            value += float(stream.random())
-        return value
-
-    return one
-
 
 class TestPlanParsing:
     def test_parse_directives(self):
-        plan = FaultPlan.parse(
-            "kill:chunk=2:attempt=1, hang:chunk=0:seconds=2,"
-            "nan:col=3:iter=1:stage=cg")
-        kill, hang, nan = plan.directives
-        assert (kill.kind, kill.chunk, kill.attempt) == ("kill", 2, 1)
-        assert (hang.kind, hang.chunk, hang.seconds) == ("hang", 0, 2.0)
-        assert (nan.kind, nan.col, nan.iteration, nan.stage) == \
+        plan = FaultPlan.parse("nan:col=3:iter=1:stage=cg, nan:col=0")
+        first, second = plan.directives
+        assert (first.kind, first.col, first.iteration, first.stage) == \
             ("nan", 3, 1, "cg")
+        assert (second.col, second.iteration, second.stage) == (0, 0, None)
 
     def test_spec_roundtrip(self):
-        text = ("kill:chunk=2:attempt=1,hang:chunk=0:seconds=2,"
-                "nan:col=3:iter=1:stage=cg,"
-                "kill:chunk=1:attempt=*:backend=thread:phase=walk")
+        text = ("nan:col=3:iter=1:stage=cg,nan:col=0,"
+                "nan:col=2:stage=solve")
         plan = FaultPlan.parse(text)
         reparsed = FaultPlan.parse(
             ",".join(d.spec() for d in plan.directives))
         assert reparsed == plan
 
-    def test_attempt_star_means_every_attempt(self):
-        d = FaultPlan.parse("kill:chunk=1:attempt=*").directives[0]
-        assert d.attempt is None
-        assert d.matches_chunk(chunk=1, attempt=0)
-        assert d.matches_chunk(chunk=1, attempt=5)
-        assert not d.matches_chunk(chunk=2, attempt=0)
-
-    def test_backend_and_phase_selectors(self):
-        d = FaultPlan.parse(
-            "kill:chunk=0:backend=thread:phase=walk").directives[0]
-        assert d.matches_chunk(chunk=0, attempt=0, backend="thread",
-                               phase="walk")
-        assert not d.matches_chunk(chunk=0, attempt=0, backend="serial",
-                                   phase="walk")
-        assert not d.matches_chunk(chunk=0, attempt=0, backend="thread",
-                                   phase="columns")
-        # Unknown coordinate at the call site: selector not consulted.
-        assert d.matches_chunk(chunk=0, attempt=0)
-
     @pytest.mark.parametrize("bad", [
         "explode:chunk=1",       # unknown kind
-        "kill",                  # kill needs chunk=
+        "kill",                  # retired kind
         "nan:iter=1",            # nan needs col=
-        "kill:chunk=x",          # non-integer
+        "kill:chunk=x",
         "hang:chunk=0:seconds=no",
         "hang:chunk=0:seconds=-1",
-        "kill:chunk=0:wat=1",    # unknown selector
+        "kill:chunk=0:wat=1",
         "kill:chunk",            # selector without =
         " , ",                   # no directives at all
-        "kill:chunk=1:backend=bogus",        # unknown backend
-        "kill:chunk=1:backend=distributed",  # retired backend
-        "kill:chunk=1:phase=wlak",           # typo'd phase
+        "kill:chunk=1:backend=bogus",
+        "kill:chunk=1:backend=distributed",
+        "kill:chunk=1:phase=wlak",
         "nan:col=1:stage=richardsn",         # typo'd stage
-        # Directives naming the retired process backend, its wire or
-        # its shipped solves could never fire.
         "drop:frame=0",
         "disconnect:worker=1",
         "kill:chunk=0:backend=process",
         "kill:chunk=0:phase=transport",
         "kill:chunk=0:stage=solve",
+        # The chunk-retry layer and its selectors are gone; a directive
+        # naming them could never fire.
+        "kill:chunk=1",
+        "hang:chunk=0",
+        "nan:col=0:chunk=1",
+        "nan:col=0:attempt=1",
+        "nan:col=0:backend=thread",
+        "nan:col=0:phase=columns",
+        "nan:col=0:stage=serve",
+        "nan:col=x",             # non-integer
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
     def test_every_listed_selector_value_parses(self):
-        # The selector check must not reject a value some dispatch
-        # site can actually match (case-insensitive, like the rest).
-        # Kernel stages are nan coordinates; kill/hang take stage= as
-        # an alias of a dispatch scope.
-        from repro.pram.faults import PHASES, STAGES
+        # The selector check must not reject a stage some kernel can
+        # actually match (case-insensitive, like the rest).
+        from repro.pram.faults import STAGES
 
-        scopes = tuple(v for v in STAGES if v in PHASES)
-        assert scopes == ("serve",)
-        for kind, key, values in (("kill:chunk=0", "backend", BACKENDS),
-                                  ("kill:chunk=0", "phase", PHASES),
-                                  ("kill:chunk=0", "stage", scopes),
-                                  ("nan:col=0", "stage", STAGES)):
-            for value in values:
-                d = FaultPlan.parse(
-                    f"{kind}:{key}={value.upper()}").directives[0]
-                assert getattr(d, key) == value
+        assert STAGES == ("richardson", "pcg", "cg", "chebyshev", "solve")
+        for value in STAGES:
+            d = FaultPlan.parse(
+                f"nan:col=0:stage={value.upper()}").directives[0]
+            assert d.stage == value
 
     def test_nan_stage_solve_is_a_kernel_wildcard(self):
-        # kill/hang lost stage=solve with the shipped solves; nan keeps
-        # it as the wildcard over the blocked kernels.
-        from repro.pram.faults import inject_nan_columns
-
+        # ``stage=solve`` is the wildcard over the blocked kernels.
         plan = FaultPlan.parse("nan:col=0:stage=solve")
         d = plan.directives[0]
         assert d.stage == "solve"
@@ -158,125 +102,38 @@ class TestPlanParsing:
             assert np.isfinite(block[:, 1]).all()
 
     def test_env_activation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        # Plans come only from use_faults: the environment activates
+        # nothing, even a stale variable from an older release.
+        monkeypatch.setenv("REPRO_FAULTS", "nan:col=2")
         assert active_plan() is None
-        monkeypatch.setenv("REPRO_FAULTS", "kill:chunk=2")
-        plan = active_plan()
-        assert plan is not None and plan.directives[0].chunk == 2
-        # use_faults overrides the env var ...
-        with use_faults("kill:chunk=7"):
-            assert active_plan().directives[0].chunk == 7
-        # ... and use_faults(None) masks it entirely.
-        with use_faults(None):
-            assert active_plan() is None
-        assert active_plan().directives[0].chunk == 2
-
-    def test_apply_chunk_faults_logs_and_raises(self):
-        plan = FaultPlan.parse("kill:chunk=1")
-        log = FaultLog()
-        apply_chunk_faults(plan, chunk=0, attempt=0, log=log)  # no match
-        assert len(log) == 0
-        with pytest.raises(InjectedFault):
-            apply_chunk_faults(plan, chunk=1, attempt=0, log=log)
-        assert log.actions() == ("inject",)
-        assert log.events[0].kind == "kill"
+        with use_faults("nan:col=7"):
+            assert active_plan().directives[0].col == 7
+            with use_faults(None):
+                assert active_plan() is None
+            assert active_plan().directives[0].col == 7
+        assert active_plan() is None
 
 
 class TestEnvKnobs:
-    def test_default_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert default_retries() == 2
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert default_retries() == 0
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError):
-            default_retries()
-
-    def test_retry_policy_validation_and_backoff(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(3) == pytest.approx(0.4)  # doubles per round
-
-    def test_policy_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 6
-
     def test_options_thread_through(self):
-        ctx = default_options().with_(retries=1).execution()
-        assert ctx.retry == RetryPolicy(max_attempts=2)
-        # All-defaults options still share the singleton context.
+        # The retired retries field accepts only 0 and never reaches
+        # the execution context: such options still share the
+        # all-defaults singleton.
+        assert default_options().with_(retries=0).execution() \
+            is ExecutionContext.DEFAULT
         assert default_options().execution() is ExecutionContext.DEFAULT
+        ctx = practical_options().with_(chunk_items=512).execution()
+        assert ctx.resolve_chunk_items() == 512
 
 
 class TestChunkRedispatch:
-    """Fault ⇒ re-dispatch ⇒ bit-identical values and ledger totals."""
-
-    def _run(self, ctx, pieces, x, plan):
-        rng = np.random.default_rng(5)
-        with use_ledger() as ledger:
-            with use_faults(plan), use_fault_log() as flog:
-                out = ctx.run_chunks(_square(x), pieces, rng=rng)
-        return out, ledger.work, ledger.depth, flog
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("fault", [
-        "kill:chunk=1", "hang:chunk=1:seconds=0.01",
-    ])
-    def test_faulted_matches_clean(self, backend, fault, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(backend=backend, chunk_items=8, retry=FAST)
-        pieces = ctx.item_chunks(x.size)
-        assert len(pieces) > 2
-        base, work, depth, _ = self._run(ctx, pieces, x, None)
-        out, fwork, fdepth, flog = self._run(ctx, pieces, x, fault)
-        assert out == base
-        assert (fwork, fdepth) == (work, depth)
-        assert flog.count("retry") >= 1
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_second_attempt_can_fault_too(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(backend=backend, chunk_items=8, retry=FAST)
-        pieces = ctx.item_chunks(x.size)
-        base, work, *_ = self._run(ctx, pieces, x, None)
-        out, fwork, _, flog = self._run(
-            ctx, pieces, x, "kill:chunk=1,kill:chunk=1:attempt=1")
-        assert out == base and fwork == work
-        assert flog.count("retry") >= 2
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhaustion_error_shape(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(
-            backend=backend, chunk_items=8,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01))
-        pieces = ctx.item_chunks(x.size)
-        with use_faults("kill:chunk=1:attempt=*"), \
-                use_fault_log() as flog:
-            with pytest.raises(ExecutionError) as err:
-                ctx.run_chunks(_square(x), pieces)
-        # Only chunk 1 faults, so it is the one and only chunk to
-        # exhaust on every backend.
-        assert err.value.chunk == 1
-        assert err.value.attempts == 2
-        assert err.value.__cause__ is not None
-        assert [e.chunk for e in flog.events
-                if e.action == "exhausted"] == [1]
+    """Chunks are dispatched once: nothing is re-run."""
 
     def test_nontransient_errors_are_not_retried(self, monkeypatch):
-        # A deterministic bug must not burn retry attempts: only
-        # injected faults are transient.
+        # A raising chunk is never re-run; every chunk runs exactly
+        # once and the lowest-index error surfaces.
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        ctx = ExecutionContext(backend="serial", chunk_items=4,
-                               retry=FAST)
+        ctx = ExecutionContext(backend="serial", chunk_items=4)
         pieces = ctx.item_chunks(8)
         calls = []
 
@@ -287,57 +144,6 @@ class TestChunkRedispatch:
         with pytest.raises(ValueError, match="boom 0"):
             ctx.run_chunks(one, pieces)
         assert sorted(calls) == [lo for lo, _ in pieces]  # once each
-
-    def test_run_chunks_retries_injected_faults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        ctx = ExecutionContext(backend="thread", chunk_items=4,
-                               retry=FAST)
-        pieces = ctx.item_chunks(12)
-        with use_faults("kill:chunk=0"), use_fault_log() as flog:
-            out = ctx.run_chunks(lambda lo, hi: hi - lo, pieces)
-        assert out == [hi - lo for lo, hi in pieces]
-        assert flog.count("inject") == 1 and flog.count("retry") == 1
-
-
-class TestSolverFaultInvariance:
-    """The bench gate, in-tree: fixed seed ⇒ identical solutions and
-    ledger totals with and without injected faults, on every backend."""
-
-    WORKER_COUNTS = (1, 2)
-
-    def _solve(self, monkeypatch, backend, workers, plan):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_WORKERS", str(workers))
-        g = G.grid2d(12, 12)
-        rng = np.random.default_rng(7)
-        B = rng.standard_normal((g.n, 5))
-        B -= B.mean(axis=0)
-        opts = practical_options().with_(chunk_items=512, retries=2)
-        with use_faults(plan):
-            with use_ledger() as ledger:
-                solver = LaplacianSolver(g, options=opts, seed=11)
-                X = solver.solve_many(B, eps=1e-6)
-        return X, ledger.work, ledger.depth
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kill_one_chunk_is_invisible(self, backend, monkeypatch):
-        base = self._solve(monkeypatch, backend, 1, None)
-        for workers in self.WORKER_COUNTS:
-            faulted = self._solve(monkeypatch, backend, workers,
-                                  "kill:chunk=1")
-            np.testing.assert_array_equal(faulted[0], base[0],
-                                          err_msg=f"{backend} w={workers}")
-            assert faulted[1:] == base[1:], (backend, workers)
-
-    def test_column_chunk_faults_are_invisible(self, monkeypatch):
-        # phase=columns pins the fault to the column-chunked solve
-        # dispatches (run_chunks closures), leaving the walk phase
-        # alone — exercises the in-process retry path end-to-end.
-        base = self._solve(monkeypatch, "thread", 2, None)
-        faulted = self._solve(monkeypatch, "thread", 2,
-                              "kill:chunk=0:phase=columns")
-        np.testing.assert_array_equal(faulted[0], base[0])
-        assert faulted[1:] == base[1:]
 
 
 class TestNumericalContainment:
@@ -356,7 +162,6 @@ class TestNumericalContainment:
         rep = solver.solve_many_report(B, eps=1e-8)
         assert list(rep.column_status) == [DEFAULT_METHOD] * 6
         assert len(rep.fault_log) == 0
-        assert len(solver.build_fault_log) == 0
 
     def test_richardson_breakdown_escalates_to_pcg(self):
         solver, B = self._solver()

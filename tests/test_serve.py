@@ -12,10 +12,10 @@ Re-proves the library's contracts at the service boundary
 * **cache semantics** — canonical graph hashing, LRU eviction under a
   byte budget audited against ``CholeskyChain.nbytes``, single-flight
   concurrent builds, cached-vs-fresh-chain bit-identity;
-* **fault isolation** — ``stage=serve`` kill/hang retries recover
-  bit-identically; a nan-poisoned request degrades only its own
-  column (``column_status``) while cohabiting requests in the same
-  batch are untouched;
+* **fault isolation** — a raising batch fails every request in it
+  and feeds the circuit breaker; a nan-poisoned request degrades only
+  its own column (``column_status``) while cohabiting requests in the
+  same batch are untouched;
 * **hygiene** — env caches reset on server start and in test
   teardown.
 """
@@ -43,8 +43,7 @@ from repro.errors import DimensionMismatchError, InvalidInputError, \
 from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
 from repro.pram.executor import _env_caches, default_workers
-from repro.pram.faults import FaultPlan, InjectedFault, split_serve_plan, \
-    use_faults
+from repro.pram.faults import use_faults
 from repro.serve import (
     ChainCache,
     SolverService,
@@ -70,6 +69,26 @@ def _streaming(options=None):
 
 def _build_solver(graph, options=None, seed=0):
     return LaplacianSolver(graph, options=_streaming(options), seed=seed)
+
+
+class _StubBatchFailure(Exception):
+    """What :func:`_fail_next_batches`' stub raises for a batch."""
+
+
+def _fail_next_batches(monkeypatch, svc, key, count):
+    """Make the next ``count`` batched solves on ``key``'s resident
+    chain raise :class:`_StubBatchFailure`; later batches solve."""
+    solver = svc.cache.get(key)
+    real = solver.solve_many_report
+    left = [count]
+
+    def flaky(*args, **kwargs):
+        if left[0] > 0:
+            left[0] -= 1
+            raise _StubBatchFailure("stub batch failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_many_report", flaky)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +158,7 @@ class TestGraphKeys:
         base = solver_cache_key(g, default_options(), 0)
         for variant in (default_options().with_(workers=3),
                         default_options().with_(backend="serial"),
-                        default_options().with_(retries=7),
+                        default_options().with_(retries=0),
                         default_options().with_(degrade=False),
                         default_options().with_(ship_solves=False),
                         default_options().with_(keep_graphs=False)):
@@ -434,50 +453,23 @@ class TestBatchingEquivalence:
 
 
 class TestServeFaults:
-    def test_kill_retry_recovers_bit_identically(self):
-        g = G.grid2d(6, 6)
-        with SolverService(window_ms=20.0) as svc:
-            key = svc.register(g, seed=0)
-            b = np.random.default_rng(12).normal(size=g.n)
-            clean = svc.solve(key, b)  # batch_seq 0
-            with use_faults("kill:chunk=1:stage=serve"):
-                faulted = svc.solve(key, b)  # batch_seq 1
-            assert faulted.batch_seq == 1
-            np.testing.assert_array_equal(faulted.x, clean.x)
-            summary = svc.fault_log.summary()
-        assert summary.get("inject") == 1
-        assert summary.get("retry") == 1
-
-    def test_hang_retry_recovers_bit_identically(self):
-        g = G.grid2d(6, 6)
-        with SolverService(window_ms=20.0) as svc:
-            key = svc.register(g, seed=0)
-            b = np.random.default_rng(13).normal(size=g.n)
-            clean = svc.solve(key, b)
-            with use_faults("hang:chunk=1:stage=serve:seconds=5"):
-                t0 = time.perf_counter()
-                faulted = svc.solve(key, b)
-                elapsed = time.perf_counter() - t0
-            # In-process hangs are capped to a bounded stall.
-            assert elapsed < 5.0
-            np.testing.assert_array_equal(faulted.x, clean.x)
-            assert svc.fault_log.count("inject") == 1
-
-    def test_kill_every_attempt_exhausts_the_whole_batch(self):
+    def test_raising_batch_fails_every_request(self, monkeypatch):
         g = G.grid2d(6, 6)
         with SolverService(window_ms=WINDOW_MS) as svc:
             key = svc.register(g, seed=0)
             B = np.random.default_rng(14).normal(size=(g.n, 3))
-            with use_faults("kill:chunk=0:attempt=*:stage=serve"):
-                futures = [svc.submit(key, B[:, i]) for i in range(3)]
-            # Batch-level failure reaches every cohabiting caller.
+            _fail_next_batches(monkeypatch, svc, key, 1)
+            futures = [svc.submit(key, B[:, i]) for i in range(3)]
+            # Batch-level failure reaches every cohabiting caller, and
+            # the batch is not run again.
             for f in futures:
-                with pytest.raises(InjectedFault):
+                with pytest.raises(_StubBatchFailure):
                     f.result(timeout=60)
-            assert svc.fault_log.count("exhausted") == 1
-            # The service survives: the directive pins batch 0 only.
+            assert svc.breaker.consecutive_failures == 1
+            # The service survives: the next batch solves.
             ok = svc.solve(key, B[:, 0])
             assert np.isfinite(ok.x).all()
+            assert svc.breaker.consecutive_failures == 0
 
     def test_nan_poisons_only_its_own_request(self):
         # Same workload as TestNumericalContainment in test_faults.py,
@@ -493,7 +485,7 @@ class TestServeFaults:
             clean = [f.result(timeout=60) for f in futures]
             assert all(r.batched_k == 6 for r in clean)
             assert all(r.status == DEFAULT_METHOD for r in clean)
-            with use_faults("nan:col=3:stage=serve"):
+            with use_faults("nan:col=3:stage=solve"):
                 futures = [svc.submit(key, B[:, i]) for i in range(6)]
             faulted = [f.result(timeout=60) for f in futures]
             summary = svc.fault_log.summary()
@@ -530,21 +522,6 @@ class TestServeFaults:
             with pytest.raises(InvalidInputError):
                 svc.solve(key, B[:, 0], eps=2.0)
             assert svc.breaker.consecutive_failures == 0
-
-    def test_serve_faults_compose_with_executor_faults(self):
-        plan = FaultPlan.parse(
-            "kill:chunk=0:stage=serve,nan:col=1:stage=serve,"
-            "kill:chunk=2:phase=walk")
-        serve, inner = split_serve_plan(plan)
-        assert len(serve) == 1 and serve[0].kind == "kill"
-        assert inner is not None and len(inner.directives) == 2
-        kinds = {d.kind for d in inner.directives}
-        assert kinds == {"nan", "kill"}
-        nan = next(d for d in inner.directives if d.kind == "nan")
-        assert nan.stage == "solve"  # rewritten for the kernels
-        walk = next(d for d in inner.directives if d.kind == "kill")
-        assert walk.phase == "walk"  # untouched pass-through
-        assert split_serve_plan(None) == ((), None)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +653,46 @@ class TestServeHTTP:
             code, sol = self._request(base, "/solve", method="POST",
                                       payload={"key": key, "b": b})
             assert code == 200 and sol["status"] == DEFAULT_METHOD
+
+    @staticmethod
+    def _graph_body(g):
+        return {"n": g.n, "u": g.u.tolist(), "v": g.v.tolist(),
+                "w": g.w.tolist()}
+
+    @pytest.mark.parametrize("patch", [
+        {"seed": "abc"}, {"seed": [1]}, {"seed": 1.5}, {"seed": True},
+        {"seed": -1}, {"n": 9.5}, {"u": [0.5]}, {"v": ["a"]},
+        {"u": [[0, 1], [2]]}, {"mult": [1.5]},
+    ], ids=lambda patch: repr(patch).replace(" ", ""))
+    def test_bad_graph_bodies_are_400(self, patch):
+        # Non-integral entries would otherwise be truncated into a
+        # different graph, and a bad seed used to escape as a 500.
+        g = G.grid2d(3, 3)
+        body = self._graph_body(g)
+        for field, value in patch.items():
+            if field in ("u", "v", "mult") and len(value) == 1:
+                # Spoil the first entry of an otherwise valid array.
+                value = value + body.get(field, [1] * g.m)[1:]
+            body[field] = value
+        with SolverService(window_ms=20.0) as svc:
+            host, port = svc.serve_http("127.0.0.1", 0)
+            code, payload = self._request(f"http://{host}:{port}",
+                                          "/graphs", method="POST",
+                                          payload=body)
+            assert code == 400, payload
+            assert svc.stats()["graphs"] == 0
+
+    def test_integral_floats_register(self):
+        g = G.grid2d(3, 3)
+        body = self._graph_body(g)
+        body.update(u=[float(x) for x in body["u"]], seed=3.0)
+        with SolverService(window_ms=20.0) as svc:
+            host, port = svc.serve_http("127.0.0.1", 0)
+            code, reg = self._request(f"http://{host}:{port}",
+                                      "/graphs", method="POST",
+                                      payload=body)
+        assert code == 200
+        assert reg["key"] == solver_cache_key(g, svc.options, 3)
 
     def test_concurrent_http_requests_share_a_batch(self):
         g = G.grid2d(6, 6)
@@ -836,19 +853,18 @@ class TestAdmissionControl:
 
 
 class TestCircuitBreaker:
-    def test_opens_fails_fast_and_recloses(self):
+    def test_opens_fails_fast_and_recloses(self, monkeypatch):
         g = G.grid2d(6, 6)
         with SolverService(window_ms=10.0, breaker_fails=2,
                            breaker_cooldown_s=0.4) as svc:
             key = svc.register(g, seed=0)
             b = np.random.default_rng(22).normal(size=g.n)
-            # Batches 0 and 1 exhaust their retries: two consecutive
-            # batch failures trip the breaker.
-            with use_faults("kill:chunk=0:attempt=*:stage=serve,"
-                            "kill:chunk=1:attempt=*:stage=serve"):
-                for _ in range(2):
-                    with pytest.raises(InjectedFault):
-                        svc.solve(key, b)
+            # Batches 0 and 1 raise: two consecutive batch failures
+            # trip the breaker.
+            _fail_next_batches(monkeypatch, svc, key, 2)
+            for _ in range(2):
+                with pytest.raises(_StubBatchFailure):
+                    svc.solve(key, b)
             assert svc.breaker.state == "open"
             assert svc.fault_log.count("breaker_open") == 1
             # Open breaker: fail fast, no batch is even attempted.
@@ -858,8 +874,8 @@ class TestCircuitBreaker:
             assert time.monotonic() - t0 < 0.2
             assert err.value.retry_after > 0
             assert svc.fault_log.count("shed") == 1
-            # After the cooldown the half-open probe (batch 2, no
-            # directive pins it) succeeds and re-closes the breaker.
+            # After the cooldown the half-open probe (batch 2, the stub
+            # is spent) succeeds and re-closes the breaker.
             time.sleep(0.45)
             result = svc.solve(key, b)
             assert np.isfinite(result.x).all()
@@ -869,21 +885,20 @@ class TestCircuitBreaker:
             assert stats["breaker"]["consecutive_failures"] == 0
             assert svc.fault_log.count("breaker_close") == 1
 
-    def test_failed_probe_reopens(self):
+    def test_failed_probe_reopens(self, monkeypatch):
         g = G.grid2d(6, 6)
         with SolverService(window_ms=10.0, breaker_fails=1,
                            breaker_cooldown_s=0.3) as svc:
             key = svc.register(g, seed=0)
             b = np.random.default_rng(23).normal(size=g.n)
-            with use_faults("kill:chunk=0:attempt=*:stage=serve,"
-                            "kill:chunk=1:attempt=*:stage=serve"):
-                with pytest.raises(InjectedFault):
-                    svc.solve(key, b)  # batch 0: trips (threshold 1)
-                assert svc.breaker.state == "open"
-                time.sleep(0.35)
-                # The half-open probe (batch 1) also dies: re-open.
-                with pytest.raises(InjectedFault):
-                    svc.solve(key, b)
+            _fail_next_batches(monkeypatch, svc, key, 2)
+            with pytest.raises(_StubBatchFailure):
+                svc.solve(key, b)  # batch 0: trips (threshold 1)
+            assert svc.breaker.state == "open"
+            time.sleep(0.35)
+            # The half-open probe (batch 1) also dies: re-open.
+            with pytest.raises(_StubBatchFailure):
+                svc.solve(key, b)
             assert svc.breaker.state == "open"
             assert svc.breaker.opens == 2
             assert svc.fault_log.count("breaker_open") == 2
@@ -892,7 +907,7 @@ class TestCircuitBreaker:
             assert np.isfinite(result.x).all()
             assert svc.breaker.state == "closed"
 
-    def test_probe_dying_pre_batch_releases_slot(self):
+    def test_probe_dying_pre_batch_releases_slot(self, monkeypatch):
         # A half-open probe that fails before the batch path (unknown
         # key, bad shape) must free the probe slot — not strand
         # _probing=True and shed every later request forever.
@@ -901,9 +916,9 @@ class TestCircuitBreaker:
                            breaker_cooldown_s=0.2) as svc:
             key = svc.register(g, seed=0)
             b = np.random.default_rng(24).normal(size=g.n)
-            with use_faults("kill:chunk=0:attempt=*:stage=serve"):
-                with pytest.raises(InjectedFault):
-                    svc.solve(key, b)  # batch 0: trips (threshold 1)
+            _fail_next_batches(monkeypatch, svc, key, 1)
+            with pytest.raises(_StubBatchFailure):
+                svc.solve(key, b)  # batch 0: trips (threshold 1)
             assert svc.breaker.state == "open"
             time.sleep(0.25)
             # Probe 1: dies resolving an unregistered key.
@@ -961,6 +976,18 @@ class TestHTTPHardening:
                 s.settimeout(30)
                 response = s.recv(65536)
         assert response.startswith(b"HTTP/1.1 413")
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc"])
+    def test_bad_content_length_is_400(self, length):
+        with SolverService(window_ms=10.0) as svc:
+            host, port = svc.serve_http("127.0.0.1", 0)
+            with socket.create_connection((host, port)) as s:
+                s.sendall(b"POST /graphs HTTP/1.1\r\n"
+                          b"Content-Length: " + length + b"\r\n\r\n")
+                s.settimeout(30)
+                response = s.recv(65536)
+        assert response.startswith(b"HTTP/1.1 400")
+        assert b"bad Content-Length" in response
 
     def test_trickling_client_times_out_408(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT_S", "0.3")
