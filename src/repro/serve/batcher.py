@@ -130,7 +130,7 @@ class _Bucket:
 class MicroBatcher:
     """Collects single-RHS requests into blocked solves.
 
-    ``runner(solver, B, eps_col, method, plan)`` executes
+    ``runner(solver, B, eps_col, method, plan, batch_seq)`` executes
     the batched solve (in the service's solve executor) and returns a
     :class:`repro.core.solver.BlockSolveReport`.  ``window_ms`` /
     ``max_batch`` of ``None`` resolve their env knobs lazily per
@@ -224,7 +224,7 @@ class MicroBatcher:
         try:
             report = await loop.run_in_executor(
                 self._executor, self._runner, bucket.solver, B, eps_col,
-                bucket.method, plan)
+                bucket.method, plan, seq)
         except BaseException as exc:
             # Batch-level failure (a raising solve): every cohabiting
             # request sees it.  Column-level damage never lands here —

@@ -15,7 +15,8 @@ Endpoints
   registers (and warm-builds) the graph, returns
   ``{"key", "n", "m", "chain_nbytes"}``.
 * ``POST /solve`` — body ``{"key", "b" | ("source", "sink"),
-  ["eps"], ["method"]}``; returns the request's scattered column:
+  ["eps"], ["method"]}`` (``source``/``sink`` are integers in
+  ``[-n, n)``, negatives counting from the end); returns the request's scattered column:
   ``{"x", "status", "iterations", "residual_2norm", "method",
   "batched_k", "batch_seq"}``.
 
@@ -261,12 +262,15 @@ async def _post_solve(service, obj: dict) -> tuple[int, dict]:
         if b.ndim != 1:
             raise _HttpError(400, "'b' must be a flat array")
     elif "source" in obj and "sink" in obj:
-        b = np.zeros(spec.graph.n)
-        try:
-            b[int(obj["source"])] = 1.0
-            b[int(obj["sink"])] += -1.0
-        except (IndexError, TypeError, ValueError):
+        n = spec.graph.n
+        source, sink = _integer(obj, "source"), _integer(obj, "sink")
+        # Negative indices count from the end (the CLI client's
+        # ``--sink`` defaults to -1, the last vertex).
+        if not (-n <= source < n and -n <= sink < n):
             raise _HttpError(400, "source/sink out of range")
+        b = np.zeros(n)
+        b[source] = 1.0
+        b[sink] += -1.0
     else:
         raise _HttpError(400, "solve body needs 'b' or 'source'+'sink'")
     try:

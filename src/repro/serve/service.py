@@ -514,8 +514,14 @@ class SolverService:
                 self.breaker.release_probe(probe)
 
     def _run_batch(self, solver: LaplacianSolver, B: np.ndarray,
-                   eps_col: np.ndarray, method: str, plan):
+                   eps_col: np.ndarray, method: str, plan,
+                   batch_seq: int):
         """Execute one micro-batch (solve-executor thread).
+
+        ``batch_seq`` is the batcher's monotone batch number.  The solve
+        does not use it; perfbench's tracer reads it positionally
+        (``args[6]``) as the span's request id, so it stays in the
+        signature.
 
         The request's fault plan is installed around the solve, so
         in-kernel injection behaves exactly as it would under a direct

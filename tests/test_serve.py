@@ -645,7 +645,14 @@ class TestServeHTTP:
                           "eps": "abc"},
                          {"key": key, "b": ["x"] * g.n},
                          {"key": key, "b": nan_b},
-                         {"key": key, "source": [], "sink": -1}):
+                         {"key": key, "source": [], "sink": -1},
+                         # Non-integral or boolean endpoints used to
+                         # be truncated to vertex 1.
+                         {"key": key, "source": 1.5, "sink": -1},
+                         {"key": key, "source": True, "sink": -1},
+                         {"key": key, "source": "0", "sink": -1},
+                         {"key": key, "source": 0, "sink": g.n},
+                         {"key": key, "source": 0, "sink": -g.n - 1}):
                 code, payload = self._request(base, "/solve",
                                               method="POST", payload=body)
                 assert code == 400, (body, payload)
