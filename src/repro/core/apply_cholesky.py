@@ -11,7 +11,7 @@ Both sweeps are triangular solves with the chain's flat form ``A``
 (:meth:`repro.core.chain.CholeskyChain.flatten`, DESIGN.md §14), so one
 application is two compiled sparse kernels plus the base solve.
 Narrow blocks run them as SuperLU solves; blocks of at least
-:data:`K_WAVE` columns run them over the chain's ``2d + 1``
+:data:`K_WAVE` (4) columns run them over the chain's ``2d + 1``
 wavefronts, two sparse products per level and sweep.  Both kernels do
 the same multiply-adds in the same order for every column, so a
 column's result does not depend on which kernel ran it.  The ledger is
@@ -42,9 +42,12 @@ __all__ = ["ApplyCholeskyOperator", "K_WAVE"]
 #: Blocks with at least this many columns run the wavefront kernel;
 #: narrower ones run SuperLU.  The measured crossover
 #: (``BENCH_blocked.json``, ``w_apply``): SuperLU's cost grows linearly
-#: in ``k``, the wavefronts' ``4d`` kernel calls cost a fixed ~0.5 ms,
-#: and the two meet between k = 4 and k = 8.
-K_WAVE = 8
+#: in ``k`` while the wavefronts' ``4d`` kernel calls cost a fixed
+#: amount, and the wavefronts first win at k = 4 on ``grid2d(32, 32)``
+#: and at k = 2 on ``grid2d(100, 100)`` — 4 is the smallest width where
+#: they win on both.  Single-column applies (every ``solve()``) stay on
+#: SuperLU.
+K_WAVE = 4
 
 
 class ApplyCholeskyOperator:

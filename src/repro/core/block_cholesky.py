@@ -31,8 +31,8 @@ from repro.core.chain import BaseFactor, CholeskyChain, Level
 from repro.core.dd_subset import extend_independent, five_dd_subset
 from repro.core.terminal_walks import TerminalWalkStats, terminal_walks
 from repro.errors import FactorizationError
-from repro.graphs.laplacian import laplacian, laplacian_blocks
-from repro.graphs.multigraph import MultiGraph
+from repro.graphs.laplacian import laplacian_blocks
+from repro.graphs.multigraph import MultiGraph, weighted_bincount
 from repro.pram import charge
 from repro.pram import primitives as P
 from repro.rng import as_generator
@@ -230,8 +230,18 @@ def _base_factor(graph: MultiGraph, active: np.ndarray, components: int,
     apply's base step at logarithmic depth (DESIGN.md §17).
     """
     a = active.size
-    # Slice before densifying: only the a×a block is ever dense.
-    L = laplacian(graph)[active][:, active].toarray()
+    # The base graph's edges all join active vertices: one bincount
+    # scatters each edge's four entries, in edge order, onto a×a.
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[active] = np.arange(a)
+    pu, pv = pos[graph.u], pos[graph.v]
+    w = graph.w
+    L = weighted_bincount(
+        np.column_stack((pu * (a + 1), pv * (a + 1), pu * a + pv,
+                         pv * a + pu)).ravel(),
+        np.column_stack((w, w, -w, -w)).ravel(), a * a).reshape(a, a)
+    if graph.m:
+        charge(*P.convert_cost(2 * graph.m), label="base_case_assemble")
     order = None
     bounds = np.array([0, max(a - 1, 0)], dtype=np.int64)
     if components > 1:

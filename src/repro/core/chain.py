@@ -238,6 +238,8 @@ class CholeskyChain:
     A: sp.csc_matrix | None = None
     u_slot: np.ndarray | None = None
     level_shapes: np.ndarray | None = None
+    _level_nbytes: tuple = field(default=(), init=False, repr=False,
+                                 compare=False)
 
     @property
     def final_pinv(self) -> np.ndarray:
@@ -353,10 +355,16 @@ class CholeskyChain:
                 np.arange(uF.size),
                 np.concatenate([np.diff(M.indptr) for M in LFCs]))]]
             vals += [-Z.data, np.concatenate([M.data for M in LFCs])]
-        self.A = sp.csc_matrix(
+        A = self.A = sp.csc_matrix(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
         self.u_slot = u_slot
+        starts = 2 * np.concatenate(([0], np.cumsum(self.level_shapes[:, 0])))
+        entry = A.data.itemsize + A.indices.itemsize
+        self._level_nbytes = tuple(
+            int((A.indptr[hi] - A.indptr[lo]) * entry
+                + (hi - lo) * A.indptr.itemsize)
+            for lo, hi in zip(starts[:-1], starts[1:]))
 
     def sweep_slots(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``(u_F, y, base0)`` of the flat form: the ``u`` and ``y`` slot
@@ -381,13 +389,11 @@ class CholeskyChain:
     def level_nbytes(self) -> list[int]:
         """Per-level share of :attr:`nbytes` (``[level 1, …, level d]``):
         the entries and column pointers of ``A``'s ``u_{F_k}`` and
-        ``y_k`` columns."""
-        A = self.A
-        starts = 2 * np.concatenate(([0], np.cumsum(self.level_shapes[:, 0])))
-        entry = A.data.itemsize + A.indices.itemsize
-        return [int((A.indptr[hi] - A.indptr[lo]) * entry
-                    + (hi - lo) * A.indptr.itemsize)
-                for lo, hi in zip(starts[:-1], starts[1:])]
+        ``y_k`` columns (counted once, by :meth:`flatten`)."""
+        if self.A is None:
+            raise FactorizationError(
+                "cannot size the chain's levels before flatten()")
+        return list(self._level_nbytes)
 
     def payload_arrays(self) -> tuple[dict, dict]:
         """Flatten the solve-time chain state into named arrays.

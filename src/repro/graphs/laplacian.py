@@ -3,7 +3,10 @@
 ``L = D - A`` with ``D`` the weighted degrees and ``A`` the (coalesced)
 adjacency (Section 2 of the paper).  Different multigraphs can share a
 Laplacian; these helpers always coalesce parallel edges during assembly
-so the sparse matrices stay small.
+so the sparse matrices stay small.  Every matrix here is assembled
+straight into canonical CSR by one ``O(nnz)`` pass of two stable
+counting sorts (:func:`repro.graphs.multigraph._canonical_csr`), with
+parallel edges summed in edge order (DESIGN.md §18).
 
 :func:`laplacian_blocks` extracts exactly the pieces ``ApplyCholesky``
 needs at each level: the diagonal ``X`` and induced-subgraph Laplacian
@@ -21,6 +24,7 @@ import scipy.sparse as sp
 from repro.errors import DimensionMismatchError
 from repro.graphs.multigraph import (
     MultiGraph,
+    _canonical_csr,
     scatter_add_pair,
     scatter_add_pair_cols,
 )
@@ -36,25 +40,42 @@ __all__ = [
 ]
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a0, b0, a1, b1, …]``: both half-edges of each edge, in edge
+    order."""
+    return np.column_stack((a, b)).ravel()
+
+
 def adjacency_matrix(graph: MultiGraph) -> sp.csr_matrix:
-    """Symmetric weighted adjacency matrix (parallel edges coalesced)."""
-    m = graph.m
-    if m == 0:
+    """Symmetric weighted adjacency matrix (parallel edges coalesced).
+
+    Parallel edges sum in edge order; both half-edges of an edge sit at
+    the same place in that order, so the matrix is exactly symmetric.
+    """
+    if graph.m == 0:
         return sp.csr_matrix((graph.n, graph.n))
-    rows = np.concatenate([graph.u, graph.v])
-    cols = np.concatenate([graph.v, graph.u])
-    vals = np.concatenate([graph.w, graph.w])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
-    charge(*P.convert_cost(2 * m), label="adjacency_matrix")
-    return A.tocsr()
+    A = _canonical_csr(_interleave(graph.u, graph.v),
+                       _interleave(graph.v, graph.u),
+                       np.repeat(graph.w, 2), (graph.n, graph.n))
+    charge(*P.convert_cost(2 * graph.m), label="adjacency_matrix")
+    return A
 
 
 def laplacian(graph: MultiGraph) -> sp.csr_matrix:
-    """Graph Laplacian ``L = D - A`` as CSR."""
+    """Graph Laplacian ``L = D - A`` as CSR.
+
+    ``D`` holds ``A``'s row sums as scipy's ``A.sum(axis=1)`` forms
+    them, so on a graph without parallel edges every entry is the one
+    ``diags(deg) - A`` gave; a zero degree (isolated vertex) is not
+    stored.
+    """
     A = adjacency_matrix(graph)
     deg = np.asarray(A.sum(axis=1)).ravel()
-    L = sp.diags(deg) - A
-    return L.tocsr()
+    diag = np.arange(graph.n)
+    rows = np.repeat(diag, np.diff(A.indptr))
+    return _canonical_csr(np.concatenate((rows, diag)),
+                          np.concatenate((A.indices, diag)),
+                          np.concatenate((-A.data, deg)), A.shape)
 
 
 def apply_laplacian(graph: MultiGraph, x: np.ndarray) -> np.ndarray:
@@ -139,40 +160,32 @@ def laplacian_blocks(graph: MultiGraph, F: np.ndarray,
         raise DimensionMismatchError(
             "edge endpoint outside F ∪ C; pass the level's full vertex set")
 
-    # Total weighted degree of each F vertex (all incident edges).
-    mask_uF = su == 0
-    mask_vF = sv == 0
-    deg_F = scatter_add_pair(pos[graph.u[mask_uF]], graph.w[mask_uF],
-                             pos[graph.v[mask_vF]], graph.w[mask_vF], nf)
+    # Only the F-incident edges reach a block; keep them in edge order.
+    inc = np.flatnonzero((su == 0) | (sv == 0))
+    uF, vF = su[inc] == 0, sv[inc] == 0
+    pu, pv, w = pos[graph.u[inc]], pos[graph.v[inc]], graph.w[inc]
 
-    # Induced subgraph G[F] Laplacian Y.
-    ff = mask_uF & mask_vF
-    uf = pos[graph.u[ff]]
-    vf = pos[graph.v[ff]]
-    wf = graph.w[ff]
+    # Total weighted degree of each F vertex (all incident edges).
+    deg_F = scatter_add_pair(pu[uF], w[uF], pv[vF], w[vF], nf)
+
+    # Induced subgraph G[F] Laplacian Y: its degrees on the diagonal,
+    # −w at both half-edges of every F–F edge.
+    ff = uF & vF
+    uf, vf, wf = pu[ff], pv[ff], w[ff]
     deg_in_F = scatter_add_pair(uf, wf, vf, wf, nf)
-    if wf.size:
-        A_F = sp.coo_matrix(
-            (np.concatenate([wf, wf]),
-             (np.concatenate([uf, vf]), np.concatenate([vf, uf]))),
-            shape=(nf, nf)).tocsr()
-    else:
-        A_F = sp.csr_matrix((nf, nf))
-    Y = (sp.diags(deg_in_F) - A_F).tocsr()
+    diag = np.arange(nf)
+    Y = _canonical_csr(np.concatenate((diag, _interleave(uf, vf))),
+                       np.concatenate((diag, _interleave(vf, uf))),
+                       np.concatenate((deg_in_F, np.repeat(-wf, 2))),
+                       (nf, nf))
 
     # X = degree towards C (diagonal of L_FF minus Y's diagonal).
     X = deg_F - deg_in_F
 
-    # Coupling block L_FC = -W_FC.
-    fc_u = mask_uF & (sv == 1)   # u in F, v in C
-    fc_v = mask_vF & (su == 1)   # v in F, u in C
-    rows = np.concatenate([pos[graph.u[fc_u]], pos[graph.v[fc_v]]])
-    cols = np.concatenate([pos[graph.v[fc_u]], pos[graph.u[fc_v]]])
-    vals = -np.concatenate([graph.w[fc_u], graph.w[fc_v]])
-    if rows.size:
-        L_FC = sp.coo_matrix((vals, (rows, cols)), shape=(nf, nc)).tocsr()
-    else:
-        L_FC = sp.csr_matrix((nf, nc))
+    # Coupling block L_FC = -W_FC over the edges with one end in F.
+    fc = uF != vF
+    L_FC = _canonical_csr(np.where(uF, pu, pv)[fc],
+                          np.where(uF, pv, pu)[fc], -w[fc], (nf, nc))
 
     charge(*P.convert_cost(graph.m), label="laplacian_blocks")
     return LaplacianBlocks(X=X, Y=Y, L_FC=L_FC)

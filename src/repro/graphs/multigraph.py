@@ -22,9 +22,10 @@ unsplit one, while the resistance of one traversed logical copy is
 
 The adjacency view (CSR over the 2m directed half-edges) is built
 lazily and cached; it is the representation random walks consume.  The
-build uses a stable counting sort (scipy's C ``coo→csr`` kernel), i.e.
-``O(m + n)`` — the parallel edge-list → adjacency-list conversion of
-Lemma 2.7, charged ``(O(m), O(log m))``.
+build uses a stable counting sort (scipy's C ``coo→csr`` scatter
+kernel, :func:`_stable_csr`), i.e. ``O(m + n)`` — the parallel
+edge-list → adjacency-list conversion of Lemma 2.7, charged
+``(O(m), O(log m))``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.errors import (
     DimensionMismatchError,
@@ -100,24 +102,85 @@ def scatter_add_pair_cols(idx_a: np.ndarray, w_a: np.ndarray,
                             ).reshape(minlength, k)
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(*sizes: int) -> type:
+    """``int32`` when every size fits, else ``int64`` — scipy's choice
+    for CSR index arrays."""
+    return np.int32 if max(sizes, default=0) <= _INT32_MAX else np.int64
+
+
+def _stable_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                n_rows: int, index_dtype: type = np.int64
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable counting sort of ``(row, col, val)`` triplets by row.
+
+    Returns CSR ``(indptr, indices, data)``: row ``r``'s entries in
+    input order, duplicates kept, columns unsorted — ``O(nnz +
+    n_rows)``, the parallel edge-list → adjacency-list conversion of
+    Lemma 2.7.  One call of scipy's C ``coo→csr`` scatter kernel,
+    which places each triplet at its row's next free slot.
+    """
+    idx = index_dtype
+    rows = np.asarray(rows, dtype=idx)
+    cols = np.asarray(cols, dtype=idx)
+    vals = np.asarray(vals)
+    indptr = np.empty(n_rows + 1, dtype=idx)
+    indices = np.empty(rows.size, dtype=idx)
+    data = np.empty(rows.size, dtype=vals.dtype)
+    _sparsetools.coo_tocsr(n_rows, 1, rows.size, rows, cols, vals,
+                           indptr, indices, data)
+    return indptr, indices, data
+
+
 def _counting_sort_halfedges(ends: np.ndarray, n: int
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Stable counting sort of half-edges by endpoint in ``O(len + n)``.
 
     Returns ``(indptr, order)`` where ``order`` permutes the half-edge
     arrays into CSR layout (grouped by endpoint, original order
-    preserved within each group).  Delegates the scatter pass to scipy's
-    C ``coo→csr`` kernel: with one strictly increasing column id per
-    half-edge, the resulting ``indices`` array *is* the stable
-    counting-sort permutation — no ``O(m log m)`` comparison sort.
+    preserved within each group): :func:`_stable_csr` with the
+    half-edge ids as column ids, so the sorted ``indices`` *are* the
+    permutation — no ``O(m log m)`` comparison sort.
     """
-    if ends.size == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cols = np.arange(ends.size, dtype=np.int64)
-    perm = sp.csr_matrix(
-        (np.ones(ends.size, dtype=np.int8), (ends, cols)),
-        shape=(n, ends.size))
-    return perm.indptr.astype(np.int64), perm.indices.astype(np.int64)
+    k = ends.size
+    indptr, order, _ = _stable_csr(ends, np.arange(k, dtype=np.int64),
+                                   np.zeros(k, dtype=np.int8), n)
+    return indptr, order
+
+
+def _canonical_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   shape: tuple[int, int]) -> sp.csr_matrix:
+    """Canonical CSR of ``(row, col, val)`` triplets: sorted column
+    indices, duplicates summed in input order, exact zeros dropped.
+
+    Two stable counting sorts — by column (:func:`_stable_csr` on the
+    transpose), then by row (scipy's ``csr→csc`` kernel) — leave each
+    ``(row, col)`` run in input order, so duplicates sum left to right
+    in the order the caller lists them, independent of any comparison
+    sort's tie-breaking.  Zeros are dropped the way scipy's ``D − A``
+    subtraction drops them (an isolated vertex's zero degree), so the
+    result has the nnz scipy's ``coo→csr`` plus subtraction gave.
+    ``O(nnz + n_rows + n_cols)`` work.
+    """
+    n_rows, n_cols = shape
+    vals = np.asarray(vals, dtype=np.float64)
+    idx = _index_dtype(vals.size, n_rows, n_cols)
+    t_ptr, t_rows, t_vals = _stable_csr(cols, rows, vals, n_cols, idx)
+    indptr = np.empty(n_rows + 1, dtype=idx)
+    indices = np.empty(vals.size, dtype=idx)
+    data = np.empty(vals.size)
+    _sparsetools.csr_tocsc(n_cols, n_rows, t_ptr, t_rows, t_vals,
+                           indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+    _sparsetools.csr_eliminate_zeros(n_rows, n_cols, indptr, indices, data)
+    nnz = int(indptr[-1])
+    if nnz < data.size:
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    out = sp.csr_matrix((data, indices, indptr), shape=shape)
+    out.has_canonical_format = True
+    return out
 
 
 @dataclass(frozen=True)

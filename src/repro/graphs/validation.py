@@ -4,9 +4,13 @@ Fact 2.3 of the paper: for connected ``G``, ``ker(L_G) = span(1)``.
 The solver therefore requires a connected input; these helpers verify
 it.  Components are labelled by
 :func:`scipy.sparse.csgraph.connected_components` over the edge arrays
-(linear work).  The ledger charges the PRAM reduce cost over the
-``m + n`` edges and vertices — the work/depth of a parallel labelling —
-not the cost of the sequential library call.
+(linear work).  One stable counting sort of ``u`` lays the edges out as
+a CSR of ``u → v`` arcs, unsorted and with parallel edges kept; weak
+connectivity of those arcs is connectivity of the undirected graph, so
+no duplicate summing or index sort is needed.  The ledger charges the
+PRAM reduce cost over the ``m + n`` edges and vertices — the
+work/depth of a parallel labelling — not the cost of the sequential
+library call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from repro.errors import GraphStructureError, NotConnectedError
-from repro.graphs.multigraph import MultiGraph
+from repro.graphs.multigraph import MultiGraph, _index_dtype, _stable_csr
 from repro.pram import charge
 from repro.pram import primitives as P
 
@@ -26,10 +30,14 @@ __all__ = ["connected_components", "is_connected", "validate_graph",
 
 def connected_components(graph: MultiGraph) -> np.ndarray:
     """Component label (0-based, order of first appearance) per vertex."""
-    adj = sp.coo_matrix((np.ones(graph.m), (graph.u, graph.v)),
-                        shape=(graph.n, graph.n))
-    _, labels = csgraph.connected_components(adj, directed=False)
-    charge(*P.reduce_cost(graph.m + graph.n), label="connected_components")
+    n = graph.n
+    idx = _index_dtype(graph.m, n)
+    indptr, indices, data = _stable_csr(graph.u, graph.v, np.ones(graph.m),
+                                        n, idx)
+    adj = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    _, labels = csgraph.connected_components(adj, directed=True,
+                                             connection="weak")
+    charge(*P.reduce_cost(graph.m + n), label="connected_components")
     return labels.astype(np.int64)
 
 

@@ -154,24 +154,36 @@ class TestChainStructure:
 
     def test_base_case_densifies_only_the_surviving_block(self,
                                                           monkeypatch):
-        # The base case slices L_{G^(d)} to the surviving vertices
-        # before densifying: no n×n array is ever built.
+        # The base case scatters L_{G^(d)}'s edges straight onto the
+        # a×a block of surviving vertices: no sparse matrix is
+        # densified and no n×n array is ever built.
+        import importlib
+
         import scipy.sparse as sp
 
         from repro.linalg.pinv import pinv_psd
 
-        shapes = []
+        bc_module = importlib.import_module("repro.core.block_cholesky")
+
+        shapes, lengths = [], []
         toarray = sp.csr_matrix.toarray
+        bincount = bc_module.weighted_bincount
 
         def spy(self, *args, **kwargs):
             shapes.append(self.shape)
             return toarray(self, *args, **kwargs)
 
+        def spy_bincount(idx, weights, minlength):
+            lengths.append(minlength)
+            return bincount(idx, weights, minlength)
+
         monkeypatch.setattr(sp.csr_matrix, "toarray", spy)
+        monkeypatch.setattr(bc_module, "weighted_bincount", spy_bincount)
         H, chain = _chain(G.grid2d(10, 10))
         a = chain.final_active.size
         assert 0 < a < H.n
-        assert shapes == [(a, a)]
+        assert shapes == []
+        assert lengths == [a * a]
         monkeypatch.undo()
         L = laplacian(chain.graphs[-1]).toarray()
         want = pinv_psd(L[np.ix_(chain.final_active, chain.final_active)])

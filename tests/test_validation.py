@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.errors import GraphStructureError, NotConnectedError
 from repro.graphs import generators as G
@@ -65,6 +67,55 @@ class TestConnectivity:
 
     def test_require_connected_passes(self):
         require_connected(G.path(5))
+
+
+def _reference_labels(g):
+    """The COO, ``directed=False`` labelling the certificate replaced."""
+    adj = sp.coo_matrix((np.ones(g.m), (g.u, g.v)), shape=(g.n, g.n))
+    return csgraph.connected_components(adj, directed=False)[1]
+
+
+def _certificate_graphs():
+    from tests.test_block_cholesky import GENERATOR_FAMILIES
+
+    graphs = dict(GENERATOR_FAMILIES)
+    graphs.update({
+        "barbell_union": lambda: G.union_disjoint(G.barbell(6, 3),
+                                                  G.barbell(4, 1)),
+        "isolated": lambda: G.union_disjoint(
+            MultiGraph(3, [], [], []), G.union_disjoint(
+                G.path(4), MultiGraph(2, [], [], []))),
+        "edgeless": lambda: MultiGraph(5, [], [], []),
+        "parallel": lambda: MultiGraph(6, [4, 1, 4, 3, 1], [1, 4, 1, 5, 4],
+                                       [1.0, 2.0, 3.0, 1.0, 1.0]),
+    })
+    return graphs
+
+
+CERTIFICATE_GRAPHS = _certificate_graphs()
+
+
+class TestCertificate:
+    """The counting-sorted ``u → v`` certificate labels exactly as the
+    symmetric COO labelling did."""
+
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_GRAPHS))
+    def test_labels_match_undirected_coo(self, family):
+        g = CERTIFICATE_GRAPHS[family]()
+        np.testing.assert_array_equal(connected_components(g),
+                                      _reference_labels(g))
+
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_GRAPHS))
+    def test_components_on_counts(self, family):
+        from repro.core.block_cholesky import _components_on
+
+        g = CERTIFICATE_GRAPHS[family]()
+        ends = np.concatenate([g.u, g.v])
+        size = int(ends.max()) + 1 if ends.size else 0
+        want = int(_reference_labels(g).max()) + 1 - (g.n - size)
+        count, labels = _components_on(g, size)
+        assert count == want
+        np.testing.assert_array_equal(labels, _reference_labels(g))
 
 
 class TestValidateGraph:
