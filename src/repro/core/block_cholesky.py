@@ -231,8 +231,10 @@ def _base_factor(graph: MultiGraph, active: np.ndarray, components: int,
     """
     a = active.size
     # The base graph's edges all join active vertices: one bincount
-    # scatters each edge's four entries, in edge order, onto a×a.
-    pos = np.empty(graph.n, dtype=np.int64)
+    # scatters each edge's four entries, in edge order, onto a×a (an
+    # edge to any other vertex gets a negative index, which bincount
+    # rejects).
+    pos = np.full(graph.n, -1, dtype=np.int64)
     pos[active] = np.arange(a)
     pu, pv = pos[graph.u], pos[graph.v]
     w = graph.w
