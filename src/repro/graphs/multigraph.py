@@ -111,8 +111,20 @@ def _index_dtype(*sizes: int) -> type:
     return np.int32 if max(sizes, default=0) <= _INT32_MAX else np.int64
 
 
+def _check_range(ids: np.ndarray, n: int) -> None:
+    """Raise unless every id lies in ``[0, n)``.
+
+    scipy's C kernels index their output arrays with the ids unchecked,
+    so an id out of range (a graph built with ``validate=False``, or
+    arrays corrupted in place) would write outside them.
+    """
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise GraphStructureError(f"index out of range [0, {n})")
+
+
 def _stable_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                n_rows: int, index_dtype: type = np.int64
+                n_rows: int, index_dtype: type = np.int64,
+                n_cols: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable counting sort of ``(row, col, val)`` triplets by row.
 
@@ -120,8 +132,13 @@ def _stable_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     input order, duplicates kept, columns unsorted — ``O(nnz +
     n_rows)``, the parallel edge-list → adjacency-list conversion of
     Lemma 2.7.  One call of scipy's C ``coo→csr`` scatter kernel,
-    which places each triplet at its row's next free slot.
+    which places each triplet at its row's next free slot.  Rows must
+    lie in ``[0, n_rows)``, and columns in ``[0, n_cols)`` when
+    ``n_cols`` is given; otherwise :class:`GraphStructureError`.
     """
+    _check_range(rows, n_rows)
+    if n_cols is not None:
+        _check_range(cols, n_cols)
     idx = index_dtype
     rows = np.asarray(rows, dtype=idx)
     cols = np.asarray(cols, dtype=idx)
@@ -162,12 +179,14 @@ def _canonical_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     sort's tie-breaking.  Zeros are dropped the way scipy's ``D − A``
     subtraction drops them (an isolated vertex's zero degree), so the
     result has the nnz scipy's ``coo→csr`` plus subtraction gave.
-    ``O(nnz + n_rows + n_cols)`` work.
+    ``O(nnz + n_rows + n_cols)`` work; an index outside ``shape``
+    raises :class:`GraphStructureError`.
     """
     n_rows, n_cols = shape
     vals = np.asarray(vals, dtype=np.float64)
     idx = _index_dtype(vals.size, n_rows, n_cols)
-    t_ptr, t_rows, t_vals = _stable_csr(cols, rows, vals, n_cols, idx)
+    t_ptr, t_rows, t_vals = _stable_csr(cols, rows, vals, n_cols, idx,
+                                        n_cols=n_rows)
     indptr = np.empty(n_rows + 1, dtype=idx)
     indices = np.empty(vals.size, dtype=idx)
     data = np.empty(vals.size)

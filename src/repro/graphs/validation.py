@@ -33,7 +33,7 @@ def connected_components(graph: MultiGraph) -> np.ndarray:
     n = graph.n
     idx = _index_dtype(graph.m, n)
     indptr, indices, data = _stable_csr(graph.u, graph.v, np.ones(graph.m),
-                                        n, idx)
+                                        n, idx, n_cols=n)
     adj = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     _, labels = csgraph.connected_components(adj, directed=True,
                                              connection="weak")

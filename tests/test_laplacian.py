@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.errors import DimensionMismatchError
+from repro.errors import DimensionMismatchError, GraphStructureError
 from repro.graphs import generators as G
 from repro.graphs.laplacian import (
     adjacency_matrix,
@@ -192,6 +192,18 @@ def _assembly_graphs():
 
 
 ASSEMBLY_GRAPHS = _assembly_graphs()
+
+
+class TestOutOfRangeEndpoints:
+    """An endpoint outside ``[0, n)`` on an unvalidated graph raises
+    instead of reaching the assembler's C kernels."""
+
+    @pytest.mark.parametrize("u,v", [([0, 5], [1, 2]), ([0, 1], [1, -1])])
+    @pytest.mark.parametrize("build", [laplacian, adjacency_matrix])
+    def test_assembly_raises(self, build, u, v):
+        g = MultiGraph(3, u, v, [1.0, 1.0], validate=False)
+        with pytest.raises(GraphStructureError, match="out of range"):
+            build(g)
 
 
 class TestCanonicalAssembly:

@@ -118,6 +118,23 @@ class TestCertificate:
         np.testing.assert_array_equal(labels, _reference_labels(g))
 
 
+class TestOutOfRangeEndpoints:
+    """Endpoints outside ``[0, n)`` on an unvalidated graph raise before
+    any C kernel indexes with them."""
+
+    @pytest.mark.parametrize("u,v", [([0, 5], [1, 2]), ([0, 1], [1, -1]),
+                                      ([0, -2], [1, 2]), ([0, 1], [3, 2])])
+    def test_connected_components_raises(self, u, v):
+        g = MultiGraph(3, u, v, [1.0, 1.0], validate=False)
+        with pytest.raises(GraphStructureError, match="out of range"):
+            connected_components(g)
+
+    def test_adjacency_raises(self):
+        g = MultiGraph(3, [0, 5], [1, 2], [1.0, 1.0], validate=False)
+        with pytest.raises(GraphStructureError, match="out of range"):
+            g.adjacency()
+
+
 class TestValidateGraph:
     def test_valid(self, zoo_graph):
         validate_graph(zoo_graph)
