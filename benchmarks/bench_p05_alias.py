@@ -22,7 +22,7 @@ Measured at the p01 workload (grid n≈2025, ε=0.5):
 Always-on correctness gate:
 
 * **invariance** — fixed seed ⇒ bit-identical ``approx_schur`` across
-  ``{serial, thread}`` × ``{1, 2, 4}`` workers.
+  ``{1, 2, 4}`` workers.
 
 Full runs write ``BENCH_alias.json`` at the repo root; ``--smoke``
 runs write a record only when ``--output`` is given.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -50,7 +49,6 @@ from repro.config import default_options
 from repro.core.boundedness import naive_split
 from repro.core.schur import approx_schur, schur_alpha_inverse
 from repro.graphs import generators as G
-from repro.pram.executor import BACKENDS
 from repro.sampling.rowsample import RowSampler
 from repro.sampling.walks import WalkEngine
 
@@ -121,31 +119,15 @@ def end_to_end(g, C, eps: float, seed: int, repeats: int) -> dict:
 
 
 def invariance_gate(seed: int) -> dict:
-    """Bit-identical approx_schur across the backend matrix."""
+    """Bit-identical approx_schur across worker counts {1, 2, 4}."""
     g = G.grid2d(14, 14)
     C = np.arange(0, g.n, 3)
-    saved = {k: os.environ.get(k) for k in ("REPRO_BACKEND",
-                                            "REPRO_WORKERS")}
     opts = default_options().with_(chunk_items=512)
-    base = None
-    ok = True
-    try:
-        for backend in BACKENDS:
-            for workers in (1, 2, 4):
-                os.environ["REPRO_BACKEND"] = backend
-                os.environ["REPRO_WORKERS"] = str(workers)
-                got = approx_schur(g, C, eps=0.5, seed=seed, options=opts)
-                if base is None:
-                    base = got
-                elif got != base:
-                    ok = False
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    return {"ok": ok}
+    base, *others = [
+        approx_schur(g, C, eps=0.5, seed=seed,
+                     options=opts.with_(workers=workers))
+        for workers in (1, 2, 4)]
+    return {"ok": all(got == base for got in others)}
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,7 @@ Always-on correctness gates:
   weights to float-association tolerance (1e-12 rtol; bitwise when a
   pair's copies all land in one batch — see DESIGN.md §11);
 * **determinism matrix** — coalesce ON, fixed seed ⇒ bit-identical
-  ``approx_schur`` and ledger totals across ``{serial, thread}`` ×
-  ``{1, 2, 4}`` workers.
+  ``approx_schur`` and ledger totals across ``{1, 2, 4}`` workers.
 
 Measured at the p01 workload (grid n≈2025, ε=0.5), coalesce ON vs OFF:
 
@@ -63,7 +62,6 @@ from repro.core.schur import approx_schur, schur_alpha_inverse
 from repro.core.terminal_walks import terminal_walks
 from repro.graphs import generators as G
 from repro.pram import use_ledger
-from repro.pram.executor import BACKENDS
 from repro.sampling.inc_csr import IncrementalWalkCSR
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -131,35 +129,21 @@ def lockstep_gate(seed: int) -> dict:
 
 def determinism_gate(seed: int) -> dict:
     """Coalesce ON: bit-identical approx_schur + ledger totals across
-    the full backend × worker matrix."""
+    worker counts {1, 2, 4}."""
     g = G.grid2d(14, 14)
     C = np.arange(0, g.n, 3)
-    saved = {k: os.environ.get(k) for k in ("REPRO_BACKEND",
-                                            "REPRO_WORKERS")}
     opts = default_options().with_(chunk_items=512,
                                    coalesce_emitted=True)
-    base = None
-    ok = True
-    try:
-        for backend in BACKENDS:
-            for workers in (1, 2, 4):
-                os.environ["REPRO_BACKEND"] = backend
-                os.environ["REPRO_WORKERS"] = str(workers)
-                with use_ledger() as ledger:
-                    got = approx_schur(g, C, eps=0.5, seed=seed,
-                                       options=opts)
-                run = (got, ledger.work, ledger.depth)
-                if base is None:
-                    base = run
-                elif run[0] != base[0] or run[1:] != base[1:]:
-                    ok = False
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    return {"ok": ok}
+
+    def run(workers: int):
+        with use_ledger() as ledger:
+            got = approx_schur(g, C, eps=0.5, seed=seed,
+                               options=opts.with_(workers=workers))
+        return got, ledger.work, ledger.depth
+
+    base, *others = [run(workers) for workers in (1, 2, 4)]
+    return {"ok": all(got[0] == base[0] and got[1:] == base[1:]
+                      for got in others)}
 
 
 def reduction_metrics(g, C, eps: float, seed: int) -> dict:

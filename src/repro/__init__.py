@@ -34,12 +34,12 @@ Parallel execution
 ------------------
 The embarrassingly parallel phases (walker stepping, column-blocked
 solves) dispatch through :class:`repro.pram.ExecutionContext`, which
-runs their chunks ``serial`` or on a ``thread`` pool (default; numpy
-kernels release the GIL).  Pick with
-``SolverOptions(workers=…, backend=…)`` or the ``REPRO_WORKERS`` /
-``REPRO_BACKEND`` env vars.  **Determinism contract:** a fixed seed
-produces bit-identical graphs, solutions, and cost-ledger totals for
-every backend × worker-count combination (DESIGN.md §6–§7).
+runs their chunks on a pool of ``workers`` threads (numpy kernels
+release the GIL; ``workers=1`` runs in the calling thread).  Pick the
+count with ``SolverOptions(workers=…)`` or the ``REPRO_WORKERS`` env
+var.  **Determinism contract:** a fixed seed produces bit-identical
+graphs, solutions, and cost-ledger totals for every worker count
+(DESIGN.md §6–§7).
 
 Measure the hot path (writes BENCH_hotpath.json; ``--smoke`` for the
 CI-sized check)::

@@ -33,5 +33,5 @@ def jacobi_pcg_solve(graph: MultiGraph, b: np.ndarray, eps: float = 1e-8,
     d = L.diagonal()
     inv = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 0.0)
     return conjugate_gradient(L, b, tol=eps,
-                              preconditioner=lambda r: inv * r,
+                              preconditioner=lambda R: inv[:, None] * R,
                               max_iter=max_iter, matvec_edges=graph.m)

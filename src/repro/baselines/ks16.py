@@ -54,7 +54,10 @@ class ApproxCholeskyFactor:
     perm: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply ``(𝓛 𝓛ᵀ)⁺ b`` — forward/backward substitution."""
+        """Apply ``(𝓛 𝓛ᵀ)⁺ b`` — forward/backward substitution.
+
+        ``b`` may be a vector ``(n,)`` or a block of columns ``(n, k)``.
+        """
         from scipy.sparse.linalg import spsolve_triangular
 
         bp = project_out_ones(np.asarray(b, dtype=np.float64))[self.perm]
@@ -62,12 +65,12 @@ class ApproxCholeskyFactor:
         # The genuine kernel makes the last diagonal entry 0; solve the
         # leading (n-1)×(n-1) triangle and put 0 in the kernel slot.
         Lt = self.Lfactor[: n - 1, : n - 1].tocsr()
-        y = np.zeros(n)
+        y = np.zeros(bp.shape)
         y[: n - 1] = spsolve_triangular(Lt, bp[: n - 1], lower=True)
-        z = np.zeros(n)
+        z = np.zeros(bp.shape)
         z[: n - 1] = spsolve_triangular(Lt.T.tocsr(), y[: n - 1],
                                         lower=False)
-        out = np.empty(n)
+        out = np.empty(bp.shape)
         out[self.perm] = z
         return project_out_ones(out)
 

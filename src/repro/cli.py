@@ -84,8 +84,6 @@ def _cmd_solve(args) -> int:
     options = default_options()
     if args.workers is not None:
         options = options.with_(workers=args.workers)
-    if args.backend is not None:
-        options = options.with_(backend=args.backend)
     if args.coalesce is not None:
         options = options.with_(coalesce_emitted=args.coalesce)
     solver = LaplacianSolver(g, options=options, seed=args.seed)
@@ -132,10 +130,7 @@ def _cmd_serve(args) -> int:
     from repro.serve.service import SolverService
 
     g = load_npz(args.graph)
-    options = default_options()
-    if args.backend is not None:
-        options = options.with_(backend=args.backend)
-    service = SolverService(options=options,
+    service = SolverService(options=default_options(),
                             window_ms=args.window_ms,
                             max_batch=args.max_batch,
                             cache_bytes=args.cache_bytes,
@@ -214,7 +209,6 @@ def _cmd_client(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     from repro.core.solver import DEFAULT_METHOD, METHODS
-    from repro.pram.executor import BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -248,10 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for the parallel phases "
                         "(default: REPRO_WORKERS env var / CPU count; "
-                        "results are worker-count independent)")
-    p.add_argument("--backend", choices=list(BACKENDS), default=None,
-                   help="execution backend (default: REPRO_BACKEND env "
-                        "var / thread); results are backend independent")
+                        "1 runs serially; results are worker-count "
+                        "independent)")
     p.add_argument("--coalesce", default=None,
                    action=argparse.BooleanOptionalAction,
                    help="coalesce each elimination level's emitted "
@@ -291,7 +283,6 @@ def main(argv: list[str] | None = None) -> int:
                         "beyond this are shed with 503 + Retry-After "
                         "(default: REPRO_SERVE_MAX_PENDING env var / "
                         "256; 0 disables shedding)")
-    p.add_argument("--backend", choices=list(BACKENDS), default=None)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("client",

@@ -76,28 +76,26 @@ class SolverOptions:
     lev_sample_K:
         ``K`` of Lemma 3.3; ``None`` = ``Θ(log³ n)`` per Theorem 1.2.
     keep_graphs:
-        Keep every per-level graph of the block Cholesky chain alive
-        for diagnostics (default).  ``False`` streams the factorization
-        — each level's graph is dropped once its blocks are extracted,
-        cutting the chain's retained memory to the blocks themselves
+        Keep every per-level graph and block of the block Cholesky
+        chain alive for diagnostics (default).  ``False`` streams the
+        factorization — each level's graph is dropped once its blocks
+        are extracted, and the levels once the flat form is assembled,
+        cutting the chain's retained memory to the solve-time payload
         (solves and edge-count diagnostics are unaffected; see
         :func:`repro.core.block_cholesky.block_cholesky`).
     workers:
         Worker count for the embarrassingly parallel phases (walker
         stepping, column-blocked solves).  ``None`` (default) consults
         the ``REPRO_WORKERS`` env var / CPU count lazily at every
-        dispatch.  Results are bit-identical for a fixed seed
+        dispatch; ``1`` runs every chunk in the calling thread (the
+        serial reference).  Results are bit-identical for a fixed seed
         regardless of this value — see
         :class:`repro.pram.ExecutionContext`'s determinism contract.
     backend:
-        Scheduler for those phases: ``"serial"`` (the calling thread)
-        or ``"thread"`` (a pool of ``workers`` threads; numpy kernels
-        release the GIL).  ``None`` (default) consults the
-        ``REPRO_BACKEND`` env var lazily (default ``"thread"``); any
-        other value raises :class:`repro.errors.InvalidInputError` at
-        construction.  Like ``workers``, the backend never changes
-        results — fixed seed ⇒ bit-identical graphs, solutions, and
-        ledger totals on both.
+        Retired with the serial backend (``workers=1`` is the serial
+        reference); only ``None`` and ``"thread"`` are accepted
+        (anything else raises :class:`repro.errors.InvalidInputError`),
+        and nothing reads it.
     sampler:
         Row sampler for walker stepping.  The only one is ``"alias"``
         (CSR-aligned per-row alias planes on the incremental walk
@@ -106,7 +104,7 @@ class SolverOptions:
         :class:`repro.errors.InvalidInputError` at construction.
         Determinism contract (DESIGN.md §8): fixed seed ⇒
         bit-identical graphs, solutions, and ledger totals across
-        backends and worker counts.
+        worker counts.
     chunk_items / chunk_columns:
         Chunk-policy overrides for the execution context (``None`` =
         library defaults).  Chunk layout is part of the *result* for a
@@ -133,7 +131,7 @@ class SolverOptions:
         through the coalesced store differ *distributionally* from the
         uncoalesced realisation (fixed seed + fixed coalesce setting ⇒
         bit-identical graphs, solutions, and ledger totals across
-        backends and worker counts).  The seed baseline
+        worker counts).  The seed baseline
         (:mod:`repro.baselines.seed_hotpath`) never coalesces.
     seed:
         Default seed threaded to all stochastic routines.
@@ -168,10 +166,10 @@ class SolverOptions:
         if self.sampler not in (None, "alias"):
             raise InvalidInputError(
                 f"sampler must be None or 'alias', got {self.sampler!r}")
-        if self.backend not in (None, "serial", "thread"):
+        if self.backend not in (None, "thread"):
             raise InvalidInputError(
-                f"backend must be None, 'serial' or 'thread', "
-                f"got {self.backend!r}")
+                f"backend must be None or 'thread' (the serial backend "
+                f"is gone; use workers=1), got {self.backend!r}")
         for name in ("ship_solves", "degrade"):
             if getattr(self, name) not in (None, False):
                 raise InvalidInputError(
@@ -223,18 +221,16 @@ class SolverOptions:
             kwargs["chunk_items"] = self.chunk_items
         if self.chunk_columns is not None:
             kwargs["chunk_columns"] = self.chunk_columns
-        if not kwargs and self.workers is None and self.backend is None:
+        if not kwargs and self.workers is None:
             return ExecutionContext.DEFAULT
-        return ExecutionContext(workers=self.workers,
-                                backend=self.backend, **kwargs)
+        return ExecutionContext(workers=self.workers, **kwargs)
 
 
 def reset_env_caches() -> None:
     """Forget every cached ``REPRO_*`` environment lookup.
 
-    The env-var knobs (``REPRO_WORKERS``, ``REPRO_BACKEND``,
-    ``REPRO_COALESCE``, the ``REPRO_SERVE_*`` family) all funnel
-    through one module-level cache
+    The env-var knobs (``REPRO_WORKERS``, ``REPRO_COALESCE``, the
+    ``REPRO_SERVE_*`` family) all funnel through one module-level cache
     (:func:`repro.pram.executor._env_cached`), keyed on the raw env
     string.  A *changed* value is therefore picked up automatically,
     but a long-lived process wants a hard reset point: stale parse

@@ -120,26 +120,27 @@ def block_cholesky(graph: MultiGraph,
     automatically).
 
     Walker batches inside each level step through ``options``'
-    execution context (serial or thread backend); for a fixed seed
-    the chain is bit-identical across backends and worker counts
-    (DESIGN.md §6–§7).  Every level walks
+    execution context; for a fixed seed the chain is bit-identical
+    across worker counts (DESIGN.md §6–§7).  Every level walks
     through one incremental edge store
     (:class:`repro.sampling.IncrementalWalkCSR`).  With
     ``options.coalesce_emitted`` (or ``REPRO_COALESCE``) each level's
     emitted parallel edges are merged per ``{u, v}`` pair in the
     incremental store — same Laplacian, smaller levels; the chain for
-    a fixed (seed, coalesce) pair stays bit-identical across backends
-    (DESIGN.md §11).
+    a fixed (seed, coalesce) pair stays bit-identical across worker
+    counts (DESIGN.md §11).
 
     With ``keep_graphs=False`` (streaming mode) each per-level graph is
     dropped as soon as its blocks are extracted and the next level is
-    sampled, so only one working graph is alive at a time.  Solving is
-    unaffected — ``ApplyCholesky`` consumes only the chain's flat form
-    (:meth:`CholeskyChain.flatten`, assembled here from the levels'
-    blocks) and the base factor; edge-count diagnostics stay
-    available through the chain's cached count lists, but graph-level
-    introspection (``dense_factorization``, per-level subgraphs) needs
-    ``keep_graphs=True``.
+    sampled, so only one working graph is alive at a time, and the
+    levels themselves are dropped (``chain.levels is None``) once
+    :meth:`CholeskyChain.flatten` has assembled the chain's flat form
+    from their blocks.  Solving is unaffected — ``ApplyCholesky``
+    consumes only the flat form and the base factor; edge-count and
+    active-set diagnostics stay available through the chain's cached
+    count lists and level shapes, but graph- and block-level
+    introspection (``dense_factorization``, per-level subgraphs,
+    ``Level.jacobi``) needs ``keep_graphs=True``.
     """
     opts = options or default_options()
     rng = as_generator(seed if seed is not None else opts.seed)
@@ -211,6 +212,10 @@ def block_cholesky(graph: MultiGraph,
                           logical_edges=logical_edges,
                           stored_edges=stored_edges)
     chain.flatten()
+    if not keep_graphs:
+        # The payload now holds everything an apply reads; the levels'
+        # blocks and index arrays would only outweigh it.
+        chain.levels = None
     return chain
 
 

@@ -216,17 +216,20 @@ class BaseFactor:
 class CholeskyChain:
     """Output of ``BlockCholesky``: the graphs, levels, and base case.
 
-    ``graphs`` is ``None`` when the chain was built with
+    ``graphs`` and ``levels`` are ``None`` when the chain was built with
     ``keep_graphs=False`` (streaming mode — each per-level graph is
-    dropped once its blocks are extracted).  Edge-count diagnostics
-    keep working through the cached ``logical_edges``/``stored_edges``
-    lists; only :meth:`dense_factorization` (and other consumers of the
-    graphs themselves) require ``keep_graphs=True``.
+    dropped once its blocks are extracted, and the levels' blocks once
+    :meth:`flatten` has folded them into the payload), so the chain
+    holds only what an apply reads.  Edge-count and active-set
+    diagnostics keep working through the cached
+    ``logical_edges``/``stored_edges`` lists and :attr:`level_shapes`;
+    only :meth:`dense_factorization` (and other consumers of the
+    graphs or blocks themselves) require ``keep_graphs=True``.
     """
 
     n: int
     graphs: list[MultiGraph] | None
-    levels: list[Level]
+    levels: list[Level] | None
     final_active: np.ndarray
     base: BaseFactor | None
     jacobi_eps: float
@@ -291,10 +294,9 @@ class CholeskyChain:
     @property
     def active_counts(self) -> list[int]:
         """|active set| per level; shrinks ≥ 1/40 per round (Lemma 3.4)."""
-        counts = [self.n]
-        for level in self.levels:
-            counts.append(level.C.size)
-        return counts
+        f = self.level_shapes[:, 0] if self.level_shapes is not None \
+            else [level.nf for level in self.levels]
+        return [self.n - int(e) for e in np.cumsum([0, *f])]
 
     def total_stored_edges(self) -> int:
         """Sum of physically stored edge groups across all levels."""
@@ -480,9 +482,10 @@ class CholeskyChain:
                  f"jacobi_eps={self.jacobi_eps:.4g}"]
         actives = self.active_counts
         counts = self.edge_counts
-        for k, level in enumerate(self.levels):
+        for k in range(self.d):
             lines.append(
-                f"  level {k + 1}: |F|={level.nf} |C|={level.nc} "
+                f"  level {k + 1}: |F|={actives[k] - actives[k + 1]} "
+                f"|C|={actives[k + 1]} "
                 f"edges(G^{k})={counts[k]} -> "
                 f"edges(G^{k + 1})={counts[k + 1]}")
         lines.append(f"  base case: {actives[-1]} vertices, "

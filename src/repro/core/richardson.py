@@ -176,8 +176,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
         worker-independent) column chunks and iterate each chunk on
         the context's pool (see
         :meth:`repro.pram.ExecutionContext.run_chunks`).  Columns are
-        independent, so results are identical across worker counts and
-        backends.
+        independent, so results are identical across worker counts.
     col_ids:
         Global right-hand-side index of each column of ``b`` (defaults
         to ``arange(k)``) — the coordinates breakdown quarantine,
@@ -211,7 +210,7 @@ def preconditioned_richardson(apply_A: Callable[[np.ndarray], np.ndarray],
     if ctx is not None and track_errors is None:
         # Column chunks iterate independently on the context's pool;
         # the layout is a function of the column count only, so
-        # results do not depend on the worker count or backend.  A
+        # results do not depend on the worker count.  A
         # diverging chunk raises ConvergenceError exactly as the
         # unchunked block would (the caller's fallback covers the
         # whole block).

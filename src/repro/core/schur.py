@@ -121,8 +121,7 @@ def approx_schur(graph: MultiGraph,
 
     The walker batches step through ``options``' execution context in
     deterministic disjoint chunks, so for a fixed seed the output is
-    bit-identical no matter which backend (serial / thread)
-    or worker count runs them.
+    bit-identical no matter which worker count runs them.
 
     Returns
     -------

@@ -150,8 +150,7 @@ class LaplacianSolver:
     The randomised build and the blocked solve paths both dispatch
     through ``options``' execution context
     (:class:`repro.pram.ExecutionContext`): ``workers`` /
-    ``REPRO_WORKERS`` and ``backend`` / ``REPRO_BACKEND`` pick the
-    machinery (serial or a thread pool) but
+    ``REPRO_WORKERS`` picks the thread count (``1`` is serial) but
     never the result — fixed seed ⇒ bit-identical factorizations and
     solutions (DESIGN.md §6–§7).  ``coalesce_emitted`` /
     ``REPRO_COALESCE`` additionally merges each elimination level's

@@ -111,10 +111,9 @@ def terminal_walks(graph: MultiGraph,
     ctx:
         Optional :class:`repro.pram.ExecutionContext`.  When given, the
         walkers step in deterministic disjoint chunks (one spawned RNG
-        stream per chunk) on the context's backend — serial or thread
-        pool — and results are
-        bit-identical for a fixed seed regardless of backend and
-        worker count.  ``None`` keeps the single-stream serial
+        stream per chunk) on the context's thread pool, and results
+        are bit-identical for a fixed seed regardless of the worker
+        count.  ``None`` keeps the single-stream serial
         stepping.
 
     Returns
@@ -174,8 +173,8 @@ def terminal_walks(graph: MultiGraph,
     if engine is None:
         engine = WalkEngine(graph, is_terminal)
     if ctx is not None:
-        result = engine.run_chunked(starts, seed=rng, max_steps=max_steps,
-                                    ctx=ctx)
+        result = engine.run_chunked(starts, ctx, seed=rng,
+                                    max_steps=max_steps)
     else:
         result = engine.run(starts, seed=rng, max_steps=max_steps)
 

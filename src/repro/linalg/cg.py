@@ -43,8 +43,8 @@ class CGResult:
     iterations: int
     converged: bool
     residual_norms: list[float] = field(default_factory=list)
-    #: Blocked solves only: iterations each column ran before it
-    #: converged (``None`` for single-vector solves).
+    #: Iterations each column ran before it converged (``(1,)`` for
+    #: single-vector solves).
     per_column_iterations: np.ndarray | None = None
     #: Global indices of columns whose iterates went non-finite and
     #: were quarantined (NaN in ``x``; callers escalate them — see
@@ -75,15 +75,19 @@ def conjugate_gradient(L,
     Parameters
     ----------
     L:
-        Matrix, sparse matrix, or callable ``x ↦ L x``.  For a blocked
-        ``b`` of shape ``(n, k)`` the callable must accept ``(n, j)``
-        blocks (converged columns are compacted out as they finish).
+        Matrix, sparse matrix, or callable ``x ↦ L x``.  A callable
+        must accept ``(n, j)`` blocks (converged columns are compacted
+        out as they finish).
+    b:
+        Right-hand side ``(n,)`` or block ``(n, k)``.  A vector runs as
+        a one-column block and its ``x`` is squeezed back to ``(n,)``.
     tol:
         Relative 2-norm residual target ``‖Lx − b‖ ≤ tol·‖b‖``.  For
         blocked ``b`` this may be a scalar or a length-``k`` array of
         per-column targets.
     preconditioner:
-        Callable approximating ``L⁺`` (must be SPD on ``1⊥``).
+        Callable approximating ``L⁺`` (must be SPD on ``1⊥``); like
+        ``L`` it receives ``(n, j)`` blocks.
     singular:
         Treat ``L`` as a Laplacian: project ``b`` and re-centre iterates.
     matvec_edges:
@@ -94,118 +98,63 @@ def conjugate_gradient(L,
     ctx:
         Optional :class:`repro.pram.ExecutionContext`: blocked solves
         split their columns into the context's size-determined chunks
-        and run the chunks on its pool (column results are worker- and
-        backend-independent).
+        and run the chunks on its pool (column results are
+        worker-independent).
     """
     apply_L = as_apply(L)
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 2:
-        # Resolved in the calling thread — pool threads do not inherit
-        # contextvars, so the blocked kernel gets both explicitly.
-        from repro.pram import faults as _faults
+    if b.ndim == 1:
+        res = conjugate_gradient(apply_L, b[:, None], tol=tol,
+                                 max_iter=max_iter,
+                                 preconditioner=preconditioner,
+                                 singular=singular,
+                                 matvec_edges=matvec_edges,
+                                 raise_on_fail=raise_on_fail, ctx=ctx,
+                                 col_ids=col_ids)
+        res.x = res.x[:, 0]
+        return res
+    # Resolved in the calling thread — pool threads do not inherit
+    # contextvars, so the blocked kernel gets both explicitly.
+    from repro.pram import faults as _faults
 
-        plan = _faults.active_plan()
-        flog = _faults.current_fault_log()
-        if ctx is not None:
-            from repro.pram.executor import run_column_chunks
+    plan = _faults.active_plan()
+    flog = _faults.current_fault_log()
+    if ctx is not None:
+        from repro.pram.executor import run_column_chunks
 
-            results = run_column_chunks(
-                ctx, b,
-                lambda bc, tc, ids: _blocked_cg(
-                    apply_L, bc, tol=tc, max_iter=max_iter,
-                    preconditioner=preconditioner, singular=singular,
-                    matvec_edges=matvec_edges,
-                    raise_on_fail=raise_on_fail,
-                    col_ids=ids, plan=plan, flog=flog),
-                cols=(tol,), col_ids=col_ids)
-            if results is not None:
-                # Per-iteration residual_norms merge as the max over
-                # the chunks still running at that iteration, matching
-                # the unchunked block's max-over-active semantics.
-                depth = max(len(r.residual_norms) for r in results)
-                merged = [max(r.residual_norms[i] for r in results
-                              if i < len(r.residual_norms))
-                          for i in range(depth)]
-                broken = [r.broken_columns for r in results
-                          if r.broken_columns is not None]
-                return CGResult(
-                    x=np.hstack([r.x for r in results]),
-                    iterations=max(r.iterations for r in results),
-                    converged=all(r.converged for r in results),
-                    residual_norms=merged,
-                    per_column_iterations=np.concatenate(
-                        [r.per_column_iterations for r in results]),
-                    broken_columns=np.concatenate(broken)
-                    if broken else None)
-        return _blocked_cg(apply_L, b, tol=tol, max_iter=max_iter,
-                           preconditioner=preconditioner,
-                           singular=singular, matvec_edges=matvec_edges,
-                           raise_on_fail=raise_on_fail,
-                           col_ids=col_ids, plan=plan, flog=flog)
-    tol = float(tol)
-    if singular:
-        b = project_out_ones(b)
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-
-    x = np.zeros(n)
-    r = b.copy()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CGResult(x=x, iterations=0, converged=True,
-                        residual_norms=[0.0])
-
-    def prec(v: np.ndarray) -> np.ndarray:
-        if preconditioner is None:
-            return v
-        out = preconditioner(v)
-        return project_out_ones(out) if singular else out
-
-    z = prec(r)
-    p = z.copy()
-    rz = float(r @ z)
-    residuals = [float(np.linalg.norm(r))]
-    converged = False
-    broke_down = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        Lp = apply_L(p)
-        if matvec_edges:
-            charge(*P.matvec_cost(matvec_edges), label="cg_matvec")
-        pLp = float(p @ Lp)
-        if pLp <= 0:
-            break  # lost positive-definiteness (numerical breakdown)
-        alpha = rz / pLp
-        x += alpha * p
-        r -= alpha * Lp
-        if singular:
-            r = project_out_ones(r)
-        rnorm = float(np.linalg.norm(r))
-        residuals.append(rnorm)
-        if not np.isfinite(rnorm):
-            broke_down = True
-            break
-        if rnorm <= tol * bnorm:
-            converged = True
-            break
-        z = prec(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    if singular:
-        x = project_out_ones(x)
-    if raise_on_fail and not converged:
-        if broke_down:
-            raise NumericalBreakdownError(
-                f"CG iterate became non-finite at iteration {it}",
-                iteration=it)
-        raise ConvergenceError(
-            f"CG failed to reach {tol} in {it} iterations",
-            iterations=it, residual=residuals[-1] / bnorm)
-    return CGResult(x=x, iterations=it, converged=converged,
-                    residual_norms=residuals)
+        results = run_column_chunks(
+            ctx, b,
+            lambda bc, tc, ids: _blocked_cg(
+                apply_L, bc, tol=tc, max_iter=max_iter,
+                preconditioner=preconditioner, singular=singular,
+                matvec_edges=matvec_edges,
+                raise_on_fail=raise_on_fail,
+                col_ids=ids, plan=plan, flog=flog),
+            cols=(tol,), col_ids=col_ids)
+        if results is not None:
+            # Per-iteration residual_norms merge as the max over the
+            # chunks still running at that iteration, matching the
+            # unchunked block's max-over-active semantics.
+            depth = max(len(r.residual_norms) for r in results)
+            merged = [max(r.residual_norms[i] for r in results
+                          if i < len(r.residual_norms))
+                      for i in range(depth)]
+            broken = [r.broken_columns for r in results
+                      if r.broken_columns is not None]
+            return CGResult(
+                x=np.hstack([r.x for r in results]),
+                iterations=max(r.iterations for r in results),
+                converged=all(r.converged for r in results),
+                residual_norms=merged,
+                per_column_iterations=np.concatenate(
+                    [r.per_column_iterations for r in results]),
+                broken_columns=np.concatenate(broken)
+                if broken else None)
+    return _blocked_cg(apply_L, b, tol=tol, max_iter=max_iter,
+                       preconditioner=preconditioner,
+                       singular=singular, matvec_edges=matvec_edges,
+                       raise_on_fail=raise_on_fail,
+                       col_ids=col_ids, plan=plan, flog=flog)
 
 
 def _blocked_cg(apply_L, b: np.ndarray, tol, max_iter: int | None,
@@ -270,8 +219,8 @@ def _blocked_cg(apply_L, b: np.ndarray, tol, max_iter: int | None,
             charge(*P.matvec_cost(matvec_edges * active.size),
                    label="cg_matvec")
         pLp = np.einsum("ij,ij->j", Pm, LP)
-        # Columns that lost positive-definiteness stop where they are
-        # (the scalar path's `break`), without touching the others.
+        # Columns that lost positive-definiteness stop where they are,
+        # without touching the others.
         broke = pLp <= 0
         ok = ~broke
         alpha = np.where(ok, rz / np.where(ok, pLp, 1.0), 0.0)

@@ -7,16 +7,16 @@ Richardson's ``O(κ log 1/ε)``.  With the paper's constant-quality
 preconditioner (κ ≤ e²) the asymptotic difference is a constant, but it
 is a practically useful knob and exercises the operator interfaces.
 
-Accepts one right-hand side ``(n,)`` or a block ``(n, k)``.  The
-Chebyshev recurrence scalars (``ρ``, ``σ₁``) depend only on the spectral
+Accepts one right-hand side ``(n,)`` (run as a one-column block) or a
+block ``(n, k)``.  The Chebyshev recurrence scalars (``ρ``, ``σ₁``) depend only on the spectral
 bounds, so a block iterates all columns in lockstep with sparse×dense
 products; with ``tol`` set, converged columns are frozen (and compacted
 out of the active block).
 
-Stopping rules
---------------
-``stop_rule="preconditioned"`` (default) freezes a column from the
-*preconditioned* quantities the recurrence already holds: the update
+Stopping rule
+-------------
+With ``tol`` set, a column is frozen from the *preconditioned*
+quantities the recurrence already holds: the update
 ``d ≈ (2ρ/δ)·B(b − Lx) + momentum`` is a constant-factor proxy for the
 preconditioned residual, so a column whose update norm has fallen below
 ``(λ_min/λ_max) · tol_j · ‖B b_j‖`` is frozen **before** the next
@@ -24,23 +24,17 @@ iteration's operator applies — each converged column saves the one
 ``apply_L`` (and one ``B`` apply) per iteration that a raw-residual
 check would spend just to confirm convergence.  The ``λ_min/λ_max``
 factor compensates the metric change conservatively.
-
-``stop_rule="raw"`` keeps the previous behaviour: freeze once the raw
-residual satisfies ``‖L x_j − b_j‖ ≤ tol_j · ‖b_j‖`` (measured at the
-top of the next iteration, i.e. one extra ``apply_L`` per column).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from repro.linalg.ops import as_apply, project_out_ones
 
 __all__ = ["chebyshev_iteration"]
-
-StopRule = Literal["preconditioned", "raw"]
 
 
 def chebyshev_iteration(L,
@@ -51,7 +45,6 @@ def chebyshev_iteration(L,
                         iterations: int,
                         singular: bool = True,
                         tol: float | np.ndarray | None = None,
-                        stop_rule: StopRule = "preconditioned",
                         ctx=None,
                         col_ids: np.ndarray | None = None) -> np.ndarray:
     """Approximate ``L⁺ b`` by Chebyshev-accelerated iteration on ``BA``.
@@ -60,7 +53,10 @@ def chebyshev_iteration(L,
     ----------
     L, B:
         The system operator and a preconditioner approximating ``L⁺``.
-        For blocked ``b`` both must accept ``(n, j)`` column blocks.
+        A callable must accept ``(n, j)`` column blocks.
+    b:
+        Right-hand side ``(n,)`` or block ``(n, k)``; the result has
+        the same shape.
     lam_min, lam_max:
         Bounds on the spectrum of ``B L`` restricted to ``1⊥``.  For the
         paper's ``W ≈_1 L⁺`` these are ``e⁻¹`` and ``e``.
@@ -68,94 +64,50 @@ def chebyshev_iteration(L,
         Number of Chebyshev steps (a cap when ``tol`` is given).
     tol:
         Optional relative stopping target; scalar or per-column array
-        for blocked ``b``.  Interpreted per ``stop_rule`` (see module
-        docstring).
-    stop_rule:
-        ``"preconditioned"`` (default; cheap, no confirmation
-        ``apply_L``) or ``"raw"`` (previous raw-residual behaviour).
+        for blocked ``b``.  Applied to the preconditioned update (see
+        module docstring).
     ctx:
         Optional :class:`repro.pram.ExecutionContext`: blocked calls
         split their columns into the context's size-determined chunks
-        and iterate the chunks on its pool (worker- and
-        backend-independent results).
+        and iterate the chunks on its pool (worker-independent
+        results).
     """
     if not (0 < lam_min <= lam_max):
         raise ValueError("need 0 < lam_min <= lam_max")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if stop_rule not in ("preconditioned", "raw"):
-        raise ValueError(f"unknown stop_rule {stop_rule!r}")
     apply_L = as_apply(L)
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 2:
-        # Resolved in the calling thread — pool threads do not inherit
-        # contextvars, so the blocked kernel gets both explicitly.
-        from repro.pram import faults as _faults
+    if b.ndim == 1:
+        return chebyshev_iteration(apply_L, B, b[:, None], lam_min,
+                                   lam_max, iterations, singular=singular,
+                                   tol=tol, ctx=ctx, col_ids=col_ids)[:, 0]
+    # Resolved in the calling thread — pool threads do not inherit
+    # contextvars, so the blocked kernel gets both explicitly.
+    from repro.pram import faults as _faults
 
-        plan = _faults.active_plan()
-        flog = _faults.current_fault_log()
-        if ctx is not None:
-            from repro.pram.executor import run_column_chunks
+    plan = _faults.active_plan()
+    flog = _faults.current_fault_log()
+    if ctx is not None:
+        from repro.pram.executor import run_column_chunks
 
-            results = run_column_chunks(
-                ctx, b,
-                lambda bc, tc, ids: _blocked_chebyshev(
-                    apply_L, B, bc, lam_min, lam_max, iterations,
-                    singular, tc, stop_rule,
-                    col_ids=ids, plan=plan, flog=flog),
-                cols=(tol,), col_ids=col_ids)
-            if results is not None:
-                return np.hstack(results)
-        return _blocked_chebyshev(apply_L, B, b, lam_min, lam_max,
-                                  iterations, singular, tol, stop_rule,
-                                  col_ids=col_ids, plan=plan, flog=flog)
-    if singular:
-        b = project_out_ones(b)
-
-    theta = 0.5 * (lam_max + lam_min)
-    delta = 0.5 * (lam_max - lam_min)
-    bnorm = float(np.linalg.norm(b))
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return b - apply_L(x)
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        z = B(r)
-        return project_out_ones(z) if singular else z
-
-    # Standard Chebyshev recurrence (Saad, "Iterative Methods", Alg. 12.1)
-    x = np.zeros_like(b)
-    r = precondition(b)
-    pre_norm0 = float(np.linalg.norm(r))
-    d = r / theta
-    x = x + d
-    if delta == 0.0 or iterations == 1:
-        return x
-    sigma1 = theta / delta
-    rho_old = 1.0 / sigma1
-    stop_pre = None if tol is None \
-        else (lam_min / lam_max) * float(np.max(tol)) * pre_norm0
-    for _ in range(iterations - 1):
-        if stop_pre is not None and stop_rule == "preconditioned" \
-                and float(np.linalg.norm(d)) <= stop_pre:
-            break
-        raw = residual(x)
-        if stop_pre is not None and stop_rule == "raw" \
-                and float(np.linalg.norm(raw)) <= float(np.max(tol)) * bnorm:
-            break
-        r = precondition(raw)
-        rho = 1.0 / (2.0 * sigma1 - rho_old)
-        d = rho * rho_old * d + (2.0 * rho / delta) * r
-        x = x + d
-        rho_old = rho
-    return x
+        results = run_column_chunks(
+            ctx, b,
+            lambda bc, tc, ids: _blocked_chebyshev(
+                apply_L, B, bc, lam_min, lam_max, iterations,
+                singular, tc, col_ids=ids, plan=plan, flog=flog),
+            cols=(tol,), col_ids=col_ids)
+        if results is not None:
+            return np.hstack(results)
+    return _blocked_chebyshev(apply_L, B, b, lam_min, lam_max,
+                              iterations, singular, tol,
+                              col_ids=col_ids, plan=plan, flog=flog)
 
 
 def _blocked_chebyshev(apply_L, B, b: np.ndarray,
                        lam_min: float, lam_max: float,
                        iterations: int, singular: bool,
-                       tol, stop_rule: StopRule = "preconditioned",
-                       col_ids: np.ndarray | None = None,
+                       tol, col_ids: np.ndarray | None = None,
                        plan=None, flog=None) -> np.ndarray:
     """Chebyshev on an ``(n, k)`` block with column-wise freezing.
 
@@ -171,7 +123,6 @@ def _blocked_chebyshev(apply_L, B, b: np.ndarray,
         b = project_out_ones(b)
     theta = 0.5 * (lam_max + lam_min)
     delta = 0.5 * (lam_max - lam_min)
-    bnorm = np.linalg.norm(b, axis=0)
 
     def precondition(r: np.ndarray) -> np.ndarray:
         z = B(r)
@@ -183,10 +134,9 @@ def _blocked_chebyshev(apply_L, B, b: np.ndarray,
     r = precondition(b_act)
     pre_norm0 = np.linalg.norm(r, axis=0)
     if tol is None:
-        stop = stop_pre = None
+        stop_pre = None
     else:
         tol_col = np.broadcast_to(np.asarray(tol, dtype=np.float64), (k,))
-        stop = tol_col * bnorm
         stop_pre = (lam_min / lam_max) * tol_col * pre_norm0
     d = r / theta
     x = d.copy()
@@ -219,7 +169,7 @@ def _blocked_chebyshev(apply_L, B, b: np.ndarray,
             b_act = b_act[:, keep]
             x = x[:, keep]
             d = d[:, keep]
-        if stop_pre is not None and stop_rule == "preconditioned":
+        if stop_pre is not None:
             # Freeze on the just-applied preconditioned update — no
             # confirmation apply_L/B for converged columns.
             done = np.linalg.norm(d, axis=0) <= stop_pre[active]
@@ -233,18 +183,6 @@ def _blocked_chebyshev(apply_L, B, b: np.ndarray,
                 x = x[:, keep]
                 d = d[:, keep]
         raw = b_act - apply_L(x)
-        if stop is not None and stop_rule == "raw":
-            done = np.linalg.norm(raw, axis=0) <= stop[active]
-            if done.any():
-                out[:, active[done]] = x[:, done]
-                keep = ~done
-                active = active[keep]
-                if active.size == 0:
-                    return out
-                b_act = b_act[:, keep]
-                raw = raw[:, keep]
-                x = x[:, keep]
-                d = d[:, keep]
         r = precondition(raw)
         rho = 1.0 / (2.0 * sigma1 - rho_old)
         d = rho * rho_old * d + (2.0 * rho / delta) * r

@@ -14,9 +14,10 @@ provides:
   conversions, reductions, scans, sorts, sparse matvec).
 * :mod:`repro.pram.executor` — chunked in-process execution for the
   embarrassingly parallel phases (walker stepping, column-blocked
-  solves), scheduled serially or on a thread pool (numpy releases the
-  GIL inside chunk kernels).  Results are bit-identical across
-  schedulers and worker counts for a fixed seed (DESIGN.md §6–§7).
+  solves), run on a pool of ``workers`` threads (numpy releases the
+  GIL inside chunk kernels; ``workers=1`` runs in the calling thread).
+  Results are bit-identical across worker counts for a fixed seed
+  (DESIGN.md §6–§7).
 * :mod:`repro.pram.faults` — deterministic NaN injection
   (:func:`use_faults`) into the blocked solve kernels and the
   structured :class:`FaultLog` of containment actions (quarantine and
@@ -38,8 +39,6 @@ from repro.pram.executor import (
     parallel_map,
     chunk_ranges,
     default_workers,
-    default_backend,
-    BACKENDS,
 )
 from repro.pram.faults import (
     FaultDirective,
@@ -66,8 +65,6 @@ __all__ = [
     "parallel_map",
     "chunk_ranges",
     "default_workers",
-    "default_backend",
-    "BACKENDS",
     "FaultDirective",
     "FaultEvent",
     "FaultLog",

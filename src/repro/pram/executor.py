@@ -4,30 +4,28 @@ The solver stack has two kinds of embarrassingly parallel work —
 walker stepping in the elimination rounds and column-blocked iterative
 solves — and this module is the single dispatch point for both.
 :class:`ExecutionContext` splits a dispatch into a fixed set of chunks
-and runs them with one of two schedulers:
+and runs them on one scheduler: a ``ThreadPoolExecutor`` of
+``workers`` threads.  ``workers=1`` runs every chunk in the calling
+thread (no pool overhead) and is the serial reference.  The chunks'
+numpy kernels release the GIL, so wide blocked solves scale on threads
+(DESIGN.md §7 has the measurements).
 
-* ``serial`` — every chunk in the calling thread (no pool overhead,
-  the reference semantics);
-* ``thread`` — a ``ThreadPoolExecutor`` of ``workers`` threads.  The
-  chunks' numpy kernels release the GIL, so wide blocked solves scale
-  on threads (DESIGN.md §7 has the measurements).
-
-The scheduler never influences *results* — only wall-clock.
+The worker count never influences *results* — only wall-clock.
 :class:`ExecutionContext`'s determinism contract (DESIGN.md §6–§7):
 
 * **Chunk layout depends only on problem size** (item count + the
-  context's chunk policy), never on the worker count or scheduler.
+  context's chunk policy), never on the worker count.
 * **Randomness is per-chunk**: each chunk receives its own
   ``SeedSequence``-spawned child generator (``rng.spawn``), drawn in
   chunk order from the caller's generator.
 * **Ledger charges fork/join**: each chunk records its costs into a
   private sub-ledger via :func:`use_ledger`, and at the join the
   parent ledger absorbs the sum of chunk works and the max of chunk
-  depths.  Totals are identical across schedulers and worker counts.
+  depths.  Totals are identical across worker counts.
 
 Together these make every chunked phase bit-identical for a fixed seed
-regardless of ``REPRO_BACKEND`` / ``REPRO_WORKERS`` — the property the
-backend-matrix invariance tests assert.
+regardless of ``REPRO_WORKERS`` — the property the worker-matrix
+invariance tests assert.
 
 The lower-level API remains: :func:`chunk_ranges` splits an index range
 into contiguous chunks, :func:`parallel_map` maps a function over items
@@ -46,8 +44,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 __all__ = ["ExecutionContext", "parallel_map", "chunk_ranges",
-           "run_column_chunks", "default_workers", "default_backend",
-           "default_chunk_items", "BACKENDS", "DEFAULT_CHUNK_ITEMS",
+           "run_column_chunks", "default_workers",
+           "default_chunk_items", "DEFAULT_CHUNK_ITEMS",
            "DEFAULT_CHUNK_COLUMNS", "MAX_CHUNKS"]
 
 T = TypeVar("T")
@@ -63,9 +61,6 @@ DEFAULT_CHUNK_COLUMNS = 16
 #: Hard cap on chunks per dispatch (bounds RNG spawns and pool queue
 #: length).  Part of the chunk policy, hence worker-independent.
 MAX_CHUNKS = 256
-
-#: Recognised schedulers: the calling thread alone, or a thread pool.
-BACKENDS = ("serial", "thread")
 
 # The ``default_*`` getters cache their (env string → value) lookup so
 # hot loops can consult them lazily at every dispatch; keying each
@@ -113,23 +108,6 @@ def default_workers() -> int:
     return _env_cached("REPRO_WORKERS", parse)
 
 
-def default_backend() -> str:
-    """Backend name from ``REPRO_BACKEND`` env var (default: thread).
-
-    Raises :class:`ValueError` for anything outside :data:`BACKENDS` —
-    a typo'd environment should fail loudly, not silently fall back.
-    """
-
-    def parse(env: str | None) -> str:
-        value = (env or "thread").strip().lower()
-        if value not in BACKENDS:
-            raise ValueError(
-                f"REPRO_BACKEND must be one of {BACKENDS}, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_BACKEND", parse)
-
-
 def default_chunk_items() -> int:
     """The walker-chunk grain when ``SolverOptions.chunk_items`` is
     unset: :data:`DEFAULT_CHUNK_ITEMS`.
@@ -151,7 +129,7 @@ def default_coalesce() -> bool:
     alias-plane rebuild cost, and peak edge memory (DESIGN.md §11).
     The Laplacian is preserved exactly; walk realisations change
     *distributionally* (per flag setting results stay bit-deterministic
-    across backends and worker counts).  ``SolverOptions.
+    across worker counts).  ``SolverOptions.
     coalesce_emitted`` takes precedence when set; the seed baseline
     (:mod:`repro.baselines.seed_hotpath`) never builds the store.
     """
@@ -215,8 +193,8 @@ def run_column_chunks(ctx: "ExecutionContext", b: np.ndarray,
 
     The blocked iterative kernels (Richardson, PCG, Chebyshev) all
     chunk an ``(n, k)`` right-hand-side block the same way: split the
-    ``k`` columns into the context's size-determined (hence worker- and
-    backend-independent) column chunks, broadcast every per-column
+    ``k`` columns into the context's size-determined (hence
+    worker-independent) column chunks, broadcast every per-column
     parameter (scalar, length-``k`` array, or ``None``) to a ``(k,)``
     vector, slice block and parameters per chunk, and run the chunks on
     the context's pool.  This helper is that shared mechanics;
@@ -259,17 +237,11 @@ class ExecutionContext:
     Parameters
     ----------
     workers:
-        Thread count under the ``thread`` backend.  ``None``
-        (default) consults :func:`default_workers` lazily *at each
-        dispatch*, so changing ``REPRO_WORKERS`` mid-session (or
+        Thread count; ``1`` runs every chunk in the calling thread.
+        ``None`` (default) consults :func:`default_workers` lazily *at
+        each dispatch*, so changing ``REPRO_WORKERS`` mid-session (or
         monkeypatching it in a test) takes effect immediately.  The
         worker count never influences results — only wall-clock.
-    backend:
-        ``"serial"`` (every chunk in the calling thread) or
-        ``"thread"`` (a pool of ``workers`` threads).  ``None``
-        (default) consults the ``REPRO_BACKEND`` env var lazily
-        (default ``"thread"``).  Like ``workers``, the backend never
-        influences results.
     chunk_items:
         Target work items (walkers) per chunk for :meth:`item_chunks`.
         ``None`` (default) means :data:`DEFAULT_CHUNK_ITEMS`.
@@ -285,7 +257,6 @@ class ExecutionContext:
     """
 
     workers: int | None = None
-    backend: str | None = None
     chunk_items: int | None = None
     chunk_columns: int = DEFAULT_CHUNK_COLUMNS
     max_chunks: int = MAX_CHUNKS
@@ -296,24 +267,14 @@ class ExecutionContext:
             raise ValueError("chunk policy values must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be None or >= 1")
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be None or one of {BACKENDS}, "
-                f"got {self.backend!r}")
 
-    # -- worker/backend resolution --------------------------------------------
+    # -- worker resolution ---------------------------------------------------
 
     def resolve_workers(self) -> int:
         """The worker count to use *right now* (lazy env consultation)."""
         if self.workers is not None:
             return self.workers
         return default_workers()
-
-    def resolve_backend(self) -> str:
-        """The backend name to use *right now* (lazy env consultation)."""
-        if self.backend is not None:
-            return self.backend
-        return default_backend()
 
     # -- deterministic chunk layout ------------------------------------------
 
@@ -339,10 +300,6 @@ class ExecutionContext:
         return chunk_ranges(k, self._chunk_count(k, self.chunk_columns))
 
     # -- dispatch ------------------------------------------------------------
-
-    def _map_workers(self) -> int:
-        return 1 if self.resolve_backend() == "serial" \
-            else self.resolve_workers()
 
     def run_chunks(self,
                    fn: Callable[..., R],
@@ -388,7 +345,7 @@ class ExecutionContext:
                 return False, exc, sub
 
         triples = parallel_map(one, range(len(pieces)),
-                               workers=self._map_workers())
+                               workers=self.resolve_workers())
         if parent is not None:
             subs = [sub for _, _, sub in triples if sub is not None]
             if subs:
@@ -399,6 +356,5 @@ class ExecutionContext:
         return [val for _, val, _ in triples]
 
 
-#: Shared all-defaults context (lazy ``REPRO_WORKERS``/``REPRO_BACKEND``
-#: resolution).
+#: Shared all-defaults context (lazy ``REPRO_WORKERS`` resolution).
 ExecutionContext.DEFAULT = ExecutionContext()

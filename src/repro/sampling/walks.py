@@ -234,12 +234,9 @@ class WalkEngine:
         return WalkResult(terminal=position, resistance=resistance,
                           length=length, rounds=rounds)
 
-    def run_chunked(self, starts: np.ndarray, seed=None,
-                    max_steps: int = 10_000,
-                    workers: int | None = None,
-                    chunks: int | None = None,
-                    ctx=None) -> WalkResult:
-        """:meth:`run` split over walker chunks (thread-pool friendly).
+    def run_chunked(self, starts: np.ndarray, ctx, seed=None,
+                    max_steps: int = 10_000) -> WalkResult:
+        """:meth:`run` split over walker chunks on ``ctx``'s pool.
 
         Walkers are independent, so chunking changes nothing
         statistically (each chunk gets an independent child stream) and
@@ -247,28 +244,17 @@ class WalkEngine:
         chunks as parallel branches (works add, depths max — the joined
         depth equals the unchunked one, the longest walk).
 
-        With an :class:`repro.pram.ExecutionContext` ``ctx``, the chunk
-        layout comes from ``ctx.item_chunks`` — a function of the walker
-        count and the chunk policy (``chunk_items``), never of the
-        worker count — so for a fixed seed and fixed chunk policy the
-        result is
-        **bit-identical regardless of the worker count or backend**
-        (they only schedule the fixed chunks).  The explicit
-        ``chunks``/``workers`` parameters remain for callers that want
-        a specific layout.
+        The chunk layout comes from the
+        :class:`repro.pram.ExecutionContext` ``ctx``'s ``item_chunks``
+        — a function of the walker count and the chunk policy
+        (``chunk_items``), never of the worker count — so for a fixed
+        seed and fixed chunk policy the result is **bit-identical
+        regardless of the worker count** (it only schedules the fixed
+        chunks).
         """
-        from repro.pram.executor import ExecutionContext, chunk_ranges
-
         starts = np.asarray(starts, dtype=np.int64)
         rng = as_generator(seed)
-        if ctx is None:
-            if chunks is None:
-                chunks = max(1, (workers or 1))
-            pieces = chunk_ranges(starts.size, chunks)
-            ctx = ExecutionContext(workers=workers)
-        else:
-            pieces = ctx.item_chunks(starts.size) if chunks is None \
-                else chunk_ranges(starts.size, chunks)
+        pieces = ctx.item_chunks(starts.size)
 
         def one(lo: int, hi: int, stream) -> WalkResult:
             return self.run(starts[lo:hi], seed=stream,

@@ -14,11 +14,11 @@ factorization.  Identity has two halves:
 * the **chain-affecting options + seed** — exactly the
   :class:`repro.config.SolverOptions` fields that change the built
   chain's bits.  Runtime knobs that the determinism contract
-  (DESIGN.md §6) proves result-neutral (``workers``, ``backend``,
-  ``keep_graphs``, and the single-valued ``sampler``, ``retries``,
-  ``degrade`` and ``ship_solves``) are deliberately excluded, so a
-  serial-backend client and a thread-backend client share one
-  resident chain.  Defaulted fields that *do* affect bits are
+  (DESIGN.md §6) proves result-neutral (``workers``,
+  ``keep_graphs``, and the single-valued ``backend``, ``sampler``,
+  ``retries``, ``degrade`` and ``ship_solves``) are deliberately
+  excluded, so a one-worker client and a four-worker client share
+  one resident chain.  Defaulted fields that *do* affect bits are
   resolved at key time: ``coalesce_emitted`` against the environment,
   ``chunk_items`` to the library default.
 """

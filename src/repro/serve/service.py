@@ -8,7 +8,7 @@
   one at a time, so batch execution order is deterministic),
 * a :class:`repro.serve.cache.ChainCache` of resident solvers built
   with ``keep_graphs=False`` (streaming builds: the cache holds the
-  solve payload, not the per-level graphs), and
+  solve payload, not the per-level graphs or blocks), and
 * a :class:`repro.serve.batcher.MicroBatcher` that fuses concurrent
   single-RHS requests into one ``solve_many`` block.
 

@@ -29,7 +29,6 @@ from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
 from repro.pram import use_ledger
 from repro.pram.executor import (
-    BACKENDS,
     DEFAULT_CHUNK_ITEMS,
     ExecutionContext,
     default_chunk_items,
@@ -339,26 +338,23 @@ class TestSamplerSelection:
 
 class TestPerSamplerBackendMatrix:
     """Fixed seed ⇒ bit-identical results and ledger totals across
-    backends × worker counts, for either accepted ``sampler`` value
-    (checked against a serial run with the default ``None``)."""
+    worker counts, for either accepted ``sampler`` value (checked
+    against a one-worker run with the default ``None``)."""
 
     @pytest.mark.parametrize("kind", SAMPLER_OPTIONS)
     def test_backend_matrix_bit_identical(self, kind, monkeypatch):
         opts = default_options().with_(chunk_items=512)
 
-        def schur(backend, workers, opts):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def schur(workers, opts):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             g = G.grid2d(14, 14)
             C = np.arange(0, g.n, 3)
             return approx_schur(g, C, eps=0.5, seed=123, options=opts)
 
-        base = schur("serial", 1, opts)
+        base = schur(1, opts)
         opts = opts.with_(sampler=kind)
-        for backend in BACKENDS:
-            for workers in (1, 2, 4):
-                assert schur(backend, workers, opts) == base, \
-                    (backend, workers)
+        for workers in (1, 2, 4):
+            assert schur(workers, opts) == base, workers
 
     @pytest.mark.parametrize("kind", SAMPLER_OPTIONS)
     def test_ledger_totals_invariant(self, kind, monkeypatch):
@@ -366,17 +362,16 @@ class TestPerSamplerBackendMatrix:
         C = np.arange(0, g.n, 2)
         opts = default_options().with_(chunk_items=512)
 
-        def totals(backend, workers, opts):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def totals(workers, opts):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             with use_ledger() as ledger:
                 approx_schur(g, C, eps=0.5, seed=3, options=opts)
             return ledger.work, ledger.depth
 
-        base = totals("serial", 1, opts)
+        base = totals(1, opts)
         opts = opts.with_(sampler=kind)
-        for backend in BACKENDS:
-            assert totals(backend, 2, opts) == base, backend
+        for workers in (1, 2):
+            assert totals(workers, opts) == base, workers
 
 
 class TestIncrementalAliasPlanes:

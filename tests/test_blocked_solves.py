@@ -299,6 +299,49 @@ class TestKeepGraphs:
         with pytest.raises(FactorizationError):
             chain.dense_factorization()
 
+    @staticmethod
+    def _holds_level(root) -> bool:
+        """Whether a :class:`Level` is reachable from ``root`` through
+        attributes and containers (classes, modules and arrays are
+        leaves)."""
+        import types
+
+        from repro.core.chain import Level
+
+        stack, seen = [root], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                    obj, (type, types.ModuleType, np.ndarray)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Level):
+                return True
+            if isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple, set)):
+                stack.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                stack.append(vars(obj))
+        return False
+
+    def test_streaming_solver_keeps_only_the_payload(self):
+        g = G.grid2d(32, 32)
+        kept = LaplacianSolver(g, options=SolverOptions(keep_graphs=True),
+                               seed=0)
+        streamed = LaplacianSolver(
+            g, options=SolverOptions(keep_graphs=False), seed=0)
+        assert self._holds_level(kept)
+        assert not self._holds_level(streamed)
+        assert streamed.chain.levels is None
+        assert streamed.chain.payload_fingerprint() \
+            == kept.chain.payload_fingerprint()
+        assert streamed.chain.nbytes == kept.chain.nbytes
+        assert streamed.chain.active_counts == kept.chain.active_counts
+        assert streamed.chain.summary() == kept.chain.summary()
+        with pytest.raises(FactorizationError):
+            streamed.chain.dense_factorization()
+
     def test_solver_option_threads_through(self):
         g = G.grid2d(8, 8)
         solver = LaplacianSolver(

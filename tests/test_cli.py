@@ -94,7 +94,18 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", grid_file, "--backend", "process"])
         assert exc.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "serve"])
+    def test_backend_flag_is_unknown(self, grid_file, capsys, command):
+        # One scheduler: parallelism is set by the worker count alone,
+        # and ``--workers 1`` (or REPRO_WORKERS=1) is the serial run.
+        with pytest.raises(SystemExit) as exc:
+            main([command, grid_file, "--backend", "serial"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in \
+            capsys.readouterr().err
 
 
 class TestBench:

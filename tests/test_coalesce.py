@@ -17,8 +17,8 @@ Contract under test (DESIGN.md §11):
   multiplicity-less store promotes a mult column instead of raising,
   and the column is charged in ``nbytes``.
 * **Determinism.**  Fixed seed + fixed coalesce setting ⇒
-  bit-identical graphs and ledger totals across backends and worker
-  counts; the flag resolves SolverOptions → REPRO_COALESCE with loud
+  bit-identical graphs and ledger totals across worker counts; the
+  flag resolves SolverOptions → REPRO_COALESCE with loud
   typos.
 """
 
@@ -313,19 +313,17 @@ class TestCoalesceEndToEnd:
         opts = default_options().with_(coalesce_emitted=True,
                                        chunk_items=512)
 
-        def run(backend, workers):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def run(workers):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             with use_ledger() as ledger:
                 got = approx_schur(g, C, eps=0.5, seed=11, options=opts)
             return got, ledger.work, ledger.depth
 
-        base = run("serial", 1)
-        for backend in ("serial", "thread"):
-            for workers in (1, 2):
-                got = run(backend, workers)
-                assert got[0] == base[0], (backend, workers)
-                assert got[1:] == base[1:], (backend, workers)
+        base = run(1)
+        for workers in (2, 4):
+            got = run(workers)
+            assert got[0] == base[0], workers
+            assert got[1:] == base[1:], workers
 
     @pytest.mark.parametrize("sampler", [None, "alias"])
     def test_deterministic_per_sampler(self, sampler):

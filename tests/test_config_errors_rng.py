@@ -70,20 +70,25 @@ class TestSolverOptions:
         ("retries", 1),
     ])
     def test_retired_execution_values_are_refused(self, field, value):
-        # The process backend, shipped solves, backend degradation and
-        # chunk re-dispatch are gone; asking for them is a typed error
-        # at construction.
+        # The process and serial backends, shipped solves, backend
+        # degradation and chunk re-dispatch are gone; asking for them
+        # is a typed error at construction.
         with pytest.raises(InvalidInputError, match=field):
             SolverOptions(**{field: value})
         with pytest.raises(InvalidInputError, match=field):
             default_options().with_(**{field: value})
 
     def test_remaining_execution_values_are_accepted(self):
-        for backend in (None, "serial", "thread"):
+        for backend in (None, "thread"):
             assert SolverOptions(backend=backend).backend == backend
         opts = SolverOptions(ship_solves=False, degrade=False, retries=0)
         assert opts.ship_solves is False and opts.degrade is False
         assert opts.retries == 0
+
+    def test_serial_backend_names_one_worker(self):
+        # ``workers=1`` is the serial reference now; the error says so.
+        with pytest.raises(InvalidInputError, match="workers=1"):
+            SolverOptions(backend="serial")
 
 
 class TestErrorHierarchy:

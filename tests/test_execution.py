@@ -5,8 +5,9 @@ every chunked phase — walker stepping in ``approx_schur``, column-
 blocked ``solve_many`` — produces bit-identical results for
 ``REPRO_WORKERS ∈ {1, 2, 4}``, because chunk layout and per-chunk RNG
 streams are functions of problem size only.  The backend-matrix tests
-extend that to the PR-4 contract: the same holds for
-``REPRO_BACKEND ∈ {serial, thread}`` — including ledger totals.  The
+repeat that with small walker chunks, so every worker count genuinely
+fans out, and include ledger totals; ``workers=1`` is the serial
+reference (every chunk in the calling thread).  The
 incremental-CSR tests pin the other tentpole
 invariant: the maintained restricted adjacency (and the interior
 degree oracle it serves the 5DD scan from) equals a from-scratch
@@ -22,10 +23,8 @@ from repro.core.solver import LaplacianSolver
 from repro.graphs import generators as G
 from repro.pram import use_ledger
 from repro.pram.executor import (
-    BACKENDS,
     DEFAULT_CHUNK_ITEMS,
     ExecutionContext,
-    default_backend,
     default_workers,
 )
 from repro.sampling.inc_csr import IncrementalWalkCSR
@@ -173,37 +172,13 @@ class TestWorkerInvariance:
         assert totals(1) == totals(2) == totals(4)
 
 
+#: The two ways chunks are scheduled: ``workers=1`` runs them in the
+#: calling thread (the serial reference), more workers on a pool.
+SCHEDULES = [pytest.param(1, id="serial"), pytest.param(2, id="thread")]
+
+
 class TestExecutionBackends:
-    """Unit surface of the backend layer itself."""
-
-    def test_default_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend() == "thread"
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert default_backend() == "serial"
-
-    def test_process_backend_is_rejected(self, monkeypatch):
-        # The process backend is gone: naming it fails loudly rather
-        # than silently falling back to threads.
-        assert BACKENDS == ("serial", "thread")
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(ValueError):
-            default_backend()
-        with pytest.raises(ValueError):
-            ExecutionContext().resolve_backend()
-        with pytest.raises(ValueError):
-            ExecutionContext(backend="process")
-
-    def test_default_backend_rejects_typos(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "porcess")
-        with pytest.raises(ValueError):
-            default_backend()
-
-    def test_context_backend_validation(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(backend="bogus")
-        for name in BACKENDS:
-            assert ExecutionContext(backend=name).resolve_backend() == name
+    """Unit surface of chunk dispatch on both schedules."""
 
     @staticmethod
     def _square(x):
@@ -216,11 +191,10 @@ class TestExecutionBackends:
 
         return one
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_chunks_matches_serial(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    @pytest.mark.parametrize("workers", SCHEDULES)
+    def test_run_chunks_matches_serial(self, workers):
         x = np.linspace(0.0, 3.0, 37)
-        ctx = ExecutionContext(backend=backend, chunk_items=8)
+        ctx = ExecutionContext(workers=workers, chunk_items=8)
         pieces = ctx.item_chunks(x.size)
         assert len(pieces) > 1
 
@@ -231,18 +205,16 @@ class TestExecutionBackends:
             return out, ledger.work, ledger.depth, \
                 ledger.by_label["sq"].work
 
-        base = run(ExecutionContext(backend="serial", chunk_items=8))
+        base = run(ExecutionContext(workers=1, chunk_items=8))
         out = run(ctx)
         assert out == base
         assert out[2] == 2.0  # fork/join: depths max, not add
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_chunks_raises_lowest_index_error(self, backend,
-                                                  monkeypatch):
+    @pytest.mark.parametrize("workers", SCHEDULES)
+    def test_run_chunks_raises_lowest_index_error(self, workers):
         from repro.pram import charge
 
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        ctx = ExecutionContext(backend=backend, chunk_items=4)
+        ctx = ExecutionContext(workers=workers, chunk_items=4)
         pieces = ctx.item_chunks(20)
         fail_from = pieces[2][0]
 
@@ -261,66 +233,60 @@ class TestExecutionBackends:
 
 class TestBackendMatrix:
     """Fixed seed ⇒ bit-identical solutions and ledger totals for
-    ``REPRO_BACKEND ∈ {serial, thread}`` at
-    ``REPRO_WORKERS ∈ {1, 2, 4}``."""
+    ``REPRO_WORKERS ∈ {1, 2, 4}`` with walker chunks small enough
+    that every worker count fans out (``1`` is the serial
+    reference)."""
 
     WORKER_COUNTS = (1, 2, 4)
 
     @staticmethod
     def _opts() -> SolverOptions:
-        # Small walker chunks so every backend genuinely fans out.  The
+        # Small walker chunks so every worker count fans out.  The
         # chunk policy is part of the result, so it is held fixed
         # across the whole matrix.
         return default_options().with_(chunk_items=512)
 
-    def _schur(self, monkeypatch, backend: str, workers: int):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
+    def _schur(self, monkeypatch, workers: int):
         monkeypatch.setenv("REPRO_WORKERS", str(workers))
         g = G.grid2d(14, 14)
         C = np.arange(0, g.n, 3)
         return approx_schur(g, C, eps=0.5, seed=123, options=self._opts())
 
     def test_approx_schur_backend_matrix_bit_identical(self, monkeypatch):
-        base = self._schur(monkeypatch, "serial", 1)
-        for backend in BACKENDS:
-            for workers in self.WORKER_COUNTS:
-                other = self._schur(monkeypatch, backend, workers)
-                assert other == base, (backend, workers)
+        base = self._schur(monkeypatch, 1)
+        for workers in self.WORKER_COUNTS[1:]:
+            assert self._schur(monkeypatch, workers) == base, workers
 
     def test_ledger_totals_backend_invariant(self, monkeypatch):
         g = G.grid2d(10, 10)
         C = np.arange(0, g.n, 2)
 
-        def totals(backend, workers):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def totals(workers):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             with use_ledger() as ledger:
                 approx_schur(g, C, eps=0.5, seed=3, options=self._opts())
             return ledger.work, ledger.depth
 
-        base = totals("serial", 1)
-        for backend in BACKENDS:
-            for workers in self.WORKER_COUNTS:
-                assert totals(backend, workers) == base, (backend, workers)
+        base = totals(1)
+        for workers in self.WORKER_COUNTS[1:]:
+            assert totals(workers) == base, workers
 
     def test_approx_schur_backend_matrix_with_coalesce(self, monkeypatch):
         # The determinism matrix holds per fixed coalesce setting too:
-        # coalescing happens store-side, after the (backend-invariant)
-        # walk realisation, so the flag cannot reintroduce
-        # backend/worker dependence.
+        # coalescing happens store-side, after the (worker-invariant)
+        # walk realisation, so the flag cannot reintroduce worker
+        # dependence.
         opts = self._opts().with_(coalesce_emitted=True)
 
-        def schur(backend, workers):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def schur(workers):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             g = G.grid2d(14, 14)
             C = np.arange(0, g.n, 3)
             return approx_schur(g, C, eps=0.5, seed=123, options=opts)
 
-        base = schur("serial", 1)
-        for backend in BACKENDS:
-            for workers in self.WORKER_COUNTS:
-                assert schur(backend, workers) == base, (backend, workers)
+        base = schur(1)
+        for workers in self.WORKER_COUNTS[1:]:
+            assert schur(workers) == base, workers
 
     def test_solve_many_backend_invariant(self, monkeypatch):
         g = G.grid2d(12, 12)
@@ -329,24 +295,22 @@ class TestBackendMatrix:
         B -= B.mean(axis=0)
         opts = practical_options().with_(chunk_items=512)
 
-        def solutions(backend, workers):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
+        def solutions(workers):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))
             solver = LaplacianSolver(g, options=opts, seed=11)
             return solver.solve_many(B, eps=1e-6)
 
-        base = solutions("serial", 1)
-        for backend in BACKENDS:
-            for workers in (2, 4):
-                np.testing.assert_array_equal(
-                    solutions(backend, workers), base,
-                    err_msg=f"{backend} workers={workers}")
+        base = solutions(1)
+        for workers in self.WORKER_COUNTS[1:]:
+            np.testing.assert_array_equal(solutions(workers), base,
+                                          err_msg=f"workers={workers}")
 
     def test_options_backend_threads_through(self):
-        opts = default_options().with_(backend="serial", workers=3)
-        ctx = opts.execution()
-        assert ctx.resolve_backend() == "serial"
-        assert ctx.resolve_workers() == 3
+        # The retired ``backend="thread"`` is still accepted and read by
+        # nothing: the worker count alone reaches the context.
+        opts = default_options().with_(backend="thread", workers=3)
+        assert opts.execution() == ExecutionContext(workers=3)
+        assert opts.execution().resolve_workers() == 3
 
 
 class TestInteriorDegreeOracle:
@@ -540,17 +504,6 @@ class TestChebyshevPreconditionedFreeze:
         # factor of the target.
         bnorm = np.linalg.norm(B, axis=0)
         assert np.all(np.linalg.norm(R, axis=0) <= 1e-6 * bnorm)
-
-    def test_raw_rule_still_available(self):
-        from repro.linalg.chebyshev import chebyshev_iteration
-        from repro.linalg.ops import project_out_ones
-
-        g, solver, L, B, lo, hi = self._setup()
-        X = chebyshev_iteration(L, solver.preconditioner.apply, B,
-                                lo, hi, 200, tol=1e-9, stop_rule="raw")
-        R = np.asarray(L @ X) - project_out_ones(B)
-        bnorm = np.linalg.norm(B, axis=0)
-        assert np.all(np.linalg.norm(R, axis=0) <= 2e-9 * bnorm)
 
     def test_ctx_column_chunks_match_unchunked(self):
         from repro.linalg.chebyshev import chebyshev_iteration

@@ -129,11 +129,10 @@ class TestEnvKnobs:
 class TestChunkRedispatch:
     """Chunks are dispatched once: nothing is re-run."""
 
-    def test_nontransient_errors_are_not_retried(self, monkeypatch):
+    def test_nontransient_errors_are_not_retried(self):
         # A raising chunk is never re-run; every chunk runs exactly
         # once and the lowest-index error surfaces.
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        ctx = ExecutionContext(backend="serial", chunk_items=4)
+        ctx = ExecutionContext(workers=1, chunk_items=4)
         pieces = ctx.item_chunks(8)
         calls = []
 

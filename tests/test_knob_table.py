@@ -29,4 +29,4 @@ def test_readme_knob_tables_match_the_code():
     code, readme = _code_knobs(), _readme_knobs()
     assert code == readme, {"undocumented": sorted(code - readme),
                             "stale rows": sorted(readme - code)}
-    assert len(code) == 10
+    assert len(code) == 9

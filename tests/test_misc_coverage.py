@@ -74,6 +74,7 @@ class TestDDSubsetStats:
 
 class TestWalkChunkedThreaded:
     def test_threaded_chunks_agree_statistically(self):
+        from repro.pram.executor import ExecutionContext
         from repro.sampling.walks import WalkEngine
 
         g = G.grid2d(8, 8)
@@ -81,7 +82,9 @@ class TestWalkChunkedThreaded:
         is_term[:8] = True
         engine = WalkEngine(g, is_term)
         starts = np.tile(np.arange(g.n), 20)
-        res = engine.run_chunked(starts, seed=0, workers=4, chunks=4)
+        # 1280 walkers at 320 per chunk: four chunks on four threads.
+        ctx = ExecutionContext(workers=4, chunk_items=320)
+        res = engine.run_chunked(starts, ctx, seed=0)
         assert res.terminal.size == starts.size
         assert is_term[res.terminal].all()
         # distribution sanity: every terminal reachable gets some mass

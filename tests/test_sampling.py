@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SamplingError
 from repro.graphs import generators as G
 from repro.graphs.multigraph import MultiGraph
+from repro.pram.executor import ExecutionContext
 from repro.sampling import AliasTable, RowSampler, WalkEngine
 
 
@@ -147,7 +148,9 @@ class TestWalkEngine:
         is_term = np.zeros(g.n, dtype=bool)
         is_term[:6] = True
         engine = WalkEngine(g, is_term)
-        res = engine.run_chunked(np.arange(g.n), seed=6, chunks=4)
+        # 36 walkers at 9 per chunk: four chunks.
+        res = engine.run_chunked(np.arange(g.n),
+                                 ExecutionContext(chunk_items=9), seed=6)
         assert is_term[res.terminal].all()
         assert res.terminal.size == g.n
 
@@ -155,5 +158,5 @@ class TestWalkEngine:
         g = G.path(3)
         is_term = np.array([True, False, True])
         res = WalkEngine(g, is_term).run_chunked(
-            np.empty(0, dtype=np.int64), seed=0)
+            np.empty(0, dtype=np.int64), ExecutionContext(), seed=0)
         assert res.terminal.size == 0

@@ -5,7 +5,7 @@ Re-proves the library's contracts at the service boundary
 
 * **batching equivalence** — k concurrent single-RHS requests through
   the micro-batcher are bit-identical to one direct ``solve_many`` on
-  the assembled block, across ``{serial, thread}`` backends;
+  the assembled block, at one worker (serial) and on a thread pool;
   sequential library ``solve(b)`` calls agree to
   solver tolerance (the blocked path's documented contract: reductions
   depend on the block width — DESIGN.md §5);
@@ -157,7 +157,7 @@ class TestGraphKeys:
         g = G.grid2d(5, 5)
         base = solver_cache_key(g, default_options(), 0)
         for variant in (default_options().with_(workers=3),
-                        default_options().with_(backend="serial"),
+                        default_options().with_(backend="thread"),
                         default_options().with_(retries=0),
                         default_options().with_(degrade=False),
                         default_options().with_(ship_solves=False),
@@ -299,22 +299,23 @@ class TestChainCache:
 
 
 # ---------------------------------------------------------------------------
-# batching equivalence (backend × sampler-option matrix)
+# batching equivalence (schedule × sampler-option matrix)
 
 
 class TestBatchingEquivalence:
     K = 5
 
     @pytest.mark.parametrize("sampler", [None, "alias"])
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("workers", [pytest.param(1, id="serial"),
+                                         pytest.param(2, id="thread")])
     def test_batched_bit_identical_to_direct_solve_many(
-            self, backend, sampler):
-        # n > min_vertices so the build actually walks (the backend
-        # matters); chunk_columns=2 so the blocked solve fans
-        # out column chunks through the chosen backend too.
+            self, workers, sampler):
+        # n > min_vertices so the build actually walks (the schedule
+        # matters); chunk_columns=2 so the blocked solve fans out
+        # column chunks on the chosen schedule too.
         g = G.grid2d(12, 12)
         opts = practical_options(seed=0).with_(
-            backend=backend, sampler=sampler, chunk_columns=2)
+            workers=workers, sampler=sampler, chunk_columns=2)
         with SolverService(options=opts, window_ms=WINDOW_MS) as svc:
             key = svc.register(g, seed=0)
             B = np.random.default_rng(5).normal(size=(g.n, self.K))
