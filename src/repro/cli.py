@@ -126,15 +126,20 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro import default_options
+    from repro.errors import InvalidInputError
     from repro.graphs.io import load_npz
     from repro.serve.service import SolverService
 
     g = load_npz(args.graph)
-    service = SolverService(options=default_options(),
-                            window_ms=args.window_ms,
-                            max_batch=args.max_batch,
-                            cache_bytes=args.cache_bytes,
-                            max_pending=args.max_pending)
+    try:
+        service = SolverService(options=default_options(),
+                                window_ms=args.window_ms,
+                                max_batch=args.max_batch,
+                                cache_bytes=args.cache_bytes,
+                                max_pending=args.max_pending)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service.start()
     # SIGTERM should tear down like Ctrl-C: close the service instead
     # of dying mid-batch.
@@ -209,6 +214,9 @@ def _cmd_client(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     from repro.core.solver import DEFAULT_METHOD, METHODS
+    from repro.serve.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_MS
+    from repro.serve.cache import DEFAULT_CACHE_BYTES
+    from repro.serve.service import DEFAULT_MAX_PENDING
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -269,20 +277,19 @@ def main(argv: list[str] | None = None) -> int:
                    help="TCP port (0 = ephemeral; the bound port is "
                         "printed on startup)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-ms", type=float, default=None,
-                   help="micro-batch gathering window in ms (default: "
-                        "REPRO_SERVE_WINDOW_MS env var / 2.0)")
-    p.add_argument("--max-batch", type=int, default=None,
-                   help="flush a batch early at this many requests "
-                        "(default: REPRO_SERVE_MAX_BATCH env var / 64)")
-    p.add_argument("--cache-bytes", type=int, default=None,
-                   help="resident chain byte budget (default: "
-                        "REPRO_SERVE_CACHE_BYTES env var / 256 MiB)")
-    p.add_argument("--max-pending", type=int, default=None,
+    p.add_argument("--window-ms", type=float, default=DEFAULT_WINDOW_MS,
+                   help="micro-batch gathering window in ms, >= 0 "
+                        "(default: %(default)s)")
+    p.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+                   help="flush a batch early at this many requests, "
+                        ">= 1 (default: %(default)s)")
+    p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
+                   help="resident chain byte budget, >= 0 (default: "
+                        "%(default)s = 256 MiB)")
+    p.add_argument("--max-pending", type=int, default=DEFAULT_MAX_PENDING,
                    help="admission budget: pending solve requests "
                         "beyond this are shed with 503 + Retry-After "
-                        "(default: REPRO_SERVE_MAX_PENDING env var / "
-                        "256; 0 disables shedding)")
+                        "(default: %(default)s; 0 disables shedding)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("client",

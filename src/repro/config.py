@@ -158,7 +158,6 @@ class SolverOptions:
     ship_solves: bool | None = None
     coalesce_emitted: bool | None = None
     seed: int | None = None
-    track_costs: bool = True
 
     def __post_init__(self) -> None:
         from repro.errors import InvalidInputError
@@ -229,8 +228,8 @@ class SolverOptions:
 def reset_env_caches() -> None:
     """Forget every cached ``REPRO_*`` environment lookup.
 
-    The env-var knobs (``REPRO_WORKERS``, ``REPRO_COALESCE``, the
-    ``REPRO_SERVE_*`` family) all funnel through one module-level cache
+    The two env-var knobs (``REPRO_WORKERS``, ``REPRO_COALESCE``)
+    funnel through one module-level cache
     (:func:`repro.pram.executor._env_cached`), keyed on the raw env
     string.  A *changed* value is therefore picked up automatically,
     but a long-lived process wants a hard reset point: stale parse

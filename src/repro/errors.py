@@ -71,8 +71,8 @@ class ServiceError(ReproError):
 class ServiceOverloadedError(ServiceError):
     """The service shed this request under admission control.
 
-    Raised when the pending-request count is at the
-    ``REPRO_SERVE_MAX_PENDING`` budget or the circuit breaker is open
+    Raised when the pending-request count is at the service's
+    ``max_pending`` budget or the circuit breaker is open
     (DESIGN.md §12).  **Retriable**: nothing about the request was
     wrong — resubmit after ``retry_after`` seconds.  The HTTP front
     end maps it to ``503`` with a ``Retry-After`` header.

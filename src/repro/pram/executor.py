@@ -44,15 +44,17 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 __all__ = ["ExecutionContext", "parallel_map", "chunk_ranges",
-           "run_column_chunks", "default_workers",
-           "default_chunk_items", "DEFAULT_CHUNK_ITEMS",
+           "run_column_chunks", "default_workers", "DEFAULT_CHUNK_ITEMS",
            "DEFAULT_CHUNK_COLUMNS", "MAX_CHUNKS"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Work items (walkers, edges) per chunk — large enough that each
-#: chunk's numpy kernels dominate its Python dispatch overhead.
+#: chunk's numpy kernels dominate its Python dispatch overhead.  Chunk
+#: layout decides the per-chunk RNG streams, so it is part of the
+#: result for a fixed seed: ``SolverOptions.chunk_items`` overrides
+#: it, no environment variable does.
 DEFAULT_CHUNK_ITEMS = 65536
 
 #: Right-hand-side columns per chunk for blocked iterative solves.
@@ -106,17 +108,6 @@ def default_workers() -> int:
         return value
 
     return _env_cached("REPRO_WORKERS", parse)
-
-
-def default_chunk_items() -> int:
-    """The walker-chunk grain when ``SolverOptions.chunk_items`` is
-    unset: :data:`DEFAULT_CHUNK_ITEMS`.
-
-    **Chunk layout is part of the result for a fixed seed** — it
-    decides the per-chunk RNG streams — so the grain is a solver
-    option, never an environment knob.
-    """
-    return DEFAULT_CHUNK_ITEMS
 
 
 def default_coalesce() -> bool:
@@ -287,7 +278,7 @@ class ExecutionContext:
         """The item-chunk grain: ``chunk_items`` or the default."""
         if self.chunk_items is not None:
             return self.chunk_items
-        return default_chunk_items()
+        return DEFAULT_CHUNK_ITEMS
 
     def item_chunks(self, n: int) -> list[tuple[int, int]]:
         """Chunk ``range(n)`` work items; layout depends only on ``n``

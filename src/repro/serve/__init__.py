@@ -14,41 +14,28 @@ Front ends: in-process (``SolverService.submit``/``solve``), HTTP
 (``repro serve`` / ``repro client``).
 
 Overload behaviour (DESIGN.md §12): a bounded pending-request budget
-(``REPRO_SERVE_MAX_PENDING``) sheds excess load with a retriable
+(``max_pending``) sheds excess load with a retriable
 :class:`repro.errors.ServiceOverloadedError` (HTTP 503 +
-``Retry-After``), and a circuit breaker opens after
-``REPRO_SERVE_BREAKER_FAILS`` consecutive batch failures — failing
-fast until a half-open probe succeeds after
-``REPRO_SERVE_BREAKER_COOLDOWN_S``.
+``Retry-After``), and a circuit breaker opens after ``breaker_fails``
+consecutive batch failures — failing fast until a half-open probe
+succeeds after ``breaker_cooldown_s``.
 
-Knobs (env-cached like every ``REPRO_*`` setting, reset on service
-start via :func:`repro.config.reset_env_caches`):
-``REPRO_SERVE_WINDOW_MS``, ``REPRO_SERVE_MAX_BATCH``,
-``REPRO_SERVE_CACHE_BYTES``, ``REPRO_SERVE_MAX_PENDING``,
-``REPRO_SERVE_BREAKER_FAILS``, ``REPRO_SERVE_BREAKER_COOLDOWN_S``,
-``REPRO_SERVE_READ_TIMEOUT_S``.
+Settings are :class:`SolverService` constructor arguments
+(``window_ms``, ``max_batch``, ``cache_bytes``, ``max_pending``,
+``breaker_fails``, ``breaker_cooldown_s``), each defaulting to its
+``DEFAULT_*`` constant and checked once, at construction; the HTTP
+read timeout is :data:`repro.serve.http.READ_TIMEOUT_S`.
 """
 
-from repro.serve.batcher import (
-    MicroBatcher,
-    ServeResult,
-    default_serve_max_batch,
-    default_serve_window_ms,
-)
-from repro.serve.cache import ChainCache, default_serve_cache_bytes
+from repro.serve.batcher import MicroBatcher, ServeResult
+from repro.serve.cache import ChainCache
 from repro.serve.keys import (
     canonical_edge_arrays,
     graph_fingerprint,
     options_token,
     solver_cache_key,
 )
-from repro.serve.service import (
-    GraphSpec,
-    SolverService,
-    default_serve_max_pending,
-    default_serve_breaker_fails,
-    default_serve_breaker_cooldown_s,
-)
+from repro.serve.service import GraphSpec, SolverService
 
 __all__ = [
     "SolverService",
@@ -60,10 +47,4 @@ __all__ = [
     "graph_fingerprint",
     "options_token",
     "canonical_edge_arrays",
-    "default_serve_window_ms",
-    "default_serve_max_batch",
-    "default_serve_cache_bytes",
-    "default_serve_max_pending",
-    "default_serve_breaker_fails",
-    "default_serve_breaker_cooldown_s",
 ]

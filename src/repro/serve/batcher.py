@@ -4,13 +4,12 @@ PR 2 measured one blocked ``solve_many`` at ~4× the throughput of
 looping ``k`` single-RHS solves, so the serving layer's job is to turn
 ``k`` concurrent users into one BLAS-3 block.  The
 :class:`MicroBatcher` buckets requests by ``(cache key, method)``,
-holds each bucket open for a small time window
-(``REPRO_SERVE_WINDOW_MS``) or until ``REPRO_SERVE_MAX_BATCH``
-requests arrive, then assembles the columns **in submission order**
-into one ``(n, k)`` block, runs a single batched solve in the
-service's solve executor, and scatters per-column results —
-``x[:, i]``, ``column_status[i]``, per-column iterations and residuals
-— back to each caller's future.
+holds each bucket open for a small time window (``window_ms``) or
+until ``max_batch`` requests arrive, then assembles the columns **in
+submission order** into one ``(n, k)`` block, runs a single batched
+solve in the service's solve executor, and scatters per-column
+results — ``x[:, i]``, ``column_status[i]``, per-column iterations
+and residuals — back to each caller's future.
 
 Determinism at the batch level: the assembled block is exactly what a
 direct ``solve_many`` on the same resident chain would receive, so the
@@ -25,59 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pram.executor import _env_cached
-
-__all__ = ["MicroBatcher", "ServeResult", "default_serve_window_ms",
-           "default_serve_max_batch", "DEFAULT_WINDOW_MS",
+__all__ = ["MicroBatcher", "ServeResult", "DEFAULT_WINDOW_MS",
            "DEFAULT_MAX_BATCH"]
 
-#: Default micro-batch gathering window (milliseconds).
+#: Default micro-batch gathering window (milliseconds).  ``0`` still
+#: batches requests that arrive within the same event-loop tick; 2 ms
+#: of added latency buys the blocked-solve throughput win.
 DEFAULT_WINDOW_MS = 2.0
 #: Default flush-early batch width.
 DEFAULT_MAX_BATCH = 64
-
-
-def default_serve_window_ms() -> float:
-    """Micro-batch window from ``REPRO_SERVE_WINDOW_MS`` (ms, ≥ 0).
-
-    ``0`` still batches requests that arrive within the same event-loop
-    tick; the default :data:`DEFAULT_WINDOW_MS` trades ~2 ms of added
-    latency for the blocked-solve throughput win.
-    """
-
-    def parse(env: str | None) -> float:
-        if not env or not env.strip():
-            return DEFAULT_WINDOW_MS
-        try:
-            value = float(env)
-        except ValueError:
-            value = -1.0
-        if value < 0 or not np.isfinite(value):
-            raise ValueError(
-                f"REPRO_SERVE_WINDOW_MS must be a non-negative number "
-                f"of milliseconds, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_WINDOW_MS", parse)
-
-
-def default_serve_max_batch() -> int:
-    """Flush-early width from ``REPRO_SERVE_MAX_BATCH`` (int, ≥ 1)."""
-
-    def parse(env: str | None) -> int:
-        if not env or not env.strip():
-            return DEFAULT_MAX_BATCH
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(
-                f"REPRO_SERVE_MAX_BATCH must be a positive integer, "
-                f"got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_MAX_BATCH", parse)
 
 
 @dataclass(frozen=True)
@@ -132,9 +87,8 @@ class MicroBatcher:
 
     ``runner(solver, B, eps_col, method, plan, batch_seq)`` executes
     the batched solve (in the service's solve executor) and returns a
-    :class:`repro.core.solver.BlockSolveReport`.  ``window_ms`` /
-    ``max_batch`` of ``None`` resolve their env knobs lazily per
-    bucket, so a reset environment takes effect without a restart.
+    :class:`repro.core.solver.BlockSolveReport`.  ``window_ms`` and
+    ``max_batch`` arrive checked from :class:`SolverService`.
 
     All bucket state is touched only from the owning event loop;
     cross-thread entry goes through the service's
@@ -142,32 +96,18 @@ class MicroBatcher:
     """
 
     def __init__(self, runner, executor, *,
-                 window_ms: float | None = None,
-                 max_batch: int | None = None) -> None:
+                 window_ms: float = DEFAULT_WINDOW_MS,
+                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
         self._runner = runner
         self._executor = executor
-        self._window_ms = window_ms
-        self._max_batch = max_batch
+        self.window_ms = window_ms
+        self.max_batch = max_batch
         self._buckets: dict[tuple[str, str], _Bucket] = {}
         self._seq = 0
         self._active_flushes = 0
         self.batches = 0
         self.requests = 0
         self.batch_sizes: dict[int, int] = {}
-
-    # -- knob resolution -----------------------------------------------------
-
-    def window_seconds(self) -> float:
-        """Gathering window in seconds (constructor override or env)."""
-        ms = self._window_ms if self._window_ms is not None \
-            else default_serve_window_ms()
-        return ms / 1000.0
-
-    def max_batch(self) -> int:
-        """Flush-early width (constructor override or env)."""
-        if self._max_batch is not None:
-            return self._max_batch
-        return default_serve_max_batch()
 
     # -- submission ----------------------------------------------------------
 
@@ -185,7 +125,7 @@ class MicroBatcher:
                 self._flush_after_window(bucket_key, bucket))
         bucket.requests.append(_Pending(b, float(eps), plan, future))
         self.requests += 1
-        if len(bucket.requests) >= self.max_batch():
+        if len(bucket.requests) >= self.max_batch:
             self._detach(bucket_key, bucket)
             if bucket.timer is not None:
                 bucket.timer.cancel()
@@ -194,7 +134,7 @@ class MicroBatcher:
 
     async def _flush_after_window(self, bucket_key, bucket) -> None:
         try:
-            await asyncio.sleep(self.window_seconds())
+            await asyncio.sleep(self.window_ms / 1000.0)
         except asyncio.CancelledError:
             return
         self._detach(bucket_key, bucket)

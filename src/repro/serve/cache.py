@@ -26,37 +26,12 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro.core.solver import LaplacianSolver
-from repro.pram.executor import _env_cached
 
-__all__ = ["ChainCache", "default_serve_cache_bytes",
-           "DEFAULT_CACHE_BYTES"]
+__all__ = ["ChainCache", "DEFAULT_CACHE_BYTES"]
 
-#: Default resident-chain byte budget (256 MiB).
+#: Default resident-chain byte budget (256 MiB).  ``0`` keeps only the
+#: most recently used chain.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-
-
-def default_serve_cache_bytes() -> int:
-    """Resident-chain byte budget from ``REPRO_SERVE_CACHE_BYTES``.
-
-    Plain byte count; must be a non-negative integer (``0`` keeps only
-    the most recently used chain).  Defaults to
-    :data:`DEFAULT_CACHE_BYTES`.
-    """
-
-    def parse(env: str | None) -> int:
-        if not env or not env.strip():
-            return DEFAULT_CACHE_BYTES
-        try:
-            value = int(env)
-        except ValueError:
-            value = -1
-        if value < 0:
-            raise ValueError(
-                f"REPRO_SERVE_CACHE_BYTES must be a non-negative "
-                f"integer byte count, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_CACHE_BYTES", parse)
 
 
 class _Build:
@@ -72,29 +47,21 @@ class _Build:
 class ChainCache:
     """Thread-safe LRU of resident solvers keyed by canonical hash.
 
-    ``max_bytes=None`` (default) resolves ``REPRO_SERVE_CACHE_BYTES``
-    lazily at every eviction decision, so a long-lived server picks up
-    budget changes after :func:`repro.config.reset_env_caches`.
+    ``max_bytes`` is the resident-chain byte budget, fixed for the
+    cache's lifetime (:class:`~repro.serve.SolverService` checks it).
     """
 
-    def __init__(self, max_bytes: int | None = None) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, LaplacianSolver] = OrderedDict()
         self._builds: dict[str, _Build] = {}
-        self._max_bytes = max_bytes
+        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.builds = 0
         self.evictions = 0
 
     # -- sizing --------------------------------------------------------------
-
-    @property
-    def max_bytes(self) -> int:
-        """The byte budget in effect right now (lazy env lookup)."""
-        if self._max_bytes is not None:
-            return self._max_bytes
-        return default_serve_cache_bytes()
 
     def total_bytes(self) -> int:
         """Resident chain payload bytes across all entries."""

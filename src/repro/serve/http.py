@@ -36,40 +36,16 @@ import numpy as np
 
 from repro.core.solver import DEFAULT_METHOD, METHODS
 from repro.errors import ReproError, ServiceError, ServiceOverloadedError
-from repro.pram.executor import _env_cached
 
-__all__ = ["start_http", "http_request",
-           "default_serve_read_timeout_s"]
+__all__ = ["start_http", "http_request", "READ_TIMEOUT_S"]
 
 _MAX_BODY = 256 * 1024 * 1024
 
-#: Default per-connection read timeout (seconds).
-DEFAULT_READ_TIMEOUT_S = 30.0
-
-
-def default_serve_read_timeout_s() -> float:
-    """Per-connection read timeout from ``REPRO_SERVE_READ_TIMEOUT_S``.
-
-    Bounds how long a connection may take to deliver its request line,
-    headers, and body — so an idle or trickling client cannot pin a
-    handler task forever.  Response writing and the solve itself are
-    not under this timeout.
-    """
-
-    def parse(env: str | None) -> float:
-        if not env or not env.strip():
-            return DEFAULT_READ_TIMEOUT_S
-        try:
-            value = float(env)
-        except ValueError:
-            value = 0.0
-        if value <= 0 or not np.isfinite(value):
-            raise ValueError(
-                f"REPRO_SERVE_READ_TIMEOUT_S must be a positive number "
-                f"of seconds, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_READ_TIMEOUT_S", parse)
+#: Per-connection read timeout (seconds).  Bounds how long a
+#: connection may take to deliver its request line, headers, and body
+#: — so an idle or trickling client cannot pin a handler task forever.
+#: Response writing and the solve itself are not under this timeout.
+READ_TIMEOUT_S = 30.0
 
 
 async def start_http(service, host: str, port: int):
@@ -113,8 +89,7 @@ async def _handle(service, reader: asyncio.StreamReader,
     try:
         try:
             request = await asyncio.wait_for(
-                _read_request(reader),
-                timeout=default_serve_read_timeout_s())
+                _read_request(reader), timeout=READ_TIMEOUT_S)
         except asyncio.TimeoutError:
             raise _HttpError(
                 408, "request not received within the read timeout")

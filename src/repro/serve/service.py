@@ -25,6 +25,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import math
+import numbers
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -40,28 +42,31 @@ from repro.core.solver import (
 )
 from repro.errors import (
     DimensionMismatchError,
+    InvalidInputError,
     ServiceError,
     ServiceOverloadedError,
 )
 from repro.graphs.multigraph import MultiGraph
-from repro.pram.executor import _env_cached
 from repro.pram.faults import FaultLog, active_plan, use_faults
 from repro.serve.batcher import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_WINDOW_MS,
     MicroBatcher,
     ServeResult,
-    default_serve_max_batch,
-    default_serve_window_ms,
 )
-from repro.serve.cache import ChainCache
+from repro.serve.cache import DEFAULT_CACHE_BYTES, ChainCache
 from repro.serve.keys import solver_cache_key
 
-__all__ = ["SolverService", "GraphSpec", "default_serve_max_pending",
-           "default_serve_breaker_fails",
-           "default_serve_breaker_cooldown_s"]
+__all__ = ["SolverService", "GraphSpec", "DEFAULT_MAX_PENDING",
+           "DEFAULT_BREAKER_FAILS", "DEFAULT_BREAKER_COOLDOWN_S"]
 
 _log = logging.getLogger("repro.serve")
 
-#: Default pending-request budget (admission control).
+#: Default pending-request budget (admission control).  Requests
+#: beyond this many in flight are shed with a retriable
+#: :class:`~repro.errors.ServiceOverloadedError` (HTTP 503 +
+#: ``Retry-After``) instead of queueing unboundedly; ``0`` disables
+#: admission control.
 DEFAULT_MAX_PENDING = 256
 #: Default consecutive-batch-failure threshold that opens the breaker.
 DEFAULT_BREAKER_FAILS = 5
@@ -69,69 +74,25 @@ DEFAULT_BREAKER_FAILS = 5
 DEFAULT_BREAKER_COOLDOWN_S = 5.0
 
 
-def default_serve_max_pending() -> int:
-    """Pending-request budget from ``REPRO_SERVE_MAX_PENDING`` (≥ 0).
-
-    Requests beyond this many in flight are **shed** with a retriable
-    :class:`~repro.errors.ServiceOverloadedError` (HTTP 503 +
-    ``Retry-After``) instead of queueing unboundedly.  ``0`` disables
-    admission control.
-    """
-
-    def parse(env: str | None) -> int:
-        if not env or not env.strip():
-            return DEFAULT_MAX_PENDING
-        try:
-            value = int(env)
-        except ValueError:
-            value = -1
-        if value < 0:
-            raise ValueError(
-                f"REPRO_SERVE_MAX_PENDING must be a non-negative "
-                f"integer, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_MAX_PENDING", parse)
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int ``>= minimum``, else :class:`InvalidInputError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < minimum:
+        raise InvalidInputError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
-def default_serve_breaker_fails() -> int:
-    """Consecutive batch failures that open the circuit breaker
-    (``REPRO_SERVE_BREAKER_FAILS``, ≥ 1)."""
-
-    def parse(env: str | None) -> int:
-        if not env or not env.strip():
-            return DEFAULT_BREAKER_FAILS
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(
-                f"REPRO_SERVE_BREAKER_FAILS must be a positive "
-                f"integer, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_BREAKER_FAILS", parse)
-
-
-def default_serve_breaker_cooldown_s() -> float:
-    """Open-state cooldown before the half-open probe
-    (``REPRO_SERVE_BREAKER_COOLDOWN_S``, seconds > 0)."""
-
-    def parse(env: str | None) -> float:
-        if not env or not env.strip():
-            return DEFAULT_BREAKER_COOLDOWN_S
-        try:
-            value = float(env)
-        except ValueError:
-            value = 0.0
-        if value <= 0 or not np.isfinite(value):
-            raise ValueError(
-                f"REPRO_SERVE_BREAKER_COOLDOWN_S must be a positive "
-                f"number of seconds, got {env!r}")
-        return value
-
-    return _env_cached("REPRO_SERVE_BREAKER_COOLDOWN_S", parse)
+def _duration(name: str, value, positive: bool) -> float:
+    """``value`` as a finite float (``> 0`` when ``positive``, else
+    ``>= 0``), else :class:`InvalidInputError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) \
+            or (value <= 0 if positive else value < 0):
+        bound = "> 0" if positive else ">= 0"
+        raise InvalidInputError(
+            f"{name} must be a finite number {bound}, got {value!r}")
+    return float(value)
 
 
 class _Breaker:
@@ -154,10 +115,9 @@ class _Breaker:
     solve-executor thread — hence the lock.
     """
 
-    def __init__(self, fails: int | None = None,
-                 cooldown_s: float | None = None) -> None:
-        self._fails = fails
-        self._cooldown = cooldown_s
+    def __init__(self, threshold: int, cooldown_s: float) -> None:
+        self.threshold = threshold
+        self.cooldown_s = cooldown_s
         self._lock = threading.Lock()
         self.state = "closed"
         self.consecutive_failures = 0
@@ -165,14 +125,6 @@ class _Breaker:
         self._opened_at = 0.0
         self._probing = False
         self._probe_token = 0
-
-    def threshold(self) -> int:
-        return self._fails if self._fails is not None \
-            else default_serve_breaker_fails()
-
-    def cooldown_s(self) -> float:
-        return self._cooldown if self._cooldown is not None \
-            else default_serve_breaker_cooldown_s()
 
     def allow(self) -> tuple[bool, int | None]:
         """``(admitted, probe_token)`` — may transition open→half-open.
@@ -185,7 +137,7 @@ class _Breaker:
             if self.state == "closed":
                 return True, None
             if self.state == "open":
-                if time.monotonic() - self._opened_at < self.cooldown_s():
+                if time.monotonic() - self._opened_at < self.cooldown_s:
                     return False, None
                 self.state = "half-open"
                 self._probing = False
@@ -211,8 +163,8 @@ class _Breaker:
 
     def retry_after(self) -> float:
         with self._lock:
-            remaining = self.cooldown_s() - (time.monotonic()
-                                             - self._opened_at)
+            remaining = self.cooldown_s - (time.monotonic()
+                                           - self._opened_at)
         return max(0.1, remaining)
 
     def record_success(self, log: FaultLog | None = None) -> None:
@@ -232,7 +184,7 @@ class _Breaker:
             self.consecutive_failures += 1
             was_open = self.state == "open"
             tripped = (self.state == "half-open"
-                       or self.consecutive_failures >= self.threshold())
+                       or self.consecutive_failures >= self.threshold)
             if tripped:
                 self.state = "open"
                 self._opened_at = time.monotonic()
@@ -267,38 +219,53 @@ class SolverService:
         overrides via :meth:`register`).  ``keep_graphs`` is forced off
         for cache builds — the service holds solve payloads, not
         diagnostics graphs.
-    window_ms / max_batch / cache_bytes / max_pending:
-        Explicit knob overrides; ``None`` resolves
-        ``REPRO_SERVE_WINDOW_MS`` / ``REPRO_SERVE_MAX_BATCH`` /
-        ``REPRO_SERVE_CACHE_BYTES`` / ``REPRO_SERVE_MAX_PENDING``
-        lazily.
+    window_ms:
+        Micro-batch gathering window in milliseconds (finite, ``>= 0``;
+        ``0`` still fuses same-tick arrivals).
+    max_batch:
+        Flush a batch early at this many requests (``>= 1``).
+    cache_bytes:
+        Resident-chain byte budget (``>= 0``; the most recently used
+        chain is always kept).
+    max_pending:
+        Admission budget: requests beyond this many pending are shed
+        (``>= 0``; ``0`` disables shedding).
     breaker_fails / breaker_cooldown_s:
-        Circuit-breaker overrides for ``REPRO_SERVE_BREAKER_FAILS`` /
-        ``REPRO_SERVE_BREAKER_COOLDOWN_S``.
+        Consecutive batch failures that open the circuit breaker
+        (``>= 1``), and its cooldown in seconds before a half-open
+        probe (finite, ``> 0``).
+
+    Every setting is checked here, once: a value outside its range
+    raises :class:`~repro.errors.InvalidInputError`.
     """
 
     def __init__(self, *, options: SolverOptions | None = None,
-                 window_ms: float | None = None,
-                 max_batch: int | None = None,
-                 cache_bytes: int | None = None,
-                 max_pending: int | None = None,
-                 breaker_fails: int | None = None,
-                 breaker_cooldown_s: float | None = None) -> None:
+                 window_ms: float = DEFAULT_WINDOW_MS,
+                 max_batch: int = DEFAULT_MAX_BATCH,
+                 cache_bytes: int = DEFAULT_CACHE_BYTES,
+                 max_pending: int = DEFAULT_MAX_PENDING,
+                 breaker_fails: int = DEFAULT_BREAKER_FAILS,
+                 breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S
+                 ) -> None:
+        self.window_ms = _duration("window_ms", window_ms, positive=False)
+        self.max_batch = _count("max_batch", max_batch, 1)
+        self.max_pending = _count("max_pending", max_pending, 0)
         self.options = options or default_options()
-        self.cache = ChainCache(max_bytes=cache_bytes)
+        self.cache = ChainCache(
+            max_bytes=_count("cache_bytes", cache_bytes, 0))
+        self.breaker = _Breaker(
+            _count("breaker_fails", breaker_fails, 1),
+            _duration("breaker_cooldown_s", breaker_cooldown_s,
+                      positive=True))
         #: Serve-level fault log: sheds and breaker transitions, plus
         #: every batch report's own events.
         self.fault_log = FaultLog()
-        self._window_ms = window_ms
-        self._max_batch = max_batch
-        self._max_pending = max_pending
         #: Requests admitted but not yet resolved (event-loop thread
         #: only — incremented strictly after the admission check, so
-        #: the ``REPRO_SERVE_MAX_PENDING`` budget is a hard bound).
+        #: the ``max_pending`` budget is a hard bound).
         self._pending = 0
         #: Requests refused under admission control.
         self.shed = 0
-        self.breaker = _Breaker(breaker_fails, breaker_cooldown_s)
         self._specs: dict[str, GraphSpec] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -323,7 +290,7 @@ class SolverService:
             max_workers=1, thread_name_prefix="repro-serve-solve")
         self.batcher = MicroBatcher(
             self._run_batch, self._solve_pool,
-            window_ms=self._window_ms, max_batch=self._max_batch)
+            window_ms=self.window_ms, max_batch=self.max_batch)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="repro-serve-loop",
@@ -443,12 +410,6 @@ class SolverService:
         return self.submit(key, b, eps=eps, method=method).result(
             timeout=timeout)
 
-    def max_pending(self) -> int:
-        """Admission budget (constructor override or env; 0 = off)."""
-        if self._max_pending is not None:
-            return self._max_pending
-        return default_serve_max_pending()
-
     def _admit(self) -> int | None:
         """Admission control — event-loop thread, before any queueing.
 
@@ -462,7 +423,7 @@ class SolverService:
         bad shape) strand the probe slot and wedge the breaker
         half-open forever.
         """
-        limit = self.max_pending()
+        limit = self.max_pending
         if limit and self._pending >= limit:
             self.shed += 1
             self.fault_log.record(
@@ -565,10 +526,6 @@ class SolverService:
 
     def stats(self) -> dict:
         """Cache, batcher, fault, and knob snapshot (JSON-friendly)."""
-        window_ms = self._window_ms if self._window_ms is not None \
-            else default_serve_window_ms()
-        max_batch = self._max_batch if self._max_batch is not None \
-            else default_serve_max_batch()
         return {
             "cache": self.cache.stats(),
             "batcher": self.batcher.stats()
@@ -581,11 +538,10 @@ class SolverService:
                         "opens": int(self.breaker.opens),
                         "consecutive_failures":
                             int(self.breaker.consecutive_failures)},
-            "knobs": {"window_ms": float(window_ms),
-                      "max_batch": int(max_batch),
-                      "cache_bytes": int(self.cache.max_bytes),
-                      "max_pending": int(self.max_pending()),
-                      "breaker_fails": int(self.breaker.threshold()),
-                      "breaker_cooldown_s":
-                          float(self.breaker.cooldown_s())},
+            "knobs": {"window_ms": self.window_ms,
+                      "max_batch": self.max_batch,
+                      "cache_bytes": self.cache.max_bytes,
+                      "max_pending": self.max_pending,
+                      "breaker_fails": self.breaker.threshold,
+                      "breaker_cooldown_s": self.breaker.cooldown_s},
         }

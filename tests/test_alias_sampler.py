@@ -31,7 +31,6 @@ from repro.pram import use_ledger
 from repro.pram.executor import (
     DEFAULT_CHUNK_ITEMS,
     ExecutionContext,
-    default_chunk_items,
     run_column_chunks,
 )
 from repro.sampling import (
@@ -520,7 +519,8 @@ class TestChunkItemsOverride:
         # Only the chunk_items option moves the walker-chunk layout; a
         # stale REPRO_CHUNK_ITEMS from an older release changes nothing.
         monkeypatch.setenv("REPRO_CHUNK_ITEMS", "7")
-        assert default_chunk_items() == DEFAULT_CHUNK_ITEMS
+        assert ExecutionContext().resolve_chunk_items() == \
+            DEFAULT_CHUNK_ITEMS
         n = 4 * DEFAULT_CHUNK_ITEMS
         assert len(ExecutionContext().item_chunks(n)) == 4
         ctx = default_options().with_(

@@ -108,6 +108,27 @@ class TestSolve:
             capsys.readouterr().err
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-batch", "0"), ("--window-ms", "-1"),
+        ("--cache-bytes", "-1"), ("--max-pending", "-1"),
+    ])
+    def test_bad_value_exits_before_binding(self, grid_file, capsys,
+                                            monkeypatch, flag, value):
+        # The graph file is valid, so the flag is what fails, and it
+        # fails at construction: the service never starts or binds.
+        from repro.serve.service import SolverService
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("service started despite a bad flag")
+
+        monkeypatch.setattr(SolverService, "start", must_not_run)
+        monkeypatch.setattr(SolverService, "serve_http", must_not_run)
+        assert main(["serve", grid_file, flag, value]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be" in capsys.readouterr().err
+
+
 class TestBench:
     def test_bench_prints_ledger(self, grid_file, capsys):
         assert main(["bench", grid_file, "--eps", "1e-3"]) == 0

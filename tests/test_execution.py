@@ -3,11 +3,12 @@
 The worker-invariance tests pin the PR-3 contract: for a fixed seed,
 every chunked phase — walker stepping in ``approx_schur``, column-
 blocked ``solve_many`` — produces bit-identical results for
-``REPRO_WORKERS ∈ {1, 2, 4}``, because chunk layout and per-chunk RNG
-streams are functions of problem size only.  The backend-matrix tests
-repeat that with small walker chunks, so every worker count genuinely
-fans out, and include ledger totals; ``workers=1`` is the serial
-reference (every chunk in the calling thread).  The
+``workers ∈ {1, 2, 4}``, because chunk layout and per-chunk RNG
+streams are functions of problem size only.  Both matrices use small
+walker and column chunks, so every worker count genuinely fans out;
+``TestWorkerInvariance`` sets the count through ``SolverOptions`` and
+``TestBackendMatrix`` through ``REPRO_WORKERS``.  ``workers=1`` is the
+serial reference (every chunk in the calling thread).  The
 incremental-CSR tests pin the other tentpole
 invariant: the maintained restricted adjacency (and the interior
 degree oracle it serves the 5DD scan from) equals a from-scratch
@@ -116,60 +117,98 @@ class TestDefaultWorkersCache:
 
 
 class TestWorkerInvariance:
-    """Same seed ⇒ bit-identical results for REPRO_WORKERS ∈ {1, 2, 4}."""
+    """Same seed ⇒ bit-identical results for ``workers ∈ {1, 2, 4}``.
 
-    def _schur(self, monkeypatch, workers: int):
-        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+    Walker chunks of 512 items and column chunks of 4 columns make
+    every dispatch split, so each worker count really fans out; the
+    ``pieces`` spy checks that it did.  The chunk policy is part of
+    the result, so it is held fixed across the matrix.
+    """
+
+    WORKER_COUNTS = (1, 2, 4)
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        """Piece count of every ``ExecutionContext.run_chunks`` call."""
+        counts: list[int] = []
+        real = ExecutionContext.run_chunks
+
+        def spy(ctx, fn, pieces, rng=None):
+            counts.append(len(pieces))
+            return real(ctx, fn, pieces, rng)
+
+        monkeypatch.setattr(ExecutionContext, "run_chunks", spy)
+        return counts
+
+    @staticmethod
+    def _opts(base: SolverOptions, workers: int) -> SolverOptions:
+        return base.with_(workers=workers, chunk_items=512,
+                          chunk_columns=4)
+
+    def _schur(self, workers: int):
         g = G.grid2d(14, 14)
         C = np.arange(0, g.n, 3)
-        return approx_schur(g, C, eps=0.5, seed=123)
+        return approx_schur(g, C, eps=0.5, seed=123,
+                            options=self._opts(default_options(), workers))
 
-    def test_approx_schur_bit_identical(self, monkeypatch):
-        base = self._schur(monkeypatch, 1)
-        for w in (2, 4):
-            other = self._schur(monkeypatch, w)
-            assert other == base  # array-level equality, order included
+    def test_approx_schur_bit_identical(self, pieces):
+        base = self._schur(1)
+        assert max(pieces) > 1
+        for w in self.WORKER_COUNTS[1:]:
+            other = self._schur(w)
+            assert other == base, w  # array-level equality, order included
 
-    def test_solve_many_bit_identical(self, monkeypatch):
+    def test_solve_many_bit_identical(self, pieces):
         g = G.grid2d(12, 12)
         rng = np.random.default_rng(7)
         B = rng.standard_normal((g.n, 9))
         B -= B.mean(axis=0)
 
         def solutions(workers):
-            monkeypatch.setenv("REPRO_WORKERS", str(workers))
-            solver = LaplacianSolver(g, options=practical_options(),
-                                     seed=11)
-            return solver.solve_many(B, eps=1e-6)
+            solver = LaplacianSolver(
+                g, options=self._opts(practical_options(), workers),
+                seed=11)
+            built = len(pieces)
+            x = solver.solve_many(B, eps=1e-6)
+            # Walkers split during the build, columns during the solve.
+            assert max(pieces[:built]) > 1
+            assert max(pieces[built:], default=0) > 1
+            del pieces[:]
+            return x
 
         base = solutions(1)
-        for w in (2, 4):
-            np.testing.assert_array_equal(solutions(w), base)
+        for w in self.WORKER_COUNTS[1:]:
+            np.testing.assert_array_equal(solutions(w), base,
+                                          err_msg=f"workers={w}")
 
-    def test_block_cholesky_chain_invariant(self, monkeypatch):
+    def test_block_cholesky_chain_invariant(self, pieces):
         g = G.grid2d(12, 12)
 
         def chain_pinv(workers):
-            monkeypatch.setenv("REPRO_WORKERS", str(workers))
-            solver = LaplacianSolver(g, options=practical_options(),
-                                     seed=5)
+            solver = LaplacianSolver(
+                g, options=self._opts(practical_options(), workers),
+                seed=5)
             return solver.chain.final_pinv
 
         base = chain_pinv(1)
-        for w in (2, 4):
+        assert max(pieces) > 1
+        for w in self.WORKER_COUNTS[1:]:
             np.testing.assert_array_equal(chain_pinv(w), base)
 
-    def test_ledger_totals_invariant(self, monkeypatch):
+    def test_ledger_totals_invariant(self, pieces):
         g = G.grid2d(10, 10)
         C = np.arange(0, g.n, 2)
 
         def totals(workers):
-            monkeypatch.setenv("REPRO_WORKERS", str(workers))
             with use_ledger() as ledger:
-                approx_schur(g, C, eps=0.5, seed=3)
+                approx_schur(g, C, eps=0.5, seed=3,
+                             options=self._opts(default_options(),
+                                                workers))
             return ledger.work, ledger.depth
 
-        assert totals(1) == totals(2) == totals(4)
+        base = totals(1)
+        assert max(pieces) > 1
+        assert totals(2) == totals(4) == base
 
 
 #: The two ways chunks are scheduled: ``workers=1`` runs them in the
@@ -293,7 +332,8 @@ class TestBackendMatrix:
         rng = np.random.default_rng(7)
         B = rng.standard_normal((g.n, 9))
         B -= B.mean(axis=0)
-        opts = practical_options().with_(chunk_items=512)
+        # Column chunks of 4 so the 9 columns split three ways.
+        opts = practical_options().with_(chunk_items=512, chunk_columns=4)
 
         def solutions(workers):
             monkeypatch.setenv("REPRO_WORKERS", str(workers))

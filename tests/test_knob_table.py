@@ -15,8 +15,7 @@ def _code_knobs() -> set[str]:
     names: set[str] = set()
     for path in (ROOT / "src").rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    # ``REPRO_SERVE_*`` in prose names a family, not a variable.
-    return {name for name in names if not name.endswith("_")}
+    return names
 
 
 def _readme_knobs() -> set[str]:
@@ -29,4 +28,4 @@ def test_readme_knob_tables_match_the_code():
     code, readme = _code_knobs(), _readme_knobs()
     assert code == readme, {"undocumented": sorted(code - readme),
                             "stale rows": sorted(readme - code)}
-    assert len(code) == 9
+    assert len(code) == 2

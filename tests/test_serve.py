@@ -16,6 +16,8 @@ Re-proves the library's contracts at the service boundary
   and feeds the circuit breaker; a nan-poisoned request degrades only
   its own column (``column_status``) while cohabiting requests in the
   same batch are untouched;
+* **settings** — each serve setting is a constructor argument,
+  checked once at construction (``InvalidInputError`` out of range);
 * **hygiene** — env caches reset on server start and in test
   teardown.
 """
@@ -47,16 +49,9 @@ from repro.pram.faults import use_faults
 from repro.serve import (
     ChainCache,
     SolverService,
-    default_serve_breaker_cooldown_s,
-    default_serve_breaker_fails,
-    default_serve_cache_bytes,
-    default_serve_max_batch,
-    default_serve_max_pending,
-    default_serve_window_ms,
     graph_fingerprint,
     solver_cache_key,
 )
-from repro.serve.http import default_serve_read_timeout_s
 
 #: Generous gathering window for tests that must co-batch their
 #: submissions regardless of scheduler jitter.
@@ -236,6 +231,13 @@ class TestChainCache:
         solver = cache.get_or_build(key, lambda: _build_solver(g))
         assert cache.get(key) is solver
         assert cache.evictions == 0
+        # A second chain evicts the first: under a budget smaller than
+        # any chain, only the most recent one stays resident.
+        other = G.cycle(30)
+        key2 = solver_cache_key(other, default_options(), 0)
+        cache.get_or_build(key2, lambda: _build_solver(other))
+        assert cache.keys() == (key2,)
+        assert cache.evictions == 1
 
     def test_single_flight_concurrent_misses_build_once(self):
         g = G.grid2d(5, 5)
@@ -557,22 +559,53 @@ class TestEnvCacheReset:
         finally:
             svc.close()
 
-    def test_serve_knobs_are_env_cached(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WINDOW_MS", "7.5")
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "9")
-        monkeypatch.setenv("REPRO_SERVE_CACHE_BYTES", "12345")
-        assert default_serve_window_ms() == 7.5
-        assert default_serve_max_batch() == 9
-        assert default_serve_cache_bytes() == 12345
-        monkeypatch.setenv("REPRO_SERVE_WINDOW_MS", "oops")
-        with pytest.raises(ValueError):
-            default_serve_window_ms()
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "0")
-        with pytest.raises(ValueError):
-            default_serve_max_batch()
-        monkeypatch.setenv("REPRO_SERVE_CACHE_BYTES", "-1")
-        with pytest.raises(ValueError):
-            default_serve_cache_bytes()
+
+# ---------------------------------------------------------------------------
+# settings: constructor arguments, checked once
+
+
+#: Every serve setting at its default, as ``stats()["knobs"]`` shows it.
+DEFAULT_KNOBS = {"window_ms": 2.0, "max_batch": 64,
+                 "cache_bytes": 268435456, "max_pending": 256,
+                 "breaker_fails": 5, "breaker_cooldown_s": 5.0}
+
+
+class TestServeSettings:
+    def test_defaults_show_in_stats(self):
+        svc = SolverService()
+        try:
+            knobs = svc.stats()["knobs"]
+        finally:
+            svc.close()
+        assert knobs == DEFAULT_KNOBS
+        assert [type(v) for v in knobs.values()] == \
+            [type(v) for v in DEFAULT_KNOBS.values()]
+
+    def test_range_edges_are_accepted(self):
+        svc = SolverService(window_ms=0, max_batch=1, cache_bytes=0,
+                            max_pending=0, breaker_fails=1,
+                            breaker_cooldown_s=0.25)
+        try:
+            assert svc.stats()["knobs"] == {
+                "window_ms": 0.0, "max_batch": 1, "cache_bytes": 0,
+                "max_pending": 0, "breaker_fails": 1,
+                "breaker_cooldown_s": 0.25}
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_batch", 0), ("max_batch", -3), ("max_batch", 2.5),
+        ("window_ms", -5.0), ("window_ms", float("nan")),
+        ("window_ms", float("inf")), ("window_ms", "2"),
+        ("cache_bytes", -1), ("max_pending", -1),
+        ("breaker_fails", 0), ("breaker_cooldown_s", -1.0),
+        ("breaker_cooldown_s", 0.0), ("breaker_cooldown_s", float("nan")),
+        ("breaker_cooldown_s", float("inf")),
+    ])
+    def test_bad_value_raises_at_construction(self, name, value):
+        with pytest.raises(InvalidInputError, match=name) as err:
+            SolverService(**{name: value})
+        assert isinstance(err.value, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -823,42 +856,6 @@ class TestAdmissionControl:
                 assert np.isfinite(f.result(timeout=120).x).all()
             assert svc.shed == 0
 
-    def test_admission_knobs_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_MAX_PENDING", raising=False)
-        assert default_serve_max_pending() == 256
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "7")
-        assert default_serve_max_pending() == 7
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "0")
-        assert default_serve_max_pending() == 0  # shedding off
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "-1")
-        with pytest.raises(ValueError):
-            default_serve_max_pending()
-
-        monkeypatch.delenv("REPRO_SERVE_BREAKER_FAILS", raising=False)
-        assert default_serve_breaker_fails() == 5
-        monkeypatch.setenv("REPRO_SERVE_BREAKER_FAILS", "3")
-        assert default_serve_breaker_fails() == 3
-        monkeypatch.setenv("REPRO_SERVE_BREAKER_FAILS", "0")
-        with pytest.raises(ValueError):
-            default_serve_breaker_fails()
-
-        monkeypatch.delenv("REPRO_SERVE_BREAKER_COOLDOWN_S",
-                           raising=False)
-        assert default_serve_breaker_cooldown_s() == 5.0
-        monkeypatch.setenv("REPRO_SERVE_BREAKER_COOLDOWN_S", "1.5")
-        assert default_serve_breaker_cooldown_s() == 1.5
-        monkeypatch.setenv("REPRO_SERVE_BREAKER_COOLDOWN_S", "0")
-        with pytest.raises(ValueError):
-            default_serve_breaker_cooldown_s()
-
-        monkeypatch.delenv("REPRO_SERVE_READ_TIMEOUT_S", raising=False)
-        assert default_serve_read_timeout_s() == 30.0
-        monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT_S", "2.5")
-        assert default_serve_read_timeout_s() == 2.5
-        monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT_S", "0")
-        with pytest.raises(ValueError):
-            default_serve_read_timeout_s()
-
 
 class TestCircuitBreaker:
     def test_opens_fails_fast_and_recloses(self, monkeypatch):
@@ -998,7 +995,7 @@ class TestHTTPHardening:
         assert b"bad Content-Length" in response
 
     def test_trickling_client_times_out_408(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_READ_TIMEOUT_S", "0.3")
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_S", 0.3)
         with SolverService(window_ms=10.0) as svc:
             host, port = svc.serve_http("127.0.0.1", 0)
             with socket.create_connection((host, port)) as s:
