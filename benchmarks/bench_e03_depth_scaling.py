@@ -20,6 +20,7 @@ import pytest
 from conftest import record, workload
 
 from repro import LaplacianSolver, default_options, use_ledger
+from repro.linalg.jacobi import jacobi_terms
 
 SIZES = [150, 300, 600, 1200, 2400]
 
@@ -32,7 +33,7 @@ def _apply_depth(n_target: int) -> dict:
     with use_ledger() as ledger:
         solver.preconditioner.apply(b)
     d = max(solver.chain.d, 1)
-    l = max((lvl.jacobi.l for lvl in solver.chain.levels), default=1)
+    l = jacobi_terms(solver.chain.jacobi_eps) if solver.chain.d else 1
     logm = np.log2(max(solver.multigraph.m, 2))
     return {"n": g.n, "depth": ledger.depth, "d": d, "l": l,
             "logm": logm, "ratio": ledger.depth / (d * l * logm)}

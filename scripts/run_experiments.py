@@ -43,6 +43,7 @@ from repro.core.schur import approx_schur  # noqa: E402
 from repro.core.terminal_walks import terminal_walks  # noqa: E402
 from repro.graphs import generators as G  # noqa: E402
 from repro.graphs.laplacian import laplacian  # noqa: E402
+from repro.linalg.jacobi import jacobi_terms  # noqa: E402
 from repro.linalg.loewner import (  # noqa: E402
     approximation_factor,
     operator_approximation_factor,
@@ -107,7 +108,7 @@ def e02_e03(fast):
         ms.append(g.m)
         works.append(build_ledger.work)
         d = max(solver.chain.d, 1)
-        l = max((lvl.jacobi.l for lvl in solver.chain.levels), default=1)
+        l = jacobi_terms(solver.chain.jacobi_eps) if solver.chain.d else 1
         logm = math.log2(max(solver.multigraph.m_logical, 2))
         ratio = apply_ledger.depth / (d * l * logm)
         rows.append([g.n, g.m, f"{build_ledger.work:.3e}",

@@ -28,7 +28,7 @@ from repro.config import SolverOptions, default_options
 from repro.core.boundedness import naive_split
 from repro.core.dd_subset import five_dd_subset
 from repro.core.schur import ApproxSchurReport, schur_alpha_inverse
-from repro.core.terminal_walks import TerminalWalkStats
+from repro.core.terminal_walks import MAX_WALK_STEPS, TerminalWalkStats
 from repro.errors import FactorizationError, SamplingError
 from repro.graphs.multigraph import MultiGraph
 from repro.pram import charge, ledger_active
@@ -41,7 +41,7 @@ __all__ = ["seed_terminal_walks", "seed_approx_schur"]
 
 
 def seed_terminal_walks(graph: MultiGraph, C: np.ndarray, seed=None,
-                        max_steps: int = 10_000,
+                        max_steps: int = MAX_WALK_STEPS,
                         return_stats: bool = False
                         ) -> MultiGraph | tuple[MultiGraph,
                                                 TerminalWalkStats]:
@@ -156,7 +156,6 @@ def seed_approx_schur(graph: MultiGraph, C: np.ndarray,
         dd_bytes = work.edge_nbytes + scan.edge_nbytes
         scan = None
         nxt, stats = seed_terminal_walks(work, terminals, seed=rng,
-                                         max_steps=opts.max_walk_steps,
                                          return_stats=True)
         walk_bytes = (work.edge_nbytes + stats.csr_nbytes
                       + stats.walker_nbytes + nxt.edge_nbytes)

@@ -1,8 +1,10 @@
 """Solver configuration.
 
-The paper leaves every constant unspecified (as theory papers do); this
-module centralises them so benchmarks can sweep them and so the default
-behaviour is documented in one place.
+The paper leaves every constant unspecified (as theory papers do).
+:class:`SolverOptions` holds the ones a caller or a benchmark sets; the
+constants the analysis fixes (Algorithm 3's 1/40 and 1/20, Theorem
+3.10's δ = 1, Lemma 5.4's walk cap) are module constants where they
+are read.
 
 Two presets mirror the paper's two headline theorems:
 
@@ -33,6 +35,9 @@ SplittingStrategy = Literal["naive", "leverage", "none"]
 class SolverOptions:
     """Tunable constants for :class:`repro.core.solver.LaplacianSolver`.
 
+    Every solver build streams (``chain.levels is None``); per-level
+    diagnostics call ``block_cholesky(..., keep_graphs=True)``.
+
     Attributes
     ----------
     splitting:
@@ -54,35 +59,15 @@ class SolverOptions:
         ``a(a−1)/2`` doubles, exceeds it, then factors that base
         exactly (DESIGN.md §17).  The default 100 (the paper's base
         size) stops at most 141 vertices.
-    dd_fraction / dd_candidate_fraction / dd_threshold:
-        Constants of ``5DDSubset`` (Algorithm 3): accept when
-        ``|F| > n·dd_fraction`` (paper: 1/40), sample candidate sets of
-        size ``n·dd_candidate_fraction`` (paper: 1/20), and keep
-        vertices whose weighted degree inside the candidate set is at
-        most ``dd_threshold`` times their total weighted degree
-        (paper: 1/5 — this is what makes the subset 5-DD).
+    dd_threshold:
+        ``5DDSubset`` (Algorithm 3) keeps candidates whose weighted
+        degree inside the candidate set is at most ``dd_threshold``
+        times their total weighted degree (paper: 1/5 — this is what
+        makes the subset 5-DD).  The algorithm's other two constants,
+        1/40 and 1/20, are fixed in :mod:`repro.core.dd_subset`.
     jacobi_eps:
         ε for the Jacobi operator inside ``ApplyCholesky``; ``None``
         uses the paper's ``1/(2d)`` where ``d`` is the chain depth.
-    richardson_delta:
-        δ such that the preconditioner satisfies ``B ≈_δ A⁺``
-        (Theorem 3.10 gives δ = 1).  Sets the outer loop's budget and
-        certificate for both methods (DESIGN.md §15).
-    max_walk_steps:
-        Safety cap on a single terminal walk.  Lemma 5.4 gives
-        ``O(log m)`` whp; the cap is generous and a
-        :class:`repro.errors.SamplingError` is raised when exceeded
-        (which would indicate the 5-DD property was violated).
-    lev_sample_K:
-        ``K`` of Lemma 3.3; ``None`` = ``Θ(log³ n)`` per Theorem 1.2.
-    keep_graphs:
-        Keep every per-level graph and block of the block Cholesky
-        chain alive for diagnostics (default).  ``False`` streams the
-        factorization — each level's graph is dropped once its blocks
-        are extracted, and the levels once the flat form is assembled,
-        cutting the chain's retained memory to the solve-time payload
-        (solves and edge-count diagnostics are unaffected; see
-        :func:`repro.core.block_cholesky.block_cholesky`).
     workers:
         Worker count for the embarrassingly parallel phases (walker
         stepping, column-blocked solves).  ``None`` (default) consults
@@ -140,14 +125,8 @@ class SolverOptions:
     splitting: SplittingStrategy = "naive"
     alpha_scale: float = 0.25
     min_vertices: int = 100
-    dd_fraction: float = 1.0 / 40.0
-    dd_candidate_fraction: float = 1.0 / 20.0
     dd_threshold: float = 1.0 / 5.0
     jacobi_eps: float | None = None
-    richardson_delta: float = 1.0
-    max_walk_steps: int = 10_000
-    lev_sample_K: int | None = None
-    keep_graphs: bool = True
     workers: int | None = None
     backend: str | None = None
     sampler: str | None = None
@@ -192,9 +171,7 @@ class SolverOptions:
         return 1.0 / self.alpha_inverse(n)
 
     def K(self, n: int) -> int:
-        """``K = Θ(log³ n)`` of Theorem 1.2 unless overridden."""
-        if self.lev_sample_K is not None:
-            return self.lev_sample_K
+        """Theorem 1.2's ``K = Θ(log³ n)``: ``max(1, round(log₂³n / 8))``."""
         log2n = math.log2(max(n, 2))
         return max(1, int(round(log2n**3 / 8.0)))
 

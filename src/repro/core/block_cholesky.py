@@ -42,7 +42,7 @@ __all__ = ["block_cholesky"]
 
 
 def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
-                            rng, opts: SolverOptions, baseline: int,
+                            rng, baseline: int,
                             max_retries: int = 25,
                             engine=None, ctx=None
                             ) -> "tuple[MultiGraph, TerminalWalkStats, " \
@@ -77,7 +77,6 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
     last = None
     for _ in range(max(max_retries, 1)):
         nxt, stats = terminal_walks(current, C, seed=rng,
-                                    max_steps=opts.max_walk_steps,
                                     return_stats=True,
                                     engine=engine, ctx=ctx)
         count, labels = _components_on(nxt, C.size)
@@ -130,7 +129,9 @@ def block_cholesky(graph: MultiGraph,
     a fixed (seed, coalesce) pair stays bit-identical across worker
     counts (DESIGN.md §11).
 
-    With ``keep_graphs=False`` (streaming mode) each per-level graph is
+    :class:`repro.core.solver.LaplacianSolver` always streams
+    (``keep_graphs=False``); ``keep_graphs=True`` is the entry point for
+    per-level diagnostics.  When streaming, each per-level graph is
     dropped as soon as its blocks are extracted and the next level is
     sampled, so only one working graph is alive at a time, and the
     levels themselves are dropped (``chain.levels is None``) once
@@ -177,7 +178,7 @@ def block_cholesky(graph: MultiGraph,
         idxC = np.searchsorted(active, C)
         blocks = laplacian_blocks(current, F, C)
         nxt, walk_stats, components, labels = _sample_schur_connected(
-            current, C, rng, opts, components,
+            current, C, rng, components,
             engine=inc.walk_engine(F, C), ctx=ctx)
         nxt = inc.accept_round(F, nxt, walk_stats.passthrough_stored,
                                coalesce)

@@ -217,10 +217,11 @@ class CholeskyChain:
     """Output of ``BlockCholesky``: the graphs, levels, and base case.
 
     ``graphs`` and ``levels`` are ``None`` when the chain was built with
-    ``keep_graphs=False`` (streaming mode — each per-level graph is
-    dropped once its blocks are extracted, and the levels' blocks once
-    :meth:`flatten` has folded them into the payload), so the chain
-    holds only what an apply reads.  Edge-count and active-set
+    ``keep_graphs=False`` (streaming mode, which every
+    :class:`repro.core.solver.LaplacianSolver` uses — each per-level
+    graph is dropped once its blocks are extracted, and the levels'
+    blocks once :meth:`flatten` has folded them into the payload), so
+    the chain holds only what an apply reads.  Edge-count and active-set
     diagnostics keep working through the cached
     ``logical_edges``/``stored_edges`` lists and :attr:`level_shapes`;
     only :meth:`dense_factorization` (and other consumers of the
@@ -270,7 +271,8 @@ class CholeskyChain:
             raise FactorizationError(
                 "chain was built with keep_graphs=False; per-level "
                 "graphs were dropped after block extraction — rebuild "
-                "with keep_graphs=True for graph-level diagnostics")
+                "with block_cholesky(..., keep_graphs=True) for "
+                "graph-level diagnostics")
         return self.graphs
 
     @property

@@ -33,6 +33,13 @@ from repro.rng import as_generator
 __all__ = ["five_dd_subset", "extend_independent", "verify_five_dd",
            "DDSubsetStats"]
 
+#: Algorithm 3 accepts a round once ``|F| > n·DD_FRACTION`` (Lemma 3.4's
+#: 1/40).
+DD_FRACTION = 1.0 / 40.0
+#: Algorithm 3's candidate sets have ``n·DD_CANDIDATE_FRACTION``
+#: vertices (the paper's 1/20).
+DD_CANDIDATE_FRACTION = 1.0 / 20.0
+
 
 class DDSubsetStats:
     """Diagnostics: rounds taken and the acceptance ratio per round."""
@@ -89,9 +96,8 @@ def five_dd_subset(graph,
         Vertices with zero weighted degree are never selected (they
         would make ``X`` singular in the Jacobi operator).
     options:
-        ``dd_fraction`` (accept when ``|F| > n·dd_fraction``),
-        ``dd_candidate_fraction`` (candidate-set size) and
-        ``dd_threshold`` (the 1/5).
+        ``dd_threshold`` (the 1/5); the 1/40 and 1/20 are
+        :data:`DD_FRACTION` and :data:`DD_CANDIDATE_FRACTION`.
     stats:
         Optional diagnostics collector.
     max_rounds:
@@ -115,8 +121,8 @@ def five_dd_subset(graph,
             stats.record(1)
         return eligible.copy()
 
-    target = n_act * opts.dd_fraction
-    cand_size = max(1, int(np.ceil(n_act * opts.dd_candidate_fraction)))
+    target = n_act * DD_FRACTION
+    cand_size = max(1, int(np.ceil(n_act * DD_CANDIDATE_FRACTION)))
     cand_size = min(cand_size, eligible.size)
 
     best: np.ndarray | None = None

@@ -137,14 +137,11 @@ def leverage_overestimates(graph: MultiGraph,
 
     # Inner solver: Theorem 1.1 configuration on G' (naive splitting) —
     # this is the recursion the paper describes; depth is 1 because the
-    # inner solver never calls leverage splitting again.  The inner
-    # chain is solve-only, so its per-level graphs are streamed out.
+    # inner solver never calls leverage splitting again.
     from repro.core.solver import LaplacianSolver
 
-    inner = LaplacianSolver(
-        gprime.coalesced(),
-        options=opts.with_(splitting="naive", keep_graphs=False),
-        seed=rng)
+    inner = LaplacianSolver(gprime.coalesced(),
+                            options=opts.with_(splitting="naive"), seed=rng)
 
     n = graph.n
     q = jl_rows if jl_rows is not None \

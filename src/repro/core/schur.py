@@ -181,7 +181,6 @@ def approx_schur(graph: MultiGraph,
         dd_bytes = work.edge_nbytes + scan.nbytes
         scan = None
         nxt, stats = terminal_walks(work, terminals, seed=rng,
-                                    max_steps=opts.max_walk_steps,
                                     return_stats=True,
                                     engine=inc.walk_engine(F, terminals),
                                     ctx=ctx)

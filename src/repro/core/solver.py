@@ -54,6 +54,10 @@ Method = Literal["richardson", "pcg"]
 METHODS: tuple[str, ...] = UPDATES
 #: The outer loop the solver, the service, HTTP and the CLI default to.
 DEFAULT_METHOD: Method = "pcg"
+#: The chain's preconditioner quality, ``W ≈_δ L⁺`` (Theorem 3.10's
+#: δ = 1): it sets the outer loop's budget and certificate for both
+#: methods (DESIGN.md §15).
+RICHARDSON_DELTA = 1.0
 
 
 def check_solve_inputs(B: np.ndarray, eps) -> None:
@@ -156,7 +160,8 @@ class LaplacianSolver:
     ``REPRO_COALESCE`` additionally merges each elimination level's
     emitted parallel edges in the incremental walk store (smaller
     chain levels, same Laplacians; fixed seed + fixed coalesce setting
-    keeps the bit-identical contract — DESIGN.md §11).
+    keeps the bit-identical contract — DESIGN.md §11).  The build
+    streams (``keep_graphs=False``): the chain holds only its payload.
     """
 
     def __init__(self, graph: MultiGraph,
@@ -190,7 +195,7 @@ class LaplacianSolver:
             raise ReproError(f"unknown splitting {options.splitting!r}")
 
         self.chain = block_cholesky(self.multigraph, options, seed=rng,
-                                    keep_graphs=options.keep_graphs)
+                                    keep_graphs=False)
         self.preconditioner = ApplyCholeskyOperator(self.chain)
         #: Execution context for the blocked solve paths (walker
         #: stepping inside ``block_cholesky`` already went through it).
@@ -319,7 +324,7 @@ class LaplacianSolver:
             try:
                 res = preconditioned_richardson(
                     self.apply_L, self.preconditioner.apply, B,
-                    delta=self.options.richardson_delta, eps=eps_col,
+                    delta=RICHARDSON_DELTA, eps=eps_col,
                     ctx=self.ctx, update=method)
                 x, iters, per_col = res.x, res.iterations, \
                     res.per_column_iterations

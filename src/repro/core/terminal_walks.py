@@ -51,7 +51,12 @@ from repro.pram import primitives as P
 from repro.rng import as_generator
 from repro.sampling.walks import WalkEngine
 
-__all__ = ["terminal_walks", "TerminalWalkStats"]
+__all__ = ["terminal_walks", "TerminalWalkStats", "MAX_WALK_STEPS"]
+
+#: Safety cap on a single terminal walk.  Lemma 5.4 gives ``O(log m)``
+#: steps whp when ``V ∖ C`` is 5-DD, so a walk that reaches the cap
+#: raises :class:`SamplingError`: the 5-DD precondition was violated.
+MAX_WALK_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class TerminalWalkStats:
 def terminal_walks(graph: MultiGraph,
                    C: np.ndarray,
                    seed=None,
-                   max_steps: int = 10_000,
+                   max_steps: int = MAX_WALK_STEPS,
                    return_stats: bool = False,
                    engine: WalkEngine | None = None,
                    ctx=None
@@ -100,7 +105,9 @@ def terminal_walks(graph: MultiGraph,
         eliminated).  Must be non-trivial: non-empty, and the walks
         must be able to reach it.
     seed, max_steps:
-        Randomness and the safety cap of the walk engine.
+        Randomness and the safety cap of the walk engine
+        (:data:`MAX_WALK_STEPS`; exceeding it raises
+        :class:`SamplingError`).
     return_stats:
         Also return a :class:`TerminalWalkStats`.
     engine:

@@ -3,7 +3,7 @@
 The production shape of "factor once, solve many": a long-lived
 :class:`SolverService` keeps built solver chains resident in a keyed
 LRU byte-budgeted :class:`ChainCache` (canonical graph hash →
-chain, single-flight builds, ``keep_graphs=False`` streaming) and
+chain, single-flight builds of streaming chains) and
 fuses concurrent single-RHS requests into one BLAS-3 ``solve_many``
 via a :class:`MicroBatcher` time window — with the library's
 determinism and fault contracts re-proven at the service boundary

@@ -14,9 +14,9 @@ factorization.  Identity has two halves:
 * the **chain-affecting options + seed** — exactly the
   :class:`repro.config.SolverOptions` fields that change the built
   chain's bits.  Runtime knobs that the determinism contract
-  (DESIGN.md §6) proves result-neutral (``workers``,
-  ``keep_graphs``, and the single-valued ``backend``, ``sampler``,
-  ``retries``, ``degrade`` and ``ship_solves``) are deliberately
+  (DESIGN.md §6) proves result-neutral (``workers``, and the
+  single-valued ``backend``, ``sampler``, ``retries``, ``degrade`` and
+  ``ship_solves``) are deliberately
   excluded, so a one-worker client and a four-worker client share
   one resident chain.  Defaulted fields that *do* affect bits are
   resolved at key time: ``coalesce_emitted`` against the environment,
@@ -39,10 +39,8 @@ __all__ = ["canonical_edge_arrays", "graph_fingerprint",
 #: SolverOptions fields whose value changes the built chain's bits
 #: (splitting layout, elimination randomness, preconditioner shape).
 _CHAIN_FIELDS = (
-    "splitting", "alpha_scale", "min_vertices", "dd_fraction",
-    "dd_candidate_fraction", "dd_threshold", "jacobi_eps",
-    "richardson_delta", "max_walk_steps", "lev_sample_K",
-    "chunk_columns",
+    "splitting", "alpha_scale", "min_vertices", "dd_threshold",
+    "jacobi_eps", "chunk_columns",
 )
 
 

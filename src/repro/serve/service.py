@@ -6,9 +6,9 @@
 * a dedicated thread running an asyncio event loop (request plumbing),
 * a single-worker solve executor (batched solves and chain builds run
   one at a time, so batch execution order is deterministic),
-* a :class:`repro.serve.cache.ChainCache` of resident solvers built
-  with ``keep_graphs=False`` (streaming builds: the cache holds the
-  solve payload, not the per-level graphs or blocks), and
+* a :class:`repro.serve.cache.ChainCache` of resident solvers (every
+  solver build streams: the cache holds the solve payload, not the
+  per-level graphs or blocks), and
 * a :class:`repro.serve.batcher.MicroBatcher` that fuses concurrent
   single-RHS requests into one ``solve_many`` block.
 
@@ -37,6 +37,7 @@ import numpy as np
 from repro.config import SolverOptions, default_options, reset_env_caches
 from repro.core.solver import (
     DEFAULT_METHOD,
+    METHODS,
     LaplacianSolver,
     check_solve_inputs,
 )
@@ -216,9 +217,7 @@ class SolverService:
     ----------
     options:
         Default :class:`SolverOptions` for registered graphs (per-graph
-        overrides via :meth:`register`).  ``keep_graphs`` is forced off
-        for cache builds — the service holds solve payloads, not
-        diagnostics graphs.
+        overrides via :meth:`register`).
     window_ms:
         Micro-batch gathering window in milliseconds (finite, ``>= 0``;
         ``0`` still fuses same-tick arrivals).
@@ -372,9 +371,8 @@ class SolverService:
         return key
 
     def _build(self, spec: GraphSpec) -> LaplacianSolver:
-        return LaplacianSolver(
-            spec.graph, options=spec.options.with_(keep_graphs=False),
-            seed=spec.seed)
+        return LaplacianSolver(spec.graph, options=spec.options,
+                               seed=spec.seed)
 
     def _resolve_solver(self, key: str) -> LaplacianSolver:
         spec = self._specs.get(key)
@@ -392,8 +390,16 @@ class SolverService:
         Returns a ``concurrent.futures.Future`` resolving to this
         request's :class:`ServeResult` once its micro-batch completes.
         The ambient fault plan is captured here, in the calling thread.
+        A bad ``method``, a non-numeric ``eps`` or a non-vector ``b``
+        raises here, before anything is queued, so it can neither
+        share a batch nor count against the circuit breaker.
         """
         self._require_started()
+        if method not in METHODS:
+            raise InvalidInputError(f"unknown method {method!r}; "
+                                    f"expected one of {METHODS}")
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+            raise InvalidInputError(f"eps must be a number, got {eps!r}")
         b = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
         if b.ndim != 1:
             raise DimensionMismatchError(

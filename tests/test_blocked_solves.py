@@ -327,25 +327,26 @@ class TestKeepGraphs:
 
     def test_streaming_solver_keeps_only_the_payload(self):
         g = G.grid2d(32, 32)
-        kept = LaplacianSolver(g, options=SolverOptions(keep_graphs=True),
-                               seed=0)
-        streamed = LaplacianSolver(
-            g, options=SolverOptions(keep_graphs=False), seed=0)
+        streamed = LaplacianSolver(g, seed=0)
+        # The same build with its levels kept: naive splitting draws no
+        # randomness, so seed 0 replays the solver's elimination.
+        kept = block_cholesky(streamed.multigraph, streamed.options,
+                              seed=0, keep_graphs=True)
         assert self._holds_level(kept)
         assert not self._holds_level(streamed)
         assert streamed.chain.levels is None
         assert streamed.chain.payload_fingerprint() \
-            == kept.chain.payload_fingerprint()
-        assert streamed.chain.nbytes == kept.chain.nbytes
-        assert streamed.chain.active_counts == kept.chain.active_counts
-        assert streamed.chain.summary() == kept.chain.summary()
+            == kept.payload_fingerprint()
+        assert streamed.chain.nbytes == kept.nbytes
+        assert streamed.chain.active_counts == kept.active_counts
+        assert streamed.chain.summary() == kept.summary()
         with pytest.raises(FactorizationError):
             streamed.chain.dense_factorization()
 
     def test_solver_option_threads_through(self):
+        # Every solver build streams.
         g = G.grid2d(8, 8)
-        solver = LaplacianSolver(
-            g, options=SolverOptions(keep_graphs=False), seed=0)
+        solver = LaplacianSolver(g, seed=0)
         assert solver.chain.graphs is None
         B = project_out_ones(
             np.random.default_rng(2).standard_normal((g.n, 3)))

@@ -18,7 +18,7 @@ from repro.core.richardson import (
     preconditioned_richardson,
     richardson_iterations,
 )
-from repro.core.solver import DEFAULT_METHOD, METHODS
+from repro.core.solver import DEFAULT_METHOD, METHODS, RICHARDSON_DELTA
 from repro.errors import ConvergenceError
 from repro.graphs import generators as G
 from repro.graphs.laplacian import apply_laplacian, laplacian
@@ -80,7 +80,7 @@ class TestSoundness:
                 try:
                     res = preconditioned_richardson(
                         solver.apply_L, solver.preconditioner.apply, B,
-                        delta=solver.options.richardson_delta, eps=eps,
+                        delta=RICHARDSON_DELTA, eps=eps,
                         update=method)
                 except ConvergenceError:
                     # A chain worse than δ diverges: nothing certified
@@ -95,7 +95,7 @@ class TestSoundness:
                     # allows it: the Ritz check only fires on a chain
                     # whose κ(WL) really exceeds e^{2δ}.
                     assert _kappa(L, solver.preconditioner.apply) > \
-                        math.exp(2.0 * solver.options.richardson_delta), \
+                        math.exp(2.0 * RICHARDSON_DELTA), \
                         (seed, eps)
                 errs = _lnorm_errors(L, res.x, Xstar)
                 assert np.all(errs[certified] <= eps), (seed, eps, errs)
@@ -140,7 +140,7 @@ class TestOnePath:
             rep = solver.solve_report(b, eps=1e-6, method=method)
             assert rep.method == method
             assert rep.iterations < richardson_iterations(
-                solver.options.richardson_delta, 1e-6)
+                RICHARDSON_DELTA, 1e-6)
 
     def test_pcg_beats_richardson_per_column(self, solver):
         # PCG's iterate t + 1 is L-optimal over a Krylov space holding

@@ -1,5 +1,6 @@
 """SolverOptions, the error hierarchy, and RNG stream management."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,8 +44,29 @@ class TestSolverOptions:
         n = 1 << 8
         assert opts.K(n) == max(1, round(8.0 ** 3 / 8.0))
 
-    def test_K_override(self):
-        assert SolverOptions(lev_sample_K=7).K(10 ** 6) == 7
+    def test_field_set_is_pinned(self):
+        # A new option is a deliberate edit here.  The constants the
+        # analysis fixes (Algorithm 3's 1/40 and 1/20, Theorem 3.10's
+        # δ, Lemma 5.4's walk cap, Theorem 1.2's K) are not options,
+        # and every solver build streams.
+        assert {f.name for f in dataclasses.fields(SolverOptions)} == {
+            "splitting", "alpha_scale", "min_vertices", "dd_threshold",
+            "jacobi_eps", "workers", "backend", "sampler", "chunk_items",
+            "chunk_columns", "retries", "degrade", "ship_solves",
+            "coalesce_emitted", "seed"}
+
+    @pytest.mark.parametrize("preset", [
+        default_options, practical_options, theorem_1_1_options,
+        theorem_1_2_options])
+    def test_every_preset_streams(self, preset):
+        from repro import LaplacianSolver
+        from repro.graphs import generators as G
+
+        solver = LaplacianSolver(G.grid2d(12, 12), options=preset(),
+                                 seed=0)
+        assert solver.chain.d > 0
+        assert solver.chain.graphs is None
+        assert solver.chain.levels is None
 
     def test_with_(self):
         opts = default_options()

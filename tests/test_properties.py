@@ -96,11 +96,14 @@ class TestSchurProperties:
     @given(multigraphs(connected=True), st.integers(0, 2 ** 31 - 1))
     @settings(deadline=None, max_examples=25)
     def test_terminal_walks_edge_budget_and_support(self, g, seed):
+        from repro.core.dd_subset import five_dd_subset
         from repro.core.terminal_walks import terminal_walks
 
+        # Lemma 5.4's precondition: the eliminated set V \ C is 5-DD
+        # (an arbitrary C lets heavy interior edges reach the walk cap).
         rng = np.random.default_rng(seed)
-        k = rng.integers(1, g.n)
-        C = np.sort(rng.choice(g.n, size=k, replace=False))
+        F = five_dd_subset(g, seed=rng)
+        C = np.setdiff1d(np.arange(g.n), F)
         H = terminal_walks(g, C, seed=rng)
         assert H.m <= g.m
         in_C = np.zeros(g.n, dtype=bool)

@@ -81,11 +81,15 @@ class TestConnectivityCertificate:
             assert err <= 1e-6
 
     def test_chain_levels_stay_connected(self):
+        from repro.core.block_cholesky import block_cholesky
+        from repro.core.boundedness import naive_split
         from repro.graphs.validation import connected_components
 
         g = G.barbell(60, 3)
-        solver = LaplacianSolver(g, options=practical_options(), seed=1)
-        chain = solver.chain
+        opts = practical_options()
+        # The solver's own build, with its per-level graphs kept.
+        chain = block_cholesky(naive_split(g, opts.alpha(g.n)), opts,
+                               seed=1, keep_graphs=True)
         active = np.arange(g.n)
         for k, level in enumerate(chain.levels):
             sub, _ = chain.graphs[k + 1].induced_subgraph(level.C)

@@ -58,14 +58,6 @@ from repro.serve import (
 WINDOW_MS = 200.0
 
 
-def _streaming(options=None):
-    return (options or default_options()).with_(keep_graphs=False)
-
-
-def _build_solver(graph, options=None, seed=0):
-    return LaplacianSolver(graph, options=_streaming(options), seed=seed)
-
-
 class _StubBatchFailure(Exception):
     """What :func:`_fail_next_batches`' stub raises for a batch."""
 
@@ -155,8 +147,7 @@ class TestGraphKeys:
                         default_options().with_(backend="thread"),
                         default_options().with_(retries=0),
                         default_options().with_(degrade=False),
-                        default_options().with_(ship_solves=False),
-                        default_options().with_(keep_graphs=False)):
+                        default_options().with_(ship_solves=False)):
             assert solver_cache_key(g, variant, 0) == base
 
     def test_sampler_option_does_not_change_the_key(self):
@@ -172,7 +163,7 @@ class TestGraphKeys:
 
     def test_solver_cache_key_method(self):
         g = G.grid2d(4, 4)
-        opts = _streaming()
+        opts = default_options()
         solver = LaplacianSolver(g, options=opts, seed=0)
         assert solver.cache_key() == solver_cache_key(g, opts, 0)
         gen = LaplacianSolver(g, options=opts,
@@ -193,7 +184,7 @@ class TestChainCache:
         built = []
 
         def build():
-            solver = _build_solver(g)
+            solver = LaplacianSolver(g, seed=0)
             built.append(solver)
             return solver
 
@@ -206,7 +197,7 @@ class TestChainCache:
 
     def test_lru_eviction_audited_against_chain_nbytes(self):
         graphs = [G.path(30), G.grid2d(5, 5), G.cycle(40)]
-        solvers = [_build_solver(g) for g in graphs]
+        solvers = [LaplacianSolver(g, seed=0) for g in graphs]
         sizes = [s.chain.nbytes for s in solvers]
         keys = [solver_cache_key(g, default_options(), 0)
                 for g in graphs]
@@ -228,14 +219,14 @@ class TestChainCache:
         g = G.path(25)
         cache = ChainCache(max_bytes=1)
         key = solver_cache_key(g, default_options(), 0)
-        solver = cache.get_or_build(key, lambda: _build_solver(g))
+        solver = cache.get_or_build(key, lambda: LaplacianSolver(g, seed=0))
         assert cache.get(key) is solver
         assert cache.evictions == 0
         # A second chain evicts the first: under a budget smaller than
         # any chain, only the most recent one stays resident.
         other = G.cycle(30)
         key2 = solver_cache_key(other, default_options(), 0)
-        cache.get_or_build(key2, lambda: _build_solver(other))
+        cache.get_or_build(key2, lambda: LaplacianSolver(other, seed=0))
         assert cache.keys() == (key2,)
         assert cache.evictions == 1
 
@@ -250,7 +241,7 @@ class TestChainCache:
         def build():
             build_calls.append(1)
             time.sleep(0.05)  # widen the race window
-            return _build_solver(g)
+            return LaplacianSolver(g, seed=0)
 
         def worker():
             barrier.wait()
@@ -277,15 +268,15 @@ class TestChainCache:
             cache.get_or_build("k", boom)
         # A later miss retries (failures are not poisoned-cached).
         g = G.path(10)
-        solver = cache.get_or_build("k", lambda: _build_solver(g))
+        solver = cache.get_or_build("k", lambda: LaplacianSolver(g, seed=0))
         assert solver.n == g.n and len(calls) == 1
 
     def test_cached_vs_fresh_chain_solves_bit_identical(self):
         g = G.grid2d(6, 6)
         cache = ChainCache(max_bytes=1 << 30)
         key = solver_cache_key(g, default_options(), 0)
-        cached = cache.get_or_build(key, lambda: _build_solver(g))
-        fresh = _build_solver(g)
+        cached = cache.get_or_build(key, lambda: LaplacianSolver(g, seed=0))
+        fresh = LaplacianSolver(g, seed=0)
         assert cached.chain.payload_fingerprint() \
             == fresh.chain.payload_fingerprint()
         B = np.random.default_rng(7).normal(size=(g.n, 4))
@@ -295,7 +286,7 @@ class TestChainCache:
     def test_close_releases_everything(self):
         g = G.path(15)
         cache = ChainCache(max_bytes=1 << 30)
-        cache.get_or_build("k", lambda: _build_solver(g))
+        cache.get_or_build("k", lambda: LaplacianSolver(g, seed=0))
         cache.close()
         assert len(cache) == 0
 
@@ -421,7 +412,7 @@ class TestBatchingEquivalence:
 
     def test_eviction_then_request_rebuilds_transparently(self):
         g1, g2 = G.path(30), G.cycle(40)
-        nb = _build_solver(g1).chain.nbytes
+        nb = LaplacianSolver(g1, seed=0).chain.nbytes
         # Budget below two chains: registering g2 evicts g1's chain.
         with SolverService(window_ms=20.0, cache_bytes=nb) as svc:
             k1 = svc.register(g1, seed=0)
@@ -938,6 +929,24 @@ class TestCircuitBreaker:
             result = svc.solve(key, b)
             assert np.isfinite(result.x).all()
             assert svc.breaker.state == "closed"
+
+    def test_bad_requests_do_not_open_the_breaker(self):
+        # An unknown method or a non-numeric eps is the caller's fault:
+        # it is refused in the calling thread, before anything is
+        # queued, so it never reaches a batch or the breaker.
+        g = G.grid2d(6, 6)
+        with SolverService(window_ms=10.0) as svc:
+            key = svc.register(g, seed=0)
+            b = np.random.default_rng(25).normal(size=g.n)
+            for _ in range(svc.breaker.threshold):
+                with pytest.raises(InvalidInputError, match="method"):
+                    svc.submit(key, b, method="bogus")
+            with pytest.raises(InvalidInputError, match="eps"):
+                svc.submit(key, b, eps="abc")
+            assert svc.breaker.state == "closed"
+            assert svc.breaker.consecutive_failures == 0
+            result = svc.solve(key, b)
+            assert np.isfinite(result.x).all()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.boundedness import leverage_scores, naive_split
-from repro.core.dd_subset import five_dd_subset
+from repro.core.dd_subset import five_dd_subset, verify_five_dd
 from repro.core.terminal_walks import terminal_walks
 from repro.errors import SamplingError
 from repro.graphs import generators as G
@@ -129,6 +129,16 @@ class TestLemma54WalkLengths:
         assert stats.mean_walk_length < 2.0
         assert stats.max_walk_length <= 4 * np.log2(max(g.m, 2)) + 8
         assert stats.total_steps <= 4 * g.m
+
+    def test_interior_not_5dd_hits_the_cap(self):
+        # Lemma 5.4 needs V \ C to be 5-DD.  Here the interior {1, 2}
+        # is joined by a heavy edge, so a walk escapes to C = {0, 3}
+        # with probability ~1e-6 per step and a small cap is reached:
+        # the documented SamplingError, not a silent long loop.
+        g = MultiGraph(4, [0, 1, 2], [1, 2, 3], [1.0, 1e6, 1.0])
+        assert not verify_five_dd(g, np.array([1, 2]))
+        with pytest.raises(SamplingError, match="5-DD"):
+            terminal_walks(g, np.array([0, 3]), seed=0, max_steps=8)
 
     def test_resistance_composition_on_path(self):
         # Eliminating the middle of a 3-path: every surviving walk is
